@@ -115,7 +115,7 @@ def _settings(args) -> dict:
 
 
 def _initial_spec(settings) -> InitialDataSpec:
-    kind = settings["preset"].replace("-", "_")
+    kind = str(settings["preset"]).replace("-", "_")
     return InitialDataSpec(kind=kind, rho_max=settings["rho_max"],
                            x0=settings["x0"],
                            transition_width=settings["width"],
@@ -131,10 +131,18 @@ def _solver_config(settings) -> SolverConfig:
                         max_steps=settings["max_steps"])
 
 
+def _inputs(settings):
+    """Initial data and solver config from settings.  A value that the grid,
+    the initial data or SolverConfig rejects is a config error."""
+    try:
+        grid = make_grid(settings["n_points"])
+        return make_initial_data(grid, _initial_spec(settings)), _solver_config(settings)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _execute(settings):
-    grid = make_grid(settings["n_points"])
-    rho0 = make_initial_data(grid, _initial_spec(settings))
-    config = _solver_config(settings)
+    rho0, config = _inputs(settings)
     constants = constants_for(settings["alpha"], rho0)
     t0 = time.time()
     result = run(rho0, config, observers=(make_observer(constants),))
@@ -275,11 +283,9 @@ def cmd_characteristics(args) -> int:
 def cmd_align(args) -> int:
     settings = _settings(args)
     out_dir = Path(args.out)
+    rho0, config = _inputs(settings)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = make_grid(settings["n_points"])
-    rho0 = make_initial_data(grid, _initial_spec(settings))
-    u0 = velocity_spectral(rho0, settings["alpha"])
-    config = _solver_config(settings)
+    u0 = velocity_spectral(rho0, config.alpha)
     t0 = time.time()
     result = run_alignment(rho0, u0, config)
     wall = time.time() - t0
@@ -302,8 +308,7 @@ def cmd_align(args) -> int:
 
 def cmd_reduce(args) -> int:
     settings = _settings(args)
-    grid = make_grid(settings["n_points"])
-    rho0 = make_initial_data(grid, _initial_spec(settings))
+    rho0, _ = _inputs(settings)
     report = slab_check_2d(rho0, settings["alpha"])
     payload = {
         "alpha": settings["alpha"], "n": settings["n_points"],

@@ -14,7 +14,7 @@ from numpy.polynomial.legendre import leggauss
 from .grid import DensityField, evaluate_trig, spectral_derivative
 from .operators import (OperatorParams, _jacobi_endpoint_integral,
                         compute_A, compute_delta, decompose_velocity)
-from .solver import SimulationState, tail_fraction
+from .solver import SimulationState
 
 __all__ = [
     "DiagnosticsRecord",
@@ -70,8 +70,7 @@ def constants_for(alpha: float, rho0: DensityField) -> EstimateConstants:
                              A=compute_A(alpha, m, rho_max))
 
 
-def observe(state: SimulationState, constants: EstimateConstants,
-            dealias_fraction: float = 2.0 / 3.0) -> DiagnosticsRecord:
+def observe(state: SimulationState, constants: EstimateConstants) -> DiagnosticsRecord:
     """All scalar observables of one snapshot.
 
     The enhanced margin max(u + A x) is evaluated only on grid points of
@@ -99,14 +98,14 @@ def observe(state: SimulationState, constants: EstimateConstants,
         c1_norm=float(np.max(np.abs(zeta))),
         u_max_on_delta=float(np.max(u[on_delta])),
         enhanced_margin=margin,
-        tail_fraction=tail_fraction(rho, dealias_fraction),
+        tail_fraction=state.tail_fraction,
         dt=state.dt_last,
     )
 
 
-def make_observer(constants: EstimateConstants, dealias_fraction: float = 2.0 / 3.0):
+def make_observer(constants: EstimateConstants):
     def _observer(state: SimulationState) -> DiagnosticsRecord:
-        return observe(state, constants, dealias_fraction)
+        return observe(state, constants)
     return _observer
 
 

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma as gamma_fn, roots_jacobi
 
-from .grid import DensityField, PeriodicGrid
+from .grid import DensityField
 from .operators import velocity_spectral
-from .solver import SolverConfig, SolverBlowupError, _Workspace
+from .solver import SolverConfig, _Workspace, integrate
 
 __all__ = [
     "AlignmentState",
@@ -52,40 +53,23 @@ class AlignmentResult:
     stop_reason: str
 
 
-class _AlignmentWorkspace(_Workspace):
-    """Adds the symmetric-operator symbols needed by the velocity equation."""
+def _force(ws: _Workspace, u: np.ndarray, rho_hat: np.ndarray,
+           rho_u_hat: np.ndarray) -> np.ndarray:
+    """u Lambda^a rho - Lambda^a(rho u) from rho's transform and the masked
+    transform of rho u."""
+    lap_rho = np.fft.irfft(ws.lap_sym * rho_hat, ws.grid.n)
+    return (np.fft.irfft(ws.mask * np.fft.rfft(u * lap_rho), ws.grid.n)
+            - np.fft.irfft(ws.lap_sym * rho_u_hat, ws.grid.n))
 
-    def __init__(self, grid: PeriodicGrid, alpha: float, dealias_fraction: float):
-        super().__init__(grid, alpha, dealias_fraction)
-        k = grid.k_half.astype(float)
-        self.lap_sym = (2.0 * np.pi * k) ** alpha
-        self.deriv_sym = 2j * np.pi * k
-        self.deriv_sym[-1] = 0.0
 
-    def masked_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        hat = np.fft.rfft(a * b)
-        hat *= self.mask
-        return hat
-
-    def tendencies(self, rho_v: np.ndarray, u_v: np.ndarray):
-        rho_hat = np.fft.rfft(rho_v)
-        u_hat = np.fft.rfft(u_v)
-        lap_rho = np.fft.irfft(self.lap_sym * rho_hat, self.grid.n)
-        lap_rho_u = np.fft.irfft(
-            self.lap_sym * self.masked_product(rho_v, u_v), self.grid.n)
-        force = np.fft.irfft(self.masked_product(u_v, lap_rho), self.grid.n) - lap_rho_u
-        du_dx = np.fft.irfft(self.deriv_sym * u_hat, self.grid.n)
-        adv = np.fft.irfft(self.masked_product(u_v, du_dx), self.grid.n)
-        flux_hat = self.flux_sym * np.fft.rfft(rho_v * u_v)
-        flux_hat[0] = 0.0
-        drho = np.fft.irfft(flux_hat, self.grid.n)
-        return drho, -adv + force
-
-    def g_field(self, rho_v: np.ndarray, u_v: np.ndarray) -> np.ndarray:
-        u_hat = np.fft.rfft(u_v)
-        rho_hat = np.fft.rfft(rho_v)
-        return np.fft.irfft(self.deriv_sym * u_hat - self.lap_sym * rho_hat,
-                            self.grid.n)
+def _alignment_rates(ws: _Workspace, y: np.ndarray, y_hat: np.ndarray):
+    """Tendencies of the stacked (rho, u) state; u is the transport velocity."""
+    rho, u = y
+    rho_u_hat = ws.mask * np.fft.rfft(rho * u)
+    du_dx = np.fft.irfft(ws.deriv_sym * y_hat[1], ws.grid.n)
+    adv = np.fft.irfft(ws.mask * np.fft.rfft(u * du_dx), ws.grid.n)
+    du = _force(ws, u, y_hat[0], rho_u_hat) - adv
+    return np.stack((ws.flux_divergence(rho_u_hat), du)), u
 
 
 def alignment_force(rho: DensityField, u: DensityField, alpha: float,
@@ -98,85 +82,30 @@ def alignment_force(rho: DensityField, u: DensityField, alpha: float,
     """
     if rho.grid is not u.grid and rho.grid.n != u.grid.n:
         raise ValueError("fields must share a grid")
-    ws = _AlignmentWorkspace(rho.grid, alpha, dealias_fraction)
-    rho_hat = np.fft.rfft(rho.values)
-    lap_rho = np.fft.irfft(ws.lap_sym * rho_hat, rho.grid.n)
-    out = np.fft.irfft(ws.masked_product(u.values, lap_rho), rho.grid.n) \
-        - np.fft.irfft(ws.lap_sym * ws.masked_product(rho.values, u.values),
-                       rho.grid.n)
+    ws = _Workspace(rho.grid, alpha, dealias_fraction)
+    rho_u_hat = ws.mask * np.fft.rfft(rho.values * u.values)
+    out = _force(ws, u.values, np.fft.rfft(rho.values), rho_u_hat)
     return DensityField(rho.grid, out)
 
 
 def run_alignment(rho0: DensityField, u0: DensityField,
                   config: SolverConfig) -> AlignmentResult:
-    """Evolve the coupled (rho, u) system with SSP-RK3 and shared dealiasing.
-
-    Stops on t_end, under-resolution of either field, step budget, or
-    non-finite values, mirroring the main solver's contract.
+    """Evolve the coupled (rho, u) system with the main solver's SSP-RK3
+    driver, dealiasing and stop rules; the tail check covers both fields.
     """
     if rho0.grid.n != config.n_points or u0.grid.n != config.n_points:
         raise ValueError("initial data grids do not match the configuration")
     grid = rho0.grid
-    ws = _AlignmentWorkspace(grid, config.alpha, config.dealias_fraction)
-    rho_v = rho0.values.copy()
-    u_v = u0.values.copy()
-    t, steps, dt_last = 0.0, 0, 0.0
-    snap_dt = config.snapshot_dt
-    next_snap = 0.0
-    states: list[AlignmentState] = []
-    stop_reason = "t_end"
+    ws = _Workspace(grid, config.alpha, config.dealias_fraction)
 
-    def make_state() -> AlignmentState:
-        rho = DensityField(grid, rho_v)
-        u = DensityField(grid, u_v)
-        return AlignmentState(t=t, rho=rho, u=u,
-                              G=DensityField(grid, ws.g_field(rho_v, u_v)))
+    def snapshot(t, y, y_hat, tail, steps, dt_last) -> AlignmentState:
+        g = np.fft.irfft(ws.deriv_sym * y_hat[1] - ws.lap_sym * y_hat[0], grid.n)
+        return AlignmentState(t=t, rho=DensityField(grid, y[0]),
+                              u=DensityField(grid, y[1]), G=DensityField(grid, g))
 
-    def stage(rv, uv, dt):
-        drho, du = ws.tendencies(rv, uv)
-        out_r, out_u = rv + dt * drho, uv + dt * du
-        if not (np.all(np.isfinite(out_r)) and np.all(np.isfinite(out_u))):
-            raise SolverBlowupError("non-finite alignment stage")
-        return out_r, out_u
-
-    while True:
-        tail = max(ws.tail_fraction(np.fft.rfft(rho_v)),
-                   ws.tail_fraction(np.fft.rfft(u_v)))
-        if tail > config.tail_threshold:
-            stop_reason = "under_resolved"
-            states.append(make_state())
-            break
-        if t >= next_snap - 1e-13 * max(1.0, t):
-            states.append(make_state())
-            next_snap += snap_dt
-        if t >= config.t_end - 1e-13 * config.t_end:
-            break
-        if steps >= config.max_steps:
-            stop_reason = "max_steps"
-            break
-        transport = grid.dx / (float(np.max(np.abs(u_v))) + 1e-12)
-        dissipative = 1.0 / (max(float(np.max(rho_v)), 1e-12)
-                             * (2.0 * np.pi * ws.k_max_kept) ** config.alpha)
-        dt = config.dt_fixed or config.cfl * min(transport, dissipative)
-        dt = min(dt, config.t_end - t, next_snap - t if next_snap > t else dt)
-        try:
-            r1, u1 = stage(rho_v, u_v, dt)
-            r2, u2 = stage(r1, u1, dt)
-            r2 = 0.75 * rho_v + 0.25 * r2
-            u2 = 0.75 * u_v + 0.25 * u2
-            r3, u3 = stage(r2, u2, dt)
-            rho_v = rho_v / 3.0 + (2.0 / 3.0) * r3
-            u_v = u_v / 3.0 + (2.0 / 3.0) * u3
-        except SolverBlowupError:
-            stop_reason = "nan"
-            break
-        t += dt
-        dt_last = dt
-        steps += 1
-
-    final = states[-1] if stop_reason == "under_resolved" else make_state()
-    if stop_reason != "under_resolved" and (not states or states[-1].t < t - 1e-13):
-        states.append(final)
+    states, final, stop_reason = integrate(
+        np.stack((rho0.values, u0.values)), partial(_alignment_rates, ws), ws,
+        config, snapshot)
     return AlignmentResult(states=states, final_state=final, stop_reason=stop_reason)
 
 

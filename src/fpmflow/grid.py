@@ -23,6 +23,8 @@ class PeriodicGrid:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise TypeError(f"grid size must be an integer, got {self.n!r}")
         if self.n < 8:
             raise ValueError(f"grid needs at least 8 points, got {self.n}")
         if self.n % 2 != 0:
@@ -105,18 +107,6 @@ class DensityField:
     @property
     def mean(self) -> float:
         return float(self.values.mean())
-
-
-def field_from_values(grid: PeriodicGrid, values: np.ndarray) -> DensityField:
-    return DensityField(grid, values)
-
-
-def field_from_function(grid: PeriodicGrid, f) -> DensityField:
-    return DensityField(grid, f(grid.nodes))
-
-
-def field_from_coefficients(grid: PeriodicGrid, coeffs: np.ndarray) -> DensityField:
-    return DensityField(grid, grid.synthesis(np.asarray(coeffs, dtype=complex)))
 
 
 def _resolve_symbol(grid: PeriodicGrid, symbol) -> np.ndarray:

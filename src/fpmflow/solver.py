@@ -12,28 +12,38 @@ past that point the solution is not trustworthy and the simulator refuses
 to certify anything about it.  The tail fraction is the l1 spectral mass in
 the top third of the retained band over the total l1 mass, which makes the
 threshold commensurate with amplitude-level error bounds.
+
+One driver, `integrate`, steps every system: this flow and the alignment
+system of `extensions`.  Its state is one array with one field per row,
+density first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import DensityField, PeriodicGrid, make_grid
+from .grid import DensityField, PeriodicGrid, derivative_symbol
+from .operators import laplacian_symbol, velocity_symbol
 
 __all__ = [
     "SolverConfig",
     "SimulationState",
     "RunResult",
     "SolverBlowupError",
+    "integrate",
     "rhs",
     "stable_dt",
     "step_ssprk3",
     "run",
     "tail_fraction",
 ]
+
+
+_TINY = np.finfo(float).tiny  # keeps an all-zero spectrum's fraction at 0
 
 
 class SolverBlowupError(RuntimeError):
@@ -61,6 +71,14 @@ class SolverConfig:
             raise ValueError("dealias fraction must lie in (0, 1]")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
+        if not self.tail_threshold > 0.0:
+            raise ValueError("tail_threshold must be positive")
+        if self.snapshot_interval is not None and not self.snapshot_interval > 0.0:
+            raise ValueError("snapshot_interval must be positive")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be nonnegative")
+        if self.dt_fixed is not None and not self.dt_fixed > 0.0:
+            raise ValueError("dt_fixed must be positive")
 
     @property
     def snapshot_dt(self) -> float:
@@ -75,6 +93,7 @@ class SimulationState:
     step_count: int
     dt_last: float
     under_resolved: bool
+    tail_fraction: float
 
 
 @dataclass
@@ -86,169 +105,100 @@ class RunResult:
 
 
 class _Workspace:
-    """Precomputed spectral machinery for one (n, alpha, dealias) triple."""
+    """Fourier symbols, dealiasing mask and tail band for one
+    (n, alpha, dealias) triple; operates on single fields and on row stacks."""
 
     def __init__(self, grid: PeriodicGrid, alpha: float, dealias_fraction: float):
         self.grid = grid
         self.alpha = alpha
         n = grid.n
-        k = grid.k_half.astype(float)
         self.k_max_kept = int(np.floor(dealias_fraction * (n // 2)))
         self.mask = grid.k_half <= self.k_max_kept
-        self.vel_sym = np.zeros(n // 2 + 1, dtype=complex)
-        self.vel_sym[1:] = -1j * (2.0 * np.pi * k[1:]) ** (alpha - 1.0)
-        self.vel_sym[-1] = 0.0
-        self.flux_sym = np.where(self.mask, -2j * np.pi * k, 0.0)
-        self.flux_sym[-1] = 0.0
-        band_lo = (2 * self.k_max_kept) // 3
-        self.tail_band = (grid.k_half > band_lo) & self.mask
+        self.vel_sym = velocity_symbol(grid, alpha)
+        self.lap_sym = laplacian_symbol(grid, alpha)
+        self.deriv_sym = derivative_symbol(grid)
+        self.flux_sym = np.where(self.mask, -self.deriv_sym, 0.0)
+        self.tail_band = slice((2 * self.k_max_kept) // 3 + 1, self.k_max_kept + 1)
         self.l1_weights = np.where(
             (grid.k_half > 0) & (grid.k_half < n // 2), 2.0, 1.0)
 
     def velocity(self, rho_hat: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self.vel_sym * rho_hat, self.grid.n)
 
-    def rhs_values(self, rho_values: np.ndarray) -> np.ndarray:
-        rho_hat = np.fft.rfft(rho_values)
-        u = self.velocity(rho_hat)
-        flux_hat = np.fft.rfft(rho_values * u)
-        out_hat = self.flux_sym * flux_hat
-        out_hat[0] = 0.0  # mass neutral by construction
+    def flux_divergence(self, rho_u_hat: np.ndarray) -> np.ndarray:
+        """-d_x(rho u) from the transform of rho u: dealiased, exactly mass
+        neutral."""
+        out_hat = self.flux_sym * rho_u_hat
+        out_hat[0] = 0.0
         return np.fft.irfft(out_hat, self.grid.n)
 
-    def tail_fraction(self, rho_hat: np.ndarray) -> float:
-        a = np.abs(rho_hat)
-        total = float(np.dot(self.l1_weights, a))
-        if total == 0.0:
-            return 0.0
-        return float(np.dot(self.l1_weights[self.tail_band], a[self.tail_band])) / total
+    def continuity_rates(self, rho: np.ndarray, rho_hat: np.ndarray):
+        """Tendency and transport velocity of the continuity flow."""
+        u = self.velocity(rho_hat)
+        return self.flux_divergence(np.fft.rfft(rho * u)), u
+
+    def tail_fraction(self, y_hat: np.ndarray) -> float:
+        """Largest tail fraction over the rows of y_hat."""
+        a = np.abs(y_hat)
+        total = a @ self.l1_weights
+        tail = a[..., self.tail_band] @ self.l1_weights[self.tail_band]
+        return float((tail / np.maximum(total, _TINY)).max())
+
+    def stable_dt(self, y: np.ndarray, u: np.ndarray, cfl: float) -> float:
+        transport = self.grid.dx / (float(np.max(np.abs(u))) + 1e-12)
+        rho = y[0] if y.ndim == 2 else y
+        rho_peak = max(float(np.max(rho)), 1e-12)
+        dissipative = 1.0 / (rho_peak * (2.0 * np.pi * self.k_max_kept) ** self.alpha)
+        return cfl * min(transport, dissipative)
 
 
-def _workspace(grid: PeriodicGrid, alpha: float, frac: float) -> _Workspace:
-    return _Workspace(grid, alpha, frac)
+def _finite(y: np.ndarray, stage: int) -> np.ndarray:
+    if not np.all(np.isfinite(y)):
+        raise SolverBlowupError(f"non-finite values after stage {stage}")
+    return y
 
 
-def rhs(rho: DensityField, alpha: float, dealias_fraction: float = 2.0 / 3.0) -> DensityField:
-    """Flux divergence -d_x(rho u), dealiased, exactly mass neutral."""
-    ws = _workspace(rho.grid, alpha, dealias_fraction)
-    return DensityField(rho.grid, ws.rhs_values(rho.values))
+def _ssprk3(y: np.ndarray, f0: np.ndarray, rates: Callable, dt: float) -> np.ndarray:
+    """One Shu-Osher SSP-RK3 step from y, given the stage-1 tendency f0."""
+    y1 = _finite(y + dt * f0, 1)
+    y2 = _finite(0.75 * y + 0.25 * (y1 + dt * rates(y1, np.fft.rfft(y1))[0]), 2)
+    return _finite(y / 3.0 + (2.0 / 3.0) * (y2 + dt * rates(y2, np.fft.rfft(y2))[0]), 3)
 
 
-def tail_fraction(rho: DensityField, dealias_fraction: float = 2.0 / 3.0) -> float:
-    """l1 spectral mass fraction in the top third of the retained band."""
-    ws = _workspace(rho.grid, 1.0, dealias_fraction)
-    return ws.tail_fraction(np.fft.rfft(rho.values))
+def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
+              config: SolverConfig, snapshot: Callable):
+    """Step dy/dt = rates(y, rfft(y))[0] with SSP-RK3 from t = 0.
 
-
-def _stable_dt_values(rho_values, u_values, ws: _Workspace, cfl: float) -> float:
-    transport = ws.grid.dx / (float(np.max(np.abs(u_values))) + 1e-12)
-    rho_peak = max(float(np.max(rho_values)), 1e-12)
-    dissipative = 1.0 / (rho_peak * (2.0 * np.pi * ws.k_max_kept) ** ws.alpha)
-    return cfl * min(transport, dissipative)
-
-
-def stable_dt(state: SimulationState, config: SolverConfig) -> float:
-    ws = _workspace(state.rho.grid, config.alpha, config.dealias_fraction)
-    return _stable_dt_values(state.rho.values, state.u.values, ws, config.cfl)
-
-
-def _advance_values(rho_values: np.ndarray, dt: float, ws: _Workspace,
-                    u0: np.ndarray | None = None) -> np.ndarray:
-    if u0 is not None:
-        flux_hat = ws.flux_sym * np.fft.rfft(rho_values * u0)
-        flux_hat[0] = 0.0
-        f0 = np.fft.irfft(flux_hat, ws.grid.n)
-    else:
-        f0 = ws.rhs_values(rho_values)
-    r1 = rho_values + dt * f0
-    if not np.all(np.isfinite(r1)):
-        raise SolverBlowupError("non-finite values after stage 1")
-    r2 = 0.75 * rho_values + 0.25 * (r1 + dt * ws.rhs_values(r1))
-    if not np.all(np.isfinite(r2)):
-        raise SolverBlowupError("non-finite values after stage 2")
-    out = rho_values / 3.0 + (2.0 / 3.0) * (r2 + dt * ws.rhs_values(r2))
-    if not np.all(np.isfinite(out)):
-        raise SolverBlowupError("non-finite values after stage 3")
-    return out
-
-
-def step_ssprk3(state: SimulationState, dt: float, config: SolverConfig) -> SimulationState:
-    """One SSP-RK3 step; recomputes the induced velocity for the new state."""
-    ws = _workspace(state.rho.grid, config.alpha, config.dealias_fraction)
-    new_values = _advance_values(state.rho.values, dt, ws)
-    rho = DensityField(state.rho.grid, new_values)
-    u = DensityField(state.rho.grid, ws.velocity(np.fft.rfft(new_values)))
-    return SimulationState(t=state.t + dt, rho=rho, u=u,
-                           step_count=state.step_count + 1, dt_last=dt,
-                           under_resolved=state.under_resolved)
-
-
-def initial_state(rho0: DensityField, config: SolverConfig) -> SimulationState:
-    ws = _workspace(rho0.grid, config.alpha, config.dealias_fraction)
-    u = DensityField(rho0.grid, ws.velocity(np.fft.rfft(rho0.values)))
-    return SimulationState(t=0.0, rho=rho0, u=u, step_count=0, dt_last=0.0,
-                           under_resolved=False)
-
-
-def run(rho0: DensityField, config: SolverConfig,
-        observers: tuple[Callable, ...] = ()) -> RunResult:
-    """Integrate to t_end, stopping early on under-resolution, step budget,
-    or non-finite values.  Observers run at snapshot times; their non-None
-    return values are collected in records (grouped per snapshot when there
-    are several observers).
+    rates returns (tendency, transport velocity); y holds one field per row,
+    density first.  snapshot(t, y, y_hat, tail, steps, dt_last) builds the
+    state recorded at each snapshot time.  Stops on t_end, under-resolution
+    of any row, the step budget, or non-finite values; on the last the final
+    state is the last finite one and is not recorded.  Returns
+    (states, final_state, stop_reason).
     """
-    if rho0.grid.n != config.n_points:
-        raise ValueError("initial data grid does not match the configuration")
-    grid = rho0.grid
-    ws = _workspace(grid, config.alpha, config.dealias_fraction)
-    values = rho0.values.copy()
-    t = 0.0
-    steps = 0
-    dt_last = 0.0
-    snap_dt = config.snapshot_dt
+    y, t, steps, dt_last = y0, 0.0, 0, 0.0
     next_snap = 0.0
-    states: list[SimulationState] = []
-    records: list = []
-    stop_reason = "t_end"
-    under_resolved = False
-
-    def make_state() -> SimulationState:
-        rho = DensityField(grid, values)
-        u = DensityField(grid, ws.velocity(np.fft.rfft(values)))
-        return SimulationState(t=t, rho=rho, u=u, step_count=steps,
-                               dt_last=dt_last, under_resolved=under_resolved)
-
-    def snapshot(state: SimulationState):
-        states.append(state)
-        outputs = [obs(state) for obs in observers]
-        outputs = [o for o in outputs if o is not None]
-        if len(outputs) == 1:
-            records.append(outputs[0])
-        elif outputs:
-            records.append(tuple(outputs))
-
+    states = []
     while True:
-        rho_hat = np.fft.rfft(values)
-        frac = ws.tail_fraction(rho_hat)
-        if frac > config.tail_threshold:
-            under_resolved = True
+        y_hat = np.fft.rfft(y)
+        tail = ws.tail_fraction(y_hat)
+        if tail > config.tail_threshold:
             stop_reason = "under_resolved"
-            snapshot(make_state())
             break
         if t >= next_snap - 1e-13 * max(1.0, t):
-            snapshot(make_state())
-            next_snap += snap_dt
+            states.append(snapshot(t, y, y_hat, tail, steps, dt_last))
+            next_snap += config.snapshot_dt
         if t >= config.t_end - 1e-13 * config.t_end:
             stop_reason = "t_end"
             break
         if steps >= config.max_steps:
             stop_reason = "max_steps"
             break
-        u_values = ws.velocity(rho_hat)
-        dt = config.dt_fixed or _stable_dt_values(values, u_values, ws, config.cfl)
+        f0, u = rates(y, y_hat)
+        dt = config.dt_fixed or ws.stable_dt(y, u, config.cfl)
         dt = min(dt, config.t_end - t, next_snap - t if next_snap > t else dt)
         try:
-            values = _advance_values(values, dt, ws, u0=u_values)
+            y = _ssprk3(y, f0, rates, dt)
         except SolverBlowupError:
             stop_reason = "nan"
             break
@@ -256,8 +206,73 @@ def run(rho0: DensityField, config: SolverConfig,
         dt_last = dt
         steps += 1
 
-    final = make_state() if stop_reason != "under_resolved" else states[-1]
-    if stop_reason in ("t_end", "max_steps") and (not states or states[-1].t < t - 1e-13):
-        snapshot(final)
+    final = snapshot(t, y, y_hat, tail, steps, dt_last)
+    if stop_reason != "nan" and (not states or states[-1].t < t - 1e-13):
+        states.append(final)
+    return states, final, stop_reason
+
+
+def _state(ws: _Workspace, config: SolverConfig, t: float, y: np.ndarray,
+           y_hat: np.ndarray, tail: float, steps: int = 0,
+           dt_last: float = 0.0) -> SimulationState:
+    return SimulationState(t=t, rho=DensityField(ws.grid, y),
+                           u=DensityField(ws.grid, ws.velocity(y_hat)),
+                           step_count=steps, dt_last=dt_last,
+                           under_resolved=tail > config.tail_threshold,
+                           tail_fraction=tail)
+
+
+def rhs(rho: DensityField, alpha: float, dealias_fraction: float = 2.0 / 3.0) -> DensityField:
+    """Flux divergence -d_x(rho u), dealiased, exactly mass neutral."""
+    ws = _Workspace(rho.grid, alpha, dealias_fraction)
+    return DensityField(rho.grid, ws.continuity_rates(rho.values, np.fft.rfft(rho.values))[0])
+
+
+def tail_fraction(rho: DensityField, dealias_fraction: float = 2.0 / 3.0) -> float:
+    """l1 spectral mass fraction in the top third of the retained band."""
+    return _Workspace(rho.grid, 1.0, dealias_fraction).tail_fraction(np.fft.rfft(rho.values))
+
+
+def stable_dt(state: SimulationState, config: SolverConfig) -> float:
+    ws = _Workspace(state.rho.grid, config.alpha, config.dealias_fraction)
+    return ws.stable_dt(state.rho.values, state.u.values, config.cfl)
+
+
+def step_ssprk3(state: SimulationState, dt: float, config: SolverConfig) -> SimulationState:
+    """One SSP-RK3 step; recomputes the induced velocity for the new state."""
+    ws = _Workspace(state.rho.grid, config.alpha, config.dealias_fraction)
+    rho = state.rho.values
+    f0 = ws.continuity_rates(rho, np.fft.rfft(rho))[0]
+    y = _ssprk3(rho, f0, ws.continuity_rates, dt)
+    y_hat = np.fft.rfft(y)
+    return _state(ws, config, state.t + dt, y, y_hat, ws.tail_fraction(y_hat),
+                  state.step_count + 1, dt)
+
+
+def initial_state(rho0: DensityField, config: SolverConfig) -> SimulationState:
+    ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
+    y_hat = np.fft.rfft(rho0.values)
+    return _state(ws, config, 0.0, rho0.values, y_hat, ws.tail_fraction(y_hat))
+
+
+def run(rho0: DensityField, config: SolverConfig,
+        observers: tuple[Callable, ...] = ()) -> RunResult:
+    """Integrate to t_end, stopping early on under-resolution, step budget,
+    or non-finite values.  Observers run on every snapshot; their non-None
+    return values are collected in records (grouped per snapshot when there
+    are several observers).
+    """
+    if rho0.grid.n != config.n_points:
+        raise ValueError("initial data grid does not match the configuration")
+    ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
+    states, final, stop_reason = integrate(
+        rho0.values, ws.continuity_rates, ws, config, partial(_state, ws, config))
+    records: list = []
+    for state in states:
+        outputs = [o for o in (obs(state) for obs in observers) if o is not None]
+        if len(outputs) == 1:
+            records.append(outputs[0])
+        elif outputs:
+            records.append(tuple(outputs))
     return RunResult(states=states, records=records, final_state=final,
                      stop_reason=stop_reason)

@@ -32,12 +32,17 @@ class TestConfigFile:
             load_config(cfg)
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
+        # unparsable lines and values the grid or SolverConfig rejects all
+        # exit 1 with a message, before any run
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("whatever\n")
-        code = run_cli("simulate", "--config", str(cfg), "--out",
-                       str(tmp_path / "o"))
-        assert code == 1
-        assert "config error" in capsys.readouterr().err
+        for text in ("whatever", "alpha = abc", "alpha = 3.0",
+                     "n_points = 100.5", "snapshot_interval = -1",
+                     "max_steps = -5"):
+            cfg.write_text(text + "\nt_end = 0.001\n")
+            code = run_cli("simulate", "--config", str(cfg), "--no-plots",
+                           "--out", str(tmp_path / "o"))
+            assert code == 1, text
+            assert "config error" in capsys.readouterr().err, text
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -111,6 +116,22 @@ class TestVerify:
         assert report["all_ok"]
         assert report["hypotheses"] == {"h1": True, "h2": True, "h3": False}
 
+    def test_tail_fraction_uses_solver_band(self, tmp_path, capsys):
+        # at dealias fraction 1/2 the observer must report the solver's own
+        # tail fraction, so the under-resolved stop record is not certified
+        out = tmp_path / "o"
+        code = run_cli("verify", "--preset", "cccf", "--alpha", "1.0",
+                       "--n", "512", "--t-end", "0.25",
+                       "--snapshot-interval", "0.001",
+                       "--dealias-fraction", "0.5", "--no-plots",
+                       "--out", str(out))
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["stop_reason"] == "under_resolved"
+        rows = (out / "timeseries.csv").read_text().splitlines()[1:]
+        assert float(rows[-1].split(",")[8]) > 1e-8
+        assert report["resolved_records"] == len(rows) - 1
+
     def test_cccf_window_passes(self, tmp_path, capsys):
         code = run_cli("verify", "--preset", "cccf", "--alpha", "1.0",
                        "--n", "512", "--t-end", "0.08",
@@ -165,6 +186,12 @@ class TestAlignCommand:
         assert lines[0] == "t,rho_min,rho_max,g_norm,g_over_dux"
         g_over = [float(line.split(",")[4]) for line in lines[1:]]
         assert max(g_over) < 1e-6
+
+    def test_bad_value_writes_nothing(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("align", "--alpha", "3.0", "--n", "64",
+                       "--out", str(out)) == 1
+        assert not out.exists()
 
 
 class TestReduceCommand:

@@ -23,6 +23,10 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(7)
 
+    def test_rejects_float_size(self):
+        with pytest.raises(TypeError, match="integer"):
+            make_grid(64.0)
+
     def test_rejects_too_small(self):
         with pytest.raises(ValueError, match="at least 8"):
             make_grid(4)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from fpmflow.extensions import run_alignment
 from fpmflow.grid import DensityField, make_grid
 from fpmflow.initial_data import gen_cccf, gen_positive_control
+from fpmflow.operators import velocity_spectral
 from fpmflow.solver import (SolverConfig, initial_state, rhs, run, stable_dt,
                             step_ssprk3, tail_fraction)
 
@@ -33,6 +35,16 @@ class TestRhs:
         x = grid.nodes
         expected = 2 * np.pi * np.cos(2 * np.pi * x) - 2 * np.pi * np.cos(4 * np.pi * x)
         assert np.max(np.abs(out.values - expected)) < 1e-8
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("snapshot_interval", 0.0), ("snapshot_interval", -1.0),
+        ("max_steps", -5), ("dt_fixed", 0.0), ("dt_fixed", -1e-3),
+        ("tail_threshold", 0.0)])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(alpha=1.0, n_points=256, t_end=1.0, **{field: value})
 
 
 class TestStableDt:
@@ -176,6 +188,54 @@ class TestRun:
         assert times[0] == 0.0
         assert abs(times[-1] - 0.2) < 1e-12
         assert len(times) == 5
+
+
+# stop reason -> (initial data, config overrides); snapshots every 0.01 unless
+# the interval exceeds the run
+STOPS = {
+    "t_end": (gen_positive_control, dict(t_end=0.02)),
+    "max_steps": (gen_positive_control, dict(t_end=10.0, max_steps=5,
+                                             snapshot_interval=10.0)),
+    "under_resolved": (gen_cccf, dict(t_end=5.0)),
+    # CFL-violating fixed step with the trust monitor disabled
+    "nan": (gen_cccf, dict(t_end=100.0, dt_fixed=0.5, snapshot_interval=100.0,
+                           tail_threshold=10.0)),
+}
+
+
+class TestStopRules:
+    @pytest.mark.parametrize("stop", STOPS)
+    @pytest.mark.parametrize("system", ("run", "run_alignment"))
+    def test_stop(self, system, stop):
+        gen, overrides = STOPS[stop]
+        grid = make_grid(128)
+        rho0 = gen(grid)
+        cfg = SolverConfig(alpha=1.0, n_points=128,
+                           **{"snapshot_interval": 0.01, **overrides})
+        with np.errstate(over="ignore", invalid="ignore"):
+            if system == "run":
+                res = run(rho0, cfg)
+            else:
+                res = run_alignment(rho0, velocity_spectral(rho0, 1.0), cfg)
+        assert res.stop_reason == stop
+        final = res.final_state
+        assert np.all(np.isfinite(final.rho.values))
+        assert np.all(np.isfinite(final.u.values))
+        times = [s.t for s in res.states]
+        if stop == "nan":
+            # the last finite state is the result, not a snapshot
+            assert times == [0.0]
+            return
+        assert times[-1] == final.t
+        if stop == "t_end":
+            assert np.allclose(times, [0.0, 0.01, 0.02], rtol=0, atol=1e-12)
+        elif stop == "max_steps":
+            assert times[0] == 0.0 and len(times) == 2 and final.t > 0.0
+        else:
+            assert final.t < cfg.t_end and len(times) >= 2
+            assert np.allclose(times[:-1], 0.01 * np.arange(len(times) - 1),
+                               rtol=0, atol=1e-12)
+            assert times[-2] < final.t
 
 
 class TestTailFraction:
