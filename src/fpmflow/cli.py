@@ -3,14 +3,15 @@ track characteristics, run the alignment system, check the slab reduction,
 print calibrated constants, and sweep parameters.
 
 Configs are flat key = value files (TOML-compatible scalars); command-line
-flags override file values.  Exit codes: 0 success, 1 malformed config,
-2 invariant failure in verify mode, 3 stopped under-resolved when the run
-was required to reach t_end.
+flags override file values.  Exit codes: 0 success, 1 malformed config or
+flag value, 2 invariant failure in verify mode, 3 stopped under-resolved when
+the run was required to reach t_end.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -255,8 +256,15 @@ def cmd_verify(args) -> int:
 def cmd_characteristics(args) -> int:
     settings = _settings(args)
     out_dir = Path(args.out)
-    starts = [float(s) for s in args.x_start.split(",")]
+    try:
+        starts = [float(s) for s in args.x_start.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--x-start: {exc}") from exc
     rho0, config, constants, result, wall = _execute(settings)
+    if len(result.states) < 2:
+        raise ConfigError(
+            f"run stopped {result.stop_reason} at t = {result.final_state.t:.6g} "
+            f"with {len(result.states)} snapshot(s); paths need at least two")
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [advect_path(result.states, xs) for xs in starts]
     for xs, path in zip(starts, paths):
@@ -327,18 +335,21 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    params = make_params(args.alpha, kernel_truncation=args.images,
-                         quadrature_points=args.quadrature_points)
-    payload = {
-        "alpha": args.alpha,
-        "c_alpha": params.c_alpha,
-        "c_velocity": params.c_velocity,
-        "C": compute_C(args.alpha),
-        "delta": compute_delta(args.alpha),
-        "A": compute_A(args.alpha, args.m, args.rho_max),
-        "image_truncation": params.kernel_truncation,
-        "truncation_tail_bound": kernel_tail_bound(params, args.rho_max),
-    }
+    try:
+        params = make_params(args.alpha, kernel_truncation=args.images,
+                             quadrature_points=args.quadrature_points)
+        payload = {
+            "alpha": args.alpha,
+            "c_alpha": params.c_alpha,
+            "c_velocity": params.c_velocity,
+            "C": compute_C(args.alpha),
+            "delta": compute_delta(args.alpha),
+            "A": compute_A(args.alpha, args.m, args.rho_max),
+            "image_truncation": params.kernel_truncation,
+            "truncation_tail_bound": kernel_tail_bound(params, args.rho_max),
+        }
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -369,16 +380,18 @@ def cmd_sweep(args) -> int:
                          "" if inv["all_ok"] else "invariant_failure"))
         except Exception as exc:  # keep sweeping, record the failure
             rows.append((value, "error", math.nan, "error", math.nan,
-                         math.nan, math.nan, type(exc).__name__))
+                         math.nan, math.nan, f"{type(exc).__name__}: {exc}"))
     header = (axis, "verdict", "growth_factor", "stop_reason", "t_final",
               "rho_min", "u_max_on_delta", "note")
     path = out_dir / "sweep.csv"
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [str(row[0]), str(row[1]), fmt(row[2]) if isinstance(row[2], float) else str(row[2]),
-                 str(row[3]), fmt(row[4]), fmt(row[5]), fmt(row[6]), str(row[7])]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([str(row[0]), str(row[1]),
+                             fmt(row[2]) if isinstance(row[2], float) else str(row[2]),
+                             str(row[3]), fmt(row[4]), fmt(row[5]), fmt(row[6]),
+                             str(row[7])])
     print(f"sweep table: {path} ({len(rows)} rows)")
     return 0
 

@@ -23,7 +23,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma as gamma_fn, roots_jacobi
 
 from .grid import DensityField
-from .operators import velocity_spectral
+from .operators import (_integrate_steep_left, _jacobi_endpoint_integral,
+                        velocity_spectral)
 from .solver import SolverConfig, _Workspace, integrate
 
 __all__ = [
@@ -210,17 +211,10 @@ def _free_space_inner(y1: float, alpha: float, n_gauss: int = 24) -> float:
     second-order analytic tail; independent of the plane-slice constant."""
     xg, wg = leggauss(n_gauss)
     a = abs(y1)
-    total = 0.0
-    left = 0.0
-    width = a
     Y = 200.0 * a
-    while left < Y:
-        right = min(left + width, Y)
-        mid, half = 0.5 * (left + right), 0.5 * (right - left)
-        y2 = mid + half * xg
-        total += half * float(np.dot(wg, (y1 ** 2 + y2 ** 2) ** (-(2.0 + alpha) / 2.0)))
-        left = right
-        width *= 2.0
+    total = _integrate_steep_left(
+        lambda y2: (y1 ** 2 + y2 ** 2) ** (-(2.0 + alpha) / 2.0), 0.0, Y,
+        scale=a, nodes=xg, weights=wg)
     tail = Y ** (-1.0 - alpha) / (1.0 + alpha) \
         - (2.0 + alpha) * y1 ** 2 * Y ** (-3.0 - alpha) / (2.0 * (3.0 + alpha))
     return 2.0 * (total + tail)
@@ -230,18 +224,16 @@ def _free_space_ratio(alpha: float, x1: float = 0.1, r0: float = 0.2,
                       n_jac: int = 48) -> float:
     """Ratio of the 2D plane integral to the 1D odd-kernel integral on a
     compactly supported profile; equals the plane-slice constant."""
-    xi, wi = roots_jacobi(n_jac, 0.0, 1.0 - alpha)
-    S = x1 + r0
-    s = S * (xi + 1.0) / 2.0
 
-    def odd_diff(sv):
-        return _mollifier(x1 - sv, r0) - _mollifier(x1 + sv, r0)
+    def odd_diff(s):
+        return (_mollifier(x1 - s, r0) - _mollifier(x1 + s, r0)) / s
 
-    phi_1d = odd_diff(s) / s
-    K = (S / 2.0) ** (2.0 - alpha) * float(np.dot(wi, phi_1d))
-    inner = np.array([_free_space_inner(sv, alpha) for sv in s])
-    phi_2d = odd_diff(s) / s * (s ** (1.0 + alpha) * inner)
-    J = (S / 2.0) ** (2.0 - alpha) * float(np.dot(wi, phi_2d))
+    def plane(s):
+        inner = np.array([_free_space_inner(v, alpha) for v in s])
+        return odd_diff(s) * (s ** (1.0 + alpha) * inner)
+
+    K = _jacobi_endpoint_integral(odd_diff, 0.0, x1 + r0, 1.0 - alpha, n_jac)
+    J = _jacobi_endpoint_integral(plane, 0.0, x1 + r0, 1.0 - alpha, n_jac)
     return J / K
 
 

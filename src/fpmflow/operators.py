@@ -7,8 +7,10 @@ Each operator has two routes:
   and -i sgn(k) (2 pi |k|)^(alpha-1) for the velocity;
 * kernel: principal-value quadrature of the periodized singular integral,
   with the singular cell folded symmetrically and integrated by Gauss-Jacobi
-  rules, periodic images summed up to a truncation L, and the remainder
-  corrected by a moment expansion in Hurwitz zeta functions.
+  rules.  The periodic images share one rule (``_image_weights``): the
+  1-periodic integrand is evaluated once on one period's Gauss nodes, which
+  carry the summed image weights sum_l (l + w)^(-p) -- images 1 .. L exactly,
+  the remainder by a moment expansion in Hurwitz zeta functions.
 
 The kernel normalization c_alpha is calibrated so the symmetric kernel
 reproduces the multiplier (2 pi)^alpha on cos(2 pi x).  The odd velocity
@@ -59,14 +61,9 @@ class OperatorParams:
     quadrature_points: int = 64
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
+        _check_quadrature(self.alpha, self.kernel_truncation, self.quadrature_points)
         if self.c_alpha <= 0.0:
             raise ValueError("c_alpha must be positive")
-        if self.kernel_truncation < 8:
-            raise ValueError("kernel truncation must be at least 8 images")
-        if self.quadrature_points < 8:
-            raise ValueError("need at least 8 quadrature points per cell")
 
     @property
     def c_velocity(self) -> float:
@@ -89,6 +86,16 @@ class VelocityDecomposition:
 # quadrature helpers
 
 _SING_HALF_WIDTH = 0.25  # half width of the symmetric singular cell
+_TAIL_MOMENTS = 6  # terms of the image-tail expansion
+
+
+def _check_quadrature(alpha: float, kernel_truncation: int, quadrature_points: int):
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    if kernel_truncation < 8:
+        raise ValueError("kernel truncation must be at least 8 images")
+    if quadrature_points < 8:
+        raise ValueError("need at least 8 quadrature points per cell")
 
 
 def _gauss_cell(fun, a, b, nodes, weights):
@@ -105,42 +112,42 @@ def _binom_neg(p: float, j: int) -> float:
     return out
 
 
+def _image_weights(w, p: float, L: int, start: int = 0) -> np.ndarray:
+    """sum_{l >= 1} (l + w)^(-p) at each node offset w, |w| <= 1.
+
+    Images 1 .. L are summed exactly; the remainder expands (l + w)^(-p)
+    about each integer l > L, so its j-th term is binomial(-p, j) w^j
+    zeta(p + j, L + 1).  start = 1 drops the j = 0 term, whose integral
+    vanishes against a mean-zero integrand.
+    """
+    w = np.asarray(w, dtype=float)
+    images = np.arange(1.0, L + 1.0)[:, None]
+    out = np.sum((images + w) ** (-p), axis=0)
+    for j in range(start, _TAIL_MOMENTS):
+        out += _binom_neg(p, j) * float(hurwitz_zeta(p + j, L + 1)) * w ** j
+    return out
+
+
 def _periodized_singular_integral(G, p: float, L: int, n_quad: int,
-                                  mean_zero: bool = False,
-                                  n_jacobi: int | None = None,
-                                  n_tail_moments: int = 6) -> float:
+                                  mean_zero: bool = False) -> float:
     """integral_0^infty G(s) s^(-p) ds for smooth 1-periodic G vanishing at 0.
 
     G must vanish to order q at s = 0 with q - p > -1 (q = 1 for the odd
     velocity fold, q = 2 for symmetric folds).  Layout: Gauss-Jacobi with
-    weight s^(q-p) on the singular cell [0, h]; Gauss-Legendre on [h, 1/2]
-    and on the unit cells around each image l = 1 .. L; the remainder beyond
-    L + 1/2 by the expansion of (l + s)^(-p) about each integer, which turns
-    the image sum into moments of G against Hurwitz zeta values.
+    weight s^(q-p) on the singular cell [0, h]; Gauss-Legendre on [h, 1/2];
+    the unit cells around every image l >= 1 fold onto [-1/2, 1/2], where G
+    is evaluated once and weighted by the image sum.
     """
     q = int(math.floor(p))
     if q - p <= -1.0 + 1e-14:
         q += 1
-    h = _SING_HALF_WIDTH
-    n_jac = n_jacobi if n_jacobi is not None else max(24, n_quad // 2)
-    xi, wi = roots_jacobi(n_jac, 0.0, q - p)
-    s = h * (xi + 1.0) / 2.0
-    total = (h / 2.0) ** (q - p + 1.0) * float(np.dot(wi, G(s) / s ** q))
-
+    total = _jacobi_endpoint_integral(lambda s: G(s) / s ** q, 0.0,
+                                      _SING_HALF_WIDTH, q - p, max(24, n_quad // 2))
     xg, wg = leggauss(n_quad)
-    total += _gauss_cell(lambda t: G(t) * t ** (-p), h, 0.5, xg, wg)
-    for l in range(1, L + 1):
-        total += _gauss_cell(lambda t: G(t) * t ** (-p), l - 0.5, l + 0.5, xg, wg)
-
-    # tail: sum_{l>L} int_{-1/2}^{1/2} G(sig) (l+sig)^(-p) dsig
+    total += _gauss_cell(lambda t: G(t) * t ** (-p), _SING_HALF_WIDTH, 0.5, xg, wg)
     sig = 0.5 * xg
-    w_sig = 0.5 * wg
-    gv = G(sig + 1.0)  # period 1: same values on every far image
-    start = 1 if mean_zero else 0
-    for j in range(start, n_tail_moments):
-        Mj = float(np.dot(w_sig, gv * sig ** j))
-        total += _binom_neg(p, j) * Mj * float(hurwitz_zeta(p + j, L + 1))
-    return total
+    images = _image_weights(sig, p, L, start=1 if mean_zero else 0)
+    return total + float(np.dot(0.5 * wg * images, G(sig)))
 
 
 def _jacobi_endpoint_integral(fun_phi, a: float, b: float, nu: float, n: int) -> float:
@@ -150,6 +157,20 @@ def _jacobi_endpoint_integral(fun_phi, a: float, b: float, nu: float, n: int) ->
     xi, wi = roots_jacobi(n, 0.0, nu)
     t = a + (b - a) * (xi + 1.0) / 2.0
     return ((b - a) / 2.0) ** (nu + 1.0) * float(np.dot(wi, fun_phi(t)))
+
+
+def _integrate_steep_left(fun, a: float, b: float, scale: float,
+                          nodes, weights) -> float:
+    """Gauss-Legendre on cells doubling away from a steep-but-regular left end."""
+    total = 0.0
+    left = a
+    width = min(scale, b - a)
+    while left < b - 1e-15:
+        right = min(left + width, b)
+        total += _gauss_cell(fun, left, right, nodes, weights)
+        left = right
+        width *= 2.0
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -175,19 +196,15 @@ def compute_A(alpha: float, m: float, rho_max: float) -> float:
     return alpha * m / (4.0 * rho_max)
 
 
-def calibrate_c_alpha(alpha: float, params: OperatorParams | None = None,
-                      kernel_truncation: int = 64, quadrature_points: int = 64) -> float:
+def calibrate_c_alpha(alpha: float, kernel_truncation: int = 64,
+                      quadrature_points: int = 64) -> float:
     """Pin the kernel normalization to the Fourier symbol (2 pi |k|)^alpha.
 
     Runs the raw (c = 1) periodized kernel quadrature on cos(2 pi x) at x = 0,
     where the exact answer is (2 pi)^alpha, and returns the ratio.  A halved
     truncation must reproduce the value to 1e-6 or the quadrature is broken.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    if params is not None:
-        kernel_truncation = params.kernel_truncation
-        quadrature_points = params.quadrature_points
+    _check_quadrature(alpha, kernel_truncation, quadrature_points)
 
     def G(s):
         return 2.0 - 2.0 * np.cos(2.0 * np.pi * s)
@@ -344,64 +361,20 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
     II1 += _integrate_steep_left(
         lambda y: (evaluate_trig(rho, y) - rho_x) * (x + y) ** (-alpha),
         x, 1.0 - x, scale=max(x, 1e-3), nodes=xg, weights=wg)
-    # far images l = 1 .. L
-    for l in range(1, L + 1):
-        II1 += _gauss_cell(
-            lambda y: (evaluate_trig(rho, y) - rho_x)
-            * ((x + y) ** (-alpha) - (y - x) ** (-alpha)),
-            l + x, l + 1.0 - x, xg, wg)
-    II1 += _far_tail_moments(
-        lambda w: evaluate_trig(rho, w) - rho_x, x, (x, 1.0 - x), alpha, L, xg, wg)
-    II1 *= c_u
 
-    # II2 cells [l-x, l+x], l = 1 .. L; integrand regular (distance >= 1-2x).
-    II2 = 0.0
-    for l in range(1, L + 1):
-        II2 += _gauss_cell(
-            lambda y: (evaluate_trig(rho, y) - rho_x)
-            * ((x + y) ** (-alpha) - (y - x) ** (-alpha)),
-            l - x, l + x, xg, wg)
-    II2 += _far_tail_moments(
-        lambda w: evaluate_trig(rho, w) - rho_x, x, (-x, x), alpha, L, xg, wg)
-    II2 *= c_u
+    # images l >= 1: the cells [l+x, l+1-x] (II1) and [l-x, l+x] (II2) fold
+    # onto w = y - l with kernel sum_l (l+w+x)^-a - (l+w-x)^-a; the j = 0
+    # tail terms cancel in the difference
+    def far(w):
+        kernel = (_image_weights(w + x, alpha, L, start=1)
+                  - _image_weights(w - x, alpha, L, start=1))
+        return (evaluate_trig(rho, w) - rho_x) * kernel
+
+    II1 = c_u * (II1 + _gauss_cell(far, x, 1.0 - x, xg, wg))
+    II2 = c_u * _gauss_cell(far, -x, x, xg, wg)
 
     total = I_val + II1 + II2
     return VelocityDecomposition(I=I_val, II1=II1, II2=II2, total=total)
-
-
-def _integrate_steep_left(fun, a: float, b: float, scale: float,
-                          nodes, weights) -> float:
-    """Gauss-Legendre on cells doubling away from a steep-but-regular left end."""
-    total = 0.0
-    left = a
-    width = min(scale, b - a)
-    while left < b - 1e-15:
-        right = min(left + width, b)
-        total += _gauss_cell(fun, left, right, nodes, weights)
-        left = right
-        width *= 2.0
-    return total
-
-
-def _far_tail_moments(qfun, x: float, window, alpha: float, L: int,
-                      nodes, weights, n_moments: int = 6) -> float:
-    """Remainder sum_{l>L} int_window q(w) [(l+w+x)^-a - (l+w-x)^-a] dw.
-
-    Expands both powers about the integer l; the constant moment cancels
-    exactly in the difference, so the sum reduces to window moments of q
-    against Hurwitz zeta values starting at order 1.
-    """
-    w_lo, w_hi = window
-    mid, half = 0.5 * (w_lo + w_hi), 0.5 * (w_hi - w_lo)
-    ws = mid + half * nodes
-    qv = qfun(ws)
-    wts = half * weights
-    total = 0.0
-    for j in range(1, n_moments):
-        bracket = (ws + x) ** j - (ws - x) ** j
-        Mj = float(np.dot(wts, qv * bracket))
-        total += _binom_neg(alpha, j) * Mj * float(hurwitz_zeta(alpha + j, L + 1))
-    return total
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI subcommands, config parsing, artifact determinism, exit codes."""
 
+import csv
 import json
 
 import pytest
@@ -43,6 +44,29 @@ class TestConfigFile:
                            "--out", str(tmp_path / "o"))
             assert code == 1, text
             assert "config error" in capsys.readouterr().err, text
+
+    @pytest.mark.parametrize("argv, message", [
+        (("characteristics", "--n", "64", "--t-end", "0.001",
+          "--x-start", "0.1,abc"), "could not convert string to float: 'abc'"),
+        (("constants", "--alpha", "2.5"), "alpha must lie in (0, 2)"),
+        (("constants", "--alpha", "1", "--m", "3", "--rho-max", "2"),
+         "cannot exceed the density bound"),
+        (("constants", "--alpha", "1", "--images", "4"), "at least 8 images"),
+        # vacuum-plateau data at n = 64 stop under-resolved at t = 0, so no
+        # path can be advected through the one snapshot
+        (("characteristics", "--preset", "vacuum-plateau", "--n", "64",
+          "--t-end", "0.001"), "under_resolved at t = 0 with 1 snapshot"),
+    ])
+    def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
+        # rejected flag values exit 1 with a message and write nothing
+        out = tmp_path / "o"
+        extra = ("--out", str(out)) if argv[0] == "characteristics" else ()
+        assert run_cli(*argv, *extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -251,6 +275,9 @@ class TestSweep:
                        "--t-end", "0.05", "--snapshot-interval", "0.01",
                        "--out", str(out))
         assert code == 0
-        lines = (out / "sweep.csv").read_text().splitlines()
-        assert len(lines) == 3
-        assert "error" in lines[2]
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 3
+        assert all(len(row) == 8 for row in rows)
+        assert rows[2][1] == "error"
+        assert rows[2][7] == "ConfigError: alpha must lie in (0, 2), got 7.0"

@@ -1,5 +1,6 @@
 """Nonlocal operators: calibration, dual routes, decomposition, constants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,6 +40,24 @@ class TestCalibration:
         c16 = calibrate_c_alpha(0.5, kernel_truncation=16)
         c64 = calibrate_c_alpha(0.5, kernel_truncation=64)
         assert abs(c16 - c64) < 1e-6 * c64
+
+    @pytest.mark.parametrize("quantity", ("velocity", "laplacian", "II1", "II2"))
+    def test_kernel_values_truncation_stability(self, quantity, params_by_alpha,
+                                                grid, cccf):
+        # at a fixed c_alpha, 16 and 64 exact images must agree: the image-tail
+        # expansion covers the rest, so a dropped or misweighted image shows
+        evaluate = {
+            "velocity": velocity_kernel,
+            "laplacian": fractional_laplacian_kernel,
+            "II1": lambda rho, p, x: decompose_velocity(rho, p, x).II1,
+            "II2": lambda rho, p, x: decompose_velocity(rho, p, x).II2,
+        }[quantity]
+        for rho in (cccf, gen_vacuum_plateau(grid)):
+            for alpha, p64 in params_by_alpha.items():
+                p16 = dataclasses.replace(p64, kernel_truncation=16)
+                for x in (0.05, 0.2, 0.4):
+                    v64, v16 = evaluate(rho, p64, x), evaluate(rho, p16, x)
+                    assert abs(v64 - v16) <= 1e-8 * max(abs(v64), 1.0), (alpha, x)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_closed_form_cross_check(self, alpha, params_by_alpha):
