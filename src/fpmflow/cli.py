@@ -161,7 +161,7 @@ def _write_artifacts(settings, out_dir: Path, config, result, wall,
     write_metadata(out_dir / "metadata.json", {
         "settings": settings, "stop_reason": result.stop_reason,
         "wall_time": wall, "steps": result.final_state.step_count,
-        "t_final": result.final_state.t,
+        "t_final": result.final_state.t, "run": result.telemetry,
     })
     if plots:
         xs = result.states[0].rho.grid.nodes
@@ -307,7 +307,8 @@ def cmd_align(args) -> int:
               ("t", "rho_min", "rho_max", "g_norm", "g_over_dux"), rows)
     write_metadata(out_dir / "metadata.json", {
         "settings": settings, "stop_reason": result.stop_reason,
-        "wall_time": wall, "t_final": result.final_state.t,
+        "wall_time": wall, "steps": result.telemetry["steps"],
+        "t_final": result.final_state.t, "run": result.telemetry,
     })
     print(f"stop_reason={result.stop_reason} records={len(result.states)} "
           f"max g_norm={max(r[3] for r in rows):.3e}")
@@ -360,12 +361,10 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     axis = args.axis
     values = [_parse_scalar(v) for v in args.values.split(",")] if args.values else []
-    key = {"alpha": "alpha", "n_points": "n_points", "x0": "x0",
-           "offset": "offset"}[axis]
     rows = []
     for value in values:
         row_settings = dict(settings)
-        row_settings[key] = value
+        row_settings[axis] = value
         try:
             rho0, config, constants, result, wall = _execute(row_settings)
             if len(result.records) >= 10:
@@ -402,28 +401,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="pseudo-spectral runs and estimate verification for the "
                     "1D nonlocal continuity flow")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run and write artifacts")
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="run and check estimate invariants")
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("characteristics", help="run and trace characteristic paths")
-    _add_run_flags(p)
-    p.add_argument("--x-start", type=str, default="0.05,0.25",
-                   help="comma-separated start points")
-    p.set_defaults(func=cmd_characteristics)
-
-    p = sub.add_parser("align", help="run the coupled alignment system")
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_align)
-
-    p = sub.add_parser("reduce", help="2D slab reduction checks")
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_reduce)
+    runs = {}
+    for name, func, text in (
+            ("simulate", cmd_simulate, "run and write artifacts"),
+            ("verify", cmd_verify, "run and check estimate invariants"),
+            ("characteristics", cmd_characteristics, "run and trace characteristic paths"),
+            ("align", cmd_align, "run the coupled alignment system"),
+            ("reduce", cmd_reduce, "2D slab reduction checks"),
+            ("sweep", cmd_sweep, "sweep one parameter, one run per value")):
+        runs[name] = p = sub.add_parser(name, help=text)
+        _add_run_flags(p)
+        p.set_defaults(func=func)
+    runs["characteristics"].add_argument("--x-start", type=str, default="0.05,0.25",
+                                         help="comma-separated start points")
+    runs["sweep"].add_argument("--axis", choices=("alpha", "n_points", "x0", "offset"),
+                               required=True)
+    runs["sweep"].add_argument("--values", type=str, required=True,
+                               help="comma-separated values")
 
     p = sub.add_parser("constants", help="print calibrated constants as JSON")
     p.add_argument("--alpha", type=float, required=True)
@@ -433,14 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quadrature-points", type=int, default=64,
                    dest="quadrature_points")
     p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser("sweep", help="sweep one parameter, one run per value")
-    _add_run_flags(p)
-    p.add_argument("--axis", choices=("alpha", "n_points", "x0", "offset"),
-                   required=True)
-    p.add_argument("--values", type=str, required=True,
-                   help="comma-separated values")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 

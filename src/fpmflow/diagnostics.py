@@ -104,9 +104,7 @@ def observe(state: SimulationState, constants: EstimateConstants) -> Diagnostics
 
 
 def make_observer(constants: EstimateConstants):
-    def _observer(state: SimulationState) -> DiagnosticsRecord:
-        return observe(state, constants)
-    return _observer
+    return lambda state: observe(state, constants)
 
 
 # --------------------------------------------------------------------------

@@ -52,25 +52,26 @@ class AlignmentResult:
     states: list
     final_state: AlignmentState
     stop_reason: str
+    telemetry: dict  # see solver.integrate
 
 
-def _force(ws: _Workspace, u: np.ndarray, rho_hat: np.ndarray,
-           rho_u_hat: np.ndarray) -> np.ndarray:
-    """u Lambda^a rho - Lambda^a(rho u) from rho's transform and the masked
-    transform of rho u."""
-    lap_rho = np.fft.irfft(ws.lap_sym * rho_hat, ws.grid.n)
-    return (np.fft.irfft(ws.mask * np.fft.rfft(u * lap_rho), ws.grid.n)
-            - np.fft.irfft(ws.lap_sym * rho_u_hat, ws.grid.n))
+def _u_tendency(ws: _Workspace, rho: np.ndarray, u: np.ndarray,
+                lap_rho: np.ndarray, du_dx=0.0):
+    """Transform of u Lambda^a rho - Lambda^a(rho u) - u d_x u (the alignment
+    force when du_dx = 0) and the masked transform of rho u, from one
+    batched rfft."""
+    rho_u_hat, w_hat = ws.mask * np.fft.rfft(np.stack((rho * u, u * (lap_rho - du_dx))))
+    return w_hat - ws.lap_sym * rho_u_hat, rho_u_hat
 
 
-def _alignment_rates(ws: _Workspace, y: np.ndarray, y_hat: np.ndarray):
-    """Tendencies of the stacked (rho, u) state; u is the transport velocity."""
-    rho, u = y
-    rho_u_hat = ws.mask * np.fft.rfft(rho * u)
-    du_dx = np.fft.irfft(ws.deriv_sym * y_hat[1], ws.grid.n)
-    adv = np.fft.irfft(ws.mask * np.fft.rfft(u * du_dx), ws.grid.n)
-    du = _force(ws, u, y_hat[0], rho_u_hat) - adv
-    return np.stack((ws.flux_divergence(rho_u_hat), du)), u
+def _alignment_rates(ws: _Workspace, y_hat: np.ndarray):
+    """Tendency transforms of the stacked (rho, u) state, the physical fields
+    (rho, u, d_x u, Lambda^a rho) from one batched irfft, and u."""
+    rho_hat, u_hat = y_hat
+    y = np.fft.irfft(np.stack((rho_hat, u_hat, ws.deriv_sym * u_hat,
+                               ws.lap_sym * rho_hat)), ws.grid.n)
+    du_hat, rho_u_hat = _u_tendency(ws, y[0], y[1], y[3], y[2])
+    return np.stack((ws.flux_sym * rho_u_hat, du_hat)), y, y[1]
 
 
 def alignment_force(rho: DensityField, u: DensityField, alpha: float,
@@ -84,9 +85,9 @@ def alignment_force(rho: DensityField, u: DensityField, alpha: float,
     if rho.grid is not u.grid and rho.grid.n != u.grid.n:
         raise ValueError("fields must share a grid")
     ws = _Workspace(rho.grid, alpha, dealias_fraction)
-    rho_u_hat = ws.mask * np.fft.rfft(rho.values * u.values)
-    out = _force(ws, u.values, np.fft.rfft(rho.values), rho_u_hat)
-    return DensityField(rho.grid, out)
+    lap_rho = np.fft.irfft(ws.lap_sym * np.fft.rfft(rho.values), rho.grid.n)
+    force_hat = _u_tendency(ws, rho.values, u.values, lap_rho)[0]
+    return DensityField(rho.grid, np.fft.irfft(force_hat, rho.grid.n))
 
 
 def run_alignment(rho0: DensityField, u0: DensityField,
@@ -99,15 +100,15 @@ def run_alignment(rho0: DensityField, u0: DensityField,
     grid = rho0.grid
     ws = _Workspace(grid, config.alpha, config.dealias_fraction)
 
-    def snapshot(t, y, y_hat, tail, steps, dt_last) -> AlignmentState:
-        g = np.fft.irfft(ws.deriv_sym * y_hat[1] - ws.lap_sym * y_hat[0], grid.n)
-        return AlignmentState(t=t, rho=DensityField(grid, y[0]),
-                              u=DensityField(grid, y[1]), G=DensityField(grid, g))
+    def snapshot(t, y, u, tail, steps, dt_last) -> AlignmentState:
+        return AlignmentState(t=t, rho=DensityField(grid, y[0]), u=DensityField(grid, u),
+                              G=DensityField(grid, y[2] - y[3]))
 
-    states, final, stop_reason = integrate(
+    states, final, stop_reason, telemetry = integrate(
         np.stack((rho0.values, u0.values)), partial(_alignment_rates, ws), ws,
         config, snapshot)
-    return AlignmentResult(states=states, final_state=final, stop_reason=stop_reason)
+    return AlignmentResult(states=states, final_state=final,
+                           stop_reason=stop_reason, telemetry=telemetry)
 
 
 # --------------------------------------------------------------------------

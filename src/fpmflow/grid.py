@@ -13,8 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-ROUNDTRIP_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PeriodicGrid:

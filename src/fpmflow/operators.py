@@ -340,8 +340,7 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
     rho_x = float(evaluate_trig(rho, [x])[0])
 
     if x < 1e-14:
-        zero = VelocityDecomposition(0.0, 0.0, 0.0, 0.0)
-        return zero
+        return VelocityDecomposition(0.0, 0.0, 0.0, 0.0)
 
     # I = int_0^x (rho(y) - rho(x)) [ (x+y)^-a + (x-y)^-a ] dy, substituted
     # s = x - y so the singular branch becomes phi(s) s^(1-a) at s = 0.
@@ -352,6 +351,9 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
     I_val += c_u * _gauss_cell(
         lambda s: (evaluate_trig(rho, x - s) - rho_x) * (2.0 * x - s) ** (-alpha),
         0.0, x, xg, wg)
+    if x > 0.5 - 1e-14:
+        # every II1 cell is empty and u(1/2) = 0 for even rho, so II2 = -I
+        return VelocityDecomposition(I=I_val, II1=0.0, II2=-I_val, total=0.0)
 
     # II1, l = 0 cell [x, 1-x]: kernel (x+y)^-a - (y-x)^-a, singular at y = x.
     def phi_far(y):

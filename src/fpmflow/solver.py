@@ -1,11 +1,14 @@
 """Pseudo-spectral time evolution of the conservative continuity equation
 d_t rho = -d_x(rho u) with the nonlocal velocity induced by rho.
 
-Products are formed in physical space and the quadratic flux is truncated at
-a fraction of the Nyquist band (2/3 by default).  Time stepping is the
-three-stage strong-stability-preserving Runge-Kutta scheme with a CFL step
-combining the transport limit dx/max|u| and the explicit limit of the
-dissipative factor hidden in the flux, 1/(max rho (2 pi k_max)^alpha).
+The state is kept as rfft coefficients, one row per field.  Each
+Runge-Kutta stage makes two batched numpy FFT calls: one irfft for every
+physical field the stage needs and one rfft of every product.  Products are
+formed in physical space and the quadratic flux is truncated at a fraction
+of the Nyquist band (2/3 by default).  Time stepping is the three-stage
+strong-stability-preserving Runge-Kutta scheme with a CFL step combining
+the transport limit dx/max|u| and the explicit limit of the dissipative
+factor hidden in the flux, 1/(max rho (2 pi k_max)^alpha).
 
 The run stops when the spectral tail mass fraction exceeds a threshold:
 past that point the solution is not trustworthy and the simulator refuses
@@ -14,8 +17,8 @@ the top third of the retained band over the total l1 mass, which makes the
 threshold commensurate with amplitude-level error bounds.
 
 One driver, `integrate`, steps every system: this flow and the alignment
-system of `extensions`.  Its state is one array with one field per row,
-density first.
+system of `extensions`.  It counts the steps, the limit that bound each
+step and the step-size range for the run's metadata.
 """
 
 from __future__ import annotations
@@ -102,6 +105,7 @@ class RunResult:
     records: list  # one entry per observer return value per snapshot
     final_state: SimulationState
     stop_reason: str  # t_end | under_resolved | max_steps | nan
+    telemetry: dict  # steps, binding step limits, dt range (see integrate)
 
 
 class _Workspace:
@@ -114,7 +118,8 @@ class _Workspace:
         n = grid.n
         self.k_max_kept = int(np.floor(dealias_fraction * (n // 2)))
         self.mask = grid.k_half <= self.k_max_kept
-        self.vel_sym = velocity_symbol(grid, alpha)
+        # rows (1, velocity symbol): rho_hat -> the transforms of (rho, u)
+        self.rho_u_sym = np.stack((np.ones(n // 2 + 1), velocity_symbol(grid, alpha)))
         self.lap_sym = laplacian_symbol(grid, alpha)
         self.deriv_sym = derivative_symbol(grid)
         self.flux_sym = np.where(self.mask, -self.deriv_sym, 0.0)
@@ -122,20 +127,11 @@ class _Workspace:
         self.l1_weights = np.where(
             (grid.k_half > 0) & (grid.k_half < n // 2), 2.0, 1.0)
 
-    def velocity(self, rho_hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(self.vel_sym * rho_hat, self.grid.n)
-
-    def flux_divergence(self, rho_u_hat: np.ndarray) -> np.ndarray:
-        """-d_x(rho u) from the transform of rho u: dealiased, exactly mass
-        neutral."""
-        out_hat = self.flux_sym * rho_u_hat
-        out_hat[0] = 0.0
-        return np.fft.irfft(out_hat, self.grid.n)
-
-    def continuity_rates(self, rho: np.ndarray, rho_hat: np.ndarray):
-        """Tendency and transport velocity of the continuity flow."""
-        u = self.velocity(rho_hat)
-        return self.flux_divergence(np.fft.rfft(rho * u)), u
+    def continuity_rates(self, rho_hat: np.ndarray):
+        """Transform of the dealiased flux divergence -d_x(rho u), which is
+        exactly mass neutral, with rho and the transport velocity u."""
+        rho, u = np.fft.irfft(self.rho_u_sym * rho_hat, self.grid.n)
+        return self.flux_sym * np.fft.rfft(rho * u), rho, u
 
     def tail_fraction(self, y_hat: np.ndarray) -> float:
         """Largest tail fraction over the rows of y_hat."""
@@ -144,49 +140,60 @@ class _Workspace:
         tail = a[..., self.tail_band] @ self.l1_weights[self.tail_band]
         return float((tail / np.maximum(total, _TINY)).max())
 
-    def stable_dt(self, y: np.ndarray, u: np.ndarray, cfl: float) -> float:
+    def stable_dt(self, y: np.ndarray, u: np.ndarray, cfl: float):
+        """cfl times the tighter step limit, and that limit's name; y holds
+        the physical fields, density first."""
         transport = self.grid.dx / (float(np.max(np.abs(u))) + 1e-12)
         rho = y[0] if y.ndim == 2 else y
         rho_peak = max(float(np.max(rho)), 1e-12)
         dissipative = 1.0 / (rho_peak * (2.0 * np.pi * self.k_max_kept) ** self.alpha)
-        return cfl * min(transport, dissipative)
+        if transport < dissipative:
+            return cfl * transport, "transport"
+        return cfl * dissipative, "dissipative"
 
 
-def _finite(y: np.ndarray, stage: int) -> np.ndarray:
-    if not np.all(np.isfinite(y)):
+def _finite(y_hat: np.ndarray, stage: int) -> np.ndarray:
+    if not np.isfinite(y_hat).all():
         raise SolverBlowupError(f"non-finite values after stage {stage}")
-    return y
+    return y_hat
 
 
-def _ssprk3(y: np.ndarray, f0: np.ndarray, rates: Callable, dt: float) -> np.ndarray:
-    """One Shu-Osher SSP-RK3 step from y, given the stage-1 tendency f0."""
-    y1 = _finite(y + dt * f0, 1)
-    y2 = _finite(0.75 * y + 0.25 * (y1 + dt * rates(y1, np.fft.rfft(y1))[0]), 2)
-    return _finite(y / 3.0 + (2.0 / 3.0) * (y2 + dt * rates(y2, np.fft.rfft(y2))[0]), 3)
+def _ssprk3(y_hat: np.ndarray, f0: np.ndarray, rates: Callable, dt: float) -> np.ndarray:
+    """One Shu-Osher SSP-RK3 step of the transforms y_hat, given the stage-1
+    tendency f0."""
+    y1 = _finite(y_hat + dt * f0, 1)
+    y2 = _finite(0.75 * y_hat + 0.25 * (y1 + dt * rates(y1)[0]), 2)
+    return _finite(y_hat / 3.0 + (2.0 / 3.0) * (y2 + dt * rates(y2)[0]), 3)
 
 
 def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
               config: SolverConfig, snapshot: Callable):
-    """Step dy/dt = rates(y, rfft(y))[0] with SSP-RK3 from t = 0.
+    """Step the transforms y_hat = rfft(y0) with SSP-RK3 from t = 0.
 
-    rates returns (tendency, transport velocity); y holds one field per row,
-    density first.  snapshot(t, y, y_hat, tail, steps, dt_last) builds the
-    state recorded at each snapshot time.  Stops on t_end, under-resolution
-    of any row, the step budget, or non-finite values; on the last the final
-    state is the last finite one and is not recorded.  Returns
-    (states, final_state, stop_reason).
+    y0 holds one field per row, density first.  rates(y_hat) returns
+    (tendency_hat, y, u): the transform of the tendency, the physical fields
+    of the stage (density first) and the transport velocity.
+    snapshot(t, y, u, tail, steps, dt_last) builds the state recorded at
+    each snapshot time from the stage-1 fields.  Stops on t_end,
+    under-resolution of any row, the step budget, or non-finite values; on
+    the last the final state is the last finite one and is not recorded.
+    Returns (states, final_state, stop_reason, telemetry); telemetry holds
+    the step count, how many steps each limit bound (transport, dissipative,
+    snapshot, t_end, fixed), and the dt range (None before the first step).
     """
-    y, t, steps, dt_last = y0, 0.0, 0, 0.0
+    y_hat, t, steps, dt_last = np.fft.rfft(y0), 0.0, 0, 0.0
     next_snap = 0.0
     states = []
+    limits = dict.fromkeys(("transport", "dissipative", "snapshot", "t_end", "fixed"), 0)
+    dt_min, dt_max = np.inf, 0.0
     while True:
-        y_hat = np.fft.rfft(y)
+        f0, y, u = rates(y_hat)
         tail = ws.tail_fraction(y_hat)
         if tail > config.tail_threshold:
             stop_reason = "under_resolved"
             break
         if t >= next_snap - 1e-13 * max(1.0, t):
-            states.append(snapshot(t, y, y_hat, tail, steps, dt_last))
+            states.append(snapshot(t, y, u, tail, steps, dt_last))
             next_snap += config.snapshot_dt
         if t >= config.t_end - 1e-13 * config.t_end:
             stop_reason = "t_end"
@@ -194,29 +201,35 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
         if steps >= config.max_steps:
             stop_reason = "max_steps"
             break
-        f0, u = rates(y, y_hat)
-        dt = config.dt_fixed or ws.stable_dt(y, u, config.cfl)
-        dt = min(dt, config.t_end - t, next_snap - t if next_snap > t else dt)
+        dt, limit = ((config.dt_fixed, "fixed") if config.dt_fixed
+                     else ws.stable_dt(y, u, config.cfl))
+        if config.t_end - t < dt:
+            dt, limit = config.t_end - t, "t_end"
+        if t < next_snap and next_snap - t < dt:
+            dt, limit = next_snap - t, "snapshot"
         try:
-            y = _ssprk3(y, f0, rates, dt)
+            y_hat = _ssprk3(y_hat, f0, rates, dt)
         except SolverBlowupError:
             stop_reason = "nan"
             break
         t += dt
         dt_last = dt
         steps += 1
+        limits[limit] += 1
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
 
-    final = snapshot(t, y, y_hat, tail, steps, dt_last)
+    final = snapshot(t, y, u, tail, steps, dt_last)
     if stop_reason != "nan" and (not states or states[-1].t < t - 1e-13):
         states.append(final)
-    return states, final, stop_reason
+    return states, final, stop_reason, {
+        "steps": steps, "step_limits": limits,
+        "dt_min": dt_min if steps else None, "dt_max": dt_max if steps else None}
 
 
-def _state(ws: _Workspace, config: SolverConfig, t: float, y: np.ndarray,
-           y_hat: np.ndarray, tail: float, steps: int = 0,
+def _state(config: SolverConfig, grid: PeriodicGrid, t: float, y: np.ndarray,
+           u: np.ndarray, tail: float, steps: int = 0,
            dt_last: float = 0.0) -> SimulationState:
-    return SimulationState(t=t, rho=DensityField(ws.grid, y),
-                           u=DensityField(ws.grid, ws.velocity(y_hat)),
+    return SimulationState(t=t, rho=DensityField(grid, y), u=DensityField(grid, u),
                            step_count=steps, dt_last=dt_last,
                            under_resolved=tail > config.tail_threshold,
                            tail_fraction=tail)
@@ -225,7 +238,8 @@ def _state(ws: _Workspace, config: SolverConfig, t: float, y: np.ndarray,
 def rhs(rho: DensityField, alpha: float, dealias_fraction: float = 2.0 / 3.0) -> DensityField:
     """Flux divergence -d_x(rho u), dealiased, exactly mass neutral."""
     ws = _Workspace(rho.grid, alpha, dealias_fraction)
-    return DensityField(rho.grid, ws.continuity_rates(rho.values, np.fft.rfft(rho.values))[0])
+    f_hat = ws.continuity_rates(np.fft.rfft(rho.values))[0]
+    return DensityField(rho.grid, np.fft.irfft(f_hat, rho.grid.n))
 
 
 def tail_fraction(rho: DensityField, dealias_fraction: float = 2.0 / 3.0) -> float:
@@ -235,24 +249,24 @@ def tail_fraction(rho: DensityField, dealias_fraction: float = 2.0 / 3.0) -> flo
 
 def stable_dt(state: SimulationState, config: SolverConfig) -> float:
     ws = _Workspace(state.rho.grid, config.alpha, config.dealias_fraction)
-    return ws.stable_dt(state.rho.values, state.u.values, config.cfl)
+    return ws.stable_dt(state.rho.values, state.u.values, config.cfl)[0]
 
 
 def step_ssprk3(state: SimulationState, dt: float, config: SolverConfig) -> SimulationState:
     """One SSP-RK3 step; recomputes the induced velocity for the new state."""
     ws = _Workspace(state.rho.grid, config.alpha, config.dealias_fraction)
-    rho = state.rho.values
-    f0 = ws.continuity_rates(rho, np.fft.rfft(rho))[0]
-    y = _ssprk3(rho, f0, ws.continuity_rates, dt)
-    y_hat = np.fft.rfft(y)
-    return _state(ws, config, state.t + dt, y, y_hat, ws.tail_fraction(y_hat),
+    rho_hat = np.fft.rfft(state.rho.values)
+    y_hat = _ssprk3(rho_hat, ws.continuity_rates(rho_hat)[0], ws.continuity_rates, dt)
+    _, y, u = ws.continuity_rates(y_hat)
+    return _state(config, ws.grid, state.t + dt, y, u, ws.tail_fraction(y_hat),
                   state.step_count + 1, dt)
 
 
 def initial_state(rho0: DensityField, config: SolverConfig) -> SimulationState:
     ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
     y_hat = np.fft.rfft(rho0.values)
-    return _state(ws, config, 0.0, rho0.values, y_hat, ws.tail_fraction(y_hat))
+    return _state(config, ws.grid, 0.0, rho0.values, ws.continuity_rates(y_hat)[2],
+                  ws.tail_fraction(y_hat))
 
 
 def run(rho0: DensityField, config: SolverConfig,
@@ -265,8 +279,8 @@ def run(rho0: DensityField, config: SolverConfig,
     if rho0.grid.n != config.n_points:
         raise ValueError("initial data grid does not match the configuration")
     ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
-    states, final, stop_reason = integrate(
-        rho0.values, ws.continuity_rates, ws, config, partial(_state, ws, config))
+    states, final, stop_reason, telemetry = integrate(
+        rho0.values, ws.continuity_rates, ws, config, partial(_state, config, ws.grid))
     records: list = []
     for state in states:
         outputs = [o for o in (obs(state) for obs in observers) if o is not None]
@@ -275,4 +289,4 @@ def run(rho0: DensityField, config: SolverConfig,
         elif outputs:
             records.append(tuple(outputs))
     return RunResult(states=states, records=records, final_state=final,
-                     stop_reason=stop_reason)
+                     stop_reason=stop_reason, telemetry=telemetry)

@@ -93,6 +93,9 @@ class TestSimulate:
         meta = json.loads((out1 / "metadata.json").read_text())
         assert meta["stop_reason"] == "t_end"
         assert "settings" in meta and "code_version" in meta
+        run = meta["run"]  # step telemetry of solver.integrate
+        assert run["steps"] == meta["steps"] == sum(run["step_limits"].values()) > 0
+        assert 0.0 < run["dt_min"] <= run["dt_max"]
 
     def test_timeseries_header(self, tmp_path):
         out = tmp_path / "o"
@@ -210,6 +213,9 @@ class TestAlignCommand:
         assert lines[0] == "t,rho_min,rho_max,g_norm,g_over_dux"
         g_over = [float(line.split(",")[4]) for line in lines[1:]]
         assert max(g_over) < 1e-6
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["steps"] == meta["run"]["steps"] > 0
+        assert meta["run"]["step_limits"]["snapshot"] + meta["run"]["step_limits"]["t_end"] >= 3
 
     def test_bad_value_writes_nothing(self, tmp_path):
         out = tmp_path / "o"

@@ -183,6 +183,22 @@ class TestDecomposition:
         dec = decompose_velocity(cccf, params_by_alpha[0.5], 0.0)
         assert dec.total == 0.0
 
+    # I(1/2) on cccf (n = 256) from the general quadrature path
+    I_AT_HALF = {0.3: -0.5503037873501243, 0.5: -0.6030996335693917,
+                 1.0: -0.7759291740995724, 1.5: -0.8608154493388225,
+                 1.9: -0.3627110380846281}
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_at_half_zero(self, alpha, params_by_alpha, cccf):
+        # u(1/2) = 0 for even rho and every II1 cell is empty, so II2 = -I
+        params = params_by_alpha[alpha]
+        dec = decompose_velocity(cccf, params, 0.5)
+        assert abs(dec.total) <= 1e-14
+        assert dec.II1 == 0.0 and dec.II2 == -dec.I
+        assert dec.I == pytest.approx(self.I_AT_HALF[alpha], rel=1e-12, abs=0)
+        # I is continuous up to x = 1/2
+        assert abs(dec.I - decompose_velocity(cccf, params, 0.5 - 1e-9).I) < 1e-7
+
 
 class TestVelocitySign:
     @pytest.mark.parametrize("alpha", (0.3, 0.5, 1.0, 1.5, 1.9))

@@ -161,10 +161,16 @@ class TestRun:
     def test_symmetry_preserved(self, grid):
         cfg = SolverConfig(alpha=0.5, n_points=256, t_end=0.2,
                            snapshot_interval=0.05)
-        res = run(gen_cccf(grid), cfg)
+        rho0 = gen_cccf(grid)
+        res = run(rho0, cfg)
         v = res.final_state.rho.values
         mirrored = np.roll(v[::-1], 1)
         assert np.max(np.abs(v - mirrored)) < 1e-9
+        # the alignment system keeps rho even and u odd
+        final = run_alignment(rho0, velocity_spectral(rho0, 0.5), cfg).final_state
+        rho, u = final.rho.values, final.u.values
+        assert np.max(np.abs(rho - np.roll(rho[::-1], 1))) < 1e-9
+        assert np.max(np.abs(u + np.roll(u[::-1], 1))) < 1e-9
 
     def test_spatial_refinement_agreement(self):
         # resolved run: doubling the grid changes the solution below 1e-6
@@ -236,6 +242,88 @@ class TestStopRules:
             assert np.allclose(times[:-1], 0.01 * np.arange(len(times) - 1),
                                rtol=0, atol=1e-12)
             assert times[-2] < final.t
+
+
+# dt, t_end and snapshot interval are powers of two, so fixed-step times add
+# up exactly: 16 steps and 5 snapshots
+_FIXED = dict(t_end=2.0 ** -6, dt_fixed=2.0 ** -10, snapshot_interval=2.0 ** -8)
+
+
+@pytest.fixture(scope="module")
+def skewed():
+    """Asymmetric positive data on 128 points and its induced velocity."""
+    grid = make_grid(128)
+    x = grid.nodes
+    rho0 = DensityField(grid, 1.5 + 0.3 * np.cos(2 * np.pi * x)
+                        + 0.2 * np.sin(4 * np.pi * x))
+    return rho0, velocity_spectral(rho0, 1.0)
+
+
+def _fixed_step_run(system, rho0, u0, scale=1.0):
+    """Fixed-step run of one system; scale divides every time in _FIXED."""
+    cfg = SolverConfig(alpha=1.0, n_points=128,
+                       **{key: value / scale for key, value in _FIXED.items()})
+    return run(rho0, cfg) if system == "run" else run_alignment(rho0, u0, cfg)
+
+
+@pytest.mark.parametrize("system", ("run", "run_alignment"))
+class TestExactSymmetries:
+    def test_amplitude_scaling(self, system, skewed):
+        # u is linear in rho, so 2 rho0 evolves as 2 rho(2t); scaling by 2 is
+        # exact in floating point, so the runs agree bit for bit
+        rho0, u0 = skewed
+        grid = rho0.grid
+        a = _fixed_step_run(system, rho0, u0).final_state
+        b = _fixed_step_run(system, DensityField(grid, 2 * rho0.values),
+                            DensityField(grid, 2 * u0.values), scale=2.0).final_state
+        assert np.array_equal(b.rho.values, 2 * a.rho.values)
+        assert np.array_equal(b.u.values, 2 * a.u.values)
+
+    def test_translation_by_grid_cells(self, system, skewed):
+        rho0, u0 = skewed
+
+        def shift(f):
+            return DensityField(f.grid, np.roll(f.values, 37))
+
+        a = _fixed_step_run(system, rho0, u0).final_state
+        b = _fixed_step_run(system, shift(rho0), shift(u0)).final_state
+        assert np.max(np.abs(b.rho.values - shift(a.rho).values)) <= 1e-14
+        assert np.max(np.abs(b.u.values - shift(a.u).values)) <= 1e-14
+
+    def test_fft_budget(self, system, skewed, monkeypatch):
+        # two batched transforms per stage: at most 6 numpy FFT calls per
+        # step, plus one per snapshot and one at the stop
+        calls = []
+        for name in ("rfft", "irfft"):
+            def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+                calls.append(_fft)
+                return _fft(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        res = _fixed_step_run(system, *skewed)
+        assert len(res.states) == 5
+        assert len(calls) <= 6 * 16 + len(res.states) + 1
+
+
+class TestTelemetry:
+    def test_dissipative_limit_dominates_stiff_run(self, grid):
+        # positive data at alpha = 1.5: the dissipative limit binds
+        cfg = SolverConfig(alpha=1.5, n_points=256, t_end=0.005,
+                           snapshot_interval=0.001)
+        res = run(gen_positive_control(grid, 1.5), cfg)
+        tel = res.telemetry
+        limits = tel["step_limits"]
+        assert tel["steps"] == res.final_state.step_count == sum(limits.values())
+        assert limits["dissipative"] > 0.9 * tel["steps"]
+        assert limits["transport"] == limits["fixed"] == 0
+        assert 1 <= limits["snapshot"] + limits["t_end"] <= 5
+        assert 0.0 < tel["dt_min"] <= tel["dt_max"]
+
+    @pytest.mark.parametrize("system", ("run", "run_alignment"))
+    def test_fixed_step_counts(self, system, skewed):
+        res = _fixed_step_run(system, *skewed)
+        assert res.telemetry == {"steps": 16, "dt_min": 2.0 ** -10, "dt_max": 2.0 ** -10,
+                                 "step_limits": {"transport": 0, "dissipative": 0,
+                                                 "snapshot": 0, "t_end": 0, "fixed": 16}}
 
 
 class TestTailFraction:
