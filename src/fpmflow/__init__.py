@@ -5,7 +5,7 @@ nonlocal continuity flow with fractional-potential velocity on the unit torus.
 __version__ = "0.1.0"
 
 from .grid import (DensityField, PeriodicGrid, apply_multiplier, make_grid,
-                   spectral_derivative, trig_interpolate)
+                   spectral_derivative)
 from .initial_data import (InitialDataSpec, gen_cccf, gen_positive_control,
                            gen_smooth_monotone, gen_vacuum_plateau,
                            make_initial_data, validate_hypotheses)
@@ -18,7 +18,7 @@ from .solver import RunResult, SimulationState, SolverConfig, run
 
 __all__ = [
     "DensityField", "PeriodicGrid", "apply_multiplier", "make_grid",
-    "spectral_derivative", "trig_interpolate",
+    "spectral_derivative",
     "InitialDataSpec", "gen_cccf", "gen_positive_control", "gen_smooth_monotone",
     "gen_vacuum_plateau", "make_initial_data", "validate_hypotheses",
     "OperatorParams", "calibrate_c_alpha", "compute_A", "compute_C",

@@ -205,32 +205,29 @@ def check_invariants(records, constants, tail_threshold,
         return {"resolved_records": 0, "all_ok": False}
     m0 = resolved[0].mass
     rho_max0 = constants.rho_max
+    tol = _INVARIANT_TOLS
+    margins = {
+        "mass_drift": max(abs(r.mass - m0) for r in resolved),
+        "rho_min": min(r.rho_min for r in resolved),
+        "rho_max": max(r.rho_max for r in resolved),
+        "zeta_min_over_c1": min(r.zeta_min_half / max(r.c1_norm, 1e-300)
+                                for r in resolved),
+        "u_max_on_delta": max(r.u_max_on_delta for r in resolved),
+        "enhanced_margin": max(r.enhanced_margin for r in resolved),
+    }
     checks = {
-        "mass_drift": max(abs(r.mass - m0) for r in resolved) <= _INVARIANT_TOLS["mass_drift"],
-        "rho_min": all(r.rho_min >= -_INVARIANT_TOLS["rho_min"] * rho_max0 for r in resolved),
-        "rho_max": all(r.rho_max <= rho_max0 * (1 + _INVARIANT_TOLS["rho_max"]) for r in resolved),
+        "mass_drift": margins["mass_drift"] <= tol["mass_drift"],
+        "rho_min": margins["rho_min"] >= -tol["rho_min"] * rho_max0,
+        "rho_max": margins["rho_max"] <= rho_max0 * (1 + tol["rho_max"]),
     }
     if monotone_data:
         checks.update({
-            "monotonicity": all(r.zeta_min_half >= -_INVARIANT_TOLS["monotonicity"]
-                                * max(r.c1_norm, 1e-300) for r in resolved),
-            "velocity_sign": all(r.u_max_on_delta <= _INVARIANT_TOLS["velocity_sign"]
-                                 for r in resolved),
-            "enhanced_margin": all(r.enhanced_margin <= _INVARIANT_TOLS["enhanced_margin"]
-                                   for r in resolved),
+            "monotonicity": margins["zeta_min_over_c1"] >= -tol["monotonicity"],
+            "velocity_sign": margins["u_max_on_delta"] <= tol["velocity_sign"],
+            "enhanced_margin": margins["enhanced_margin"] <= tol["enhanced_margin"],
         })
-    report = {"resolved_records": len(resolved), "checks": checks,
-              "margins": {
-                  "mass_drift": max(abs(r.mass - m0) for r in resolved),
-                  "rho_min": min(r.rho_min for r in resolved),
-                  "rho_max": max(r.rho_max for r in resolved),
-                  "zeta_min_over_c1": min(r.zeta_min_half / max(r.c1_norm, 1e-300)
-                                          for r in resolved),
-                  "u_max_on_delta": max(r.u_max_on_delta for r in resolved),
-                  "enhanced_margin": max(r.enhanced_margin for r in resolved),
-              },
-              "all_ok": all(checks.values())}
-    return report
+    return {"resolved_records": len(resolved), "checks": checks,
+            "margins": margins, "all_ok": all(checks.values())}
 
 
 def cmd_verify(args) -> int:

@@ -22,9 +22,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma as gamma_fn, roots_jacobi
 
-from .grid import DensityField
-from .operators import (_integrate_steep_left, _jacobi_endpoint_integral,
-                        velocity_spectral)
+from .grid import DensityField, apply_multiplier
+from .operators import (_check_alpha, _integrate_steep_left,
+                        _jacobi_endpoint_integral, velocity_spectral)
 from .solver import SolverConfig, _Workspace, integrate
 
 __all__ = [
@@ -85,7 +85,7 @@ def alignment_force(rho: DensityField, u: DensityField, alpha: float,
     if rho.grid is not u.grid and rho.grid.n != u.grid.n:
         raise ValueError("fields must share a grid")
     ws = _Workspace(rho.grid, alpha, dealias_fraction)
-    lap_rho = np.fft.irfft(ws.lap_sym * np.fft.rfft(rho.values), rho.grid.n)
+    lap_rho = apply_multiplier(rho, ws.lap_sym).values
     force_hat = _u_tendency(ws, rho.values, u.values, lap_rho)[0]
     return DensityField(rho.grid, np.fft.irfft(force_hat, rho.grid.n))
 
@@ -124,8 +124,7 @@ def c_prime(n: int, alpha: float, n_nodes: int = 48) -> float:
     """
     if n < 2:
         raise ValueError("slab reduction needs dimension n >= 2")
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    _check_alpha(alpha)
     omega = 2.0 * math.pi ** ((n - 1) / 2.0) / gamma_fn((n - 1) / 2.0)
 
     def radial(n_jac: int) -> float:

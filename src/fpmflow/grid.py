@@ -3,7 +3,10 @@
 The torus is [-1/2, 1/2) with nodes x_j = -1/2 + j/n.  Fields are expanded in
 the modes e^{2 pi i k x}, so a Fourier multiplier m(k) acts on the integer
 wavenumber k.  Real fields are stored as sample vectors; the half-spectrum
-coefficients c_k (k = 0 .. n/2) are cached per field.
+coefficients c_k (k = 0 .. n/2) are cached per field and evaluate the trig
+interpolant off the grid.  Every multiplier outside the time stepper goes
+through `apply_multiplier`, which takes the symbol as a half-spectrum array
+and works on the plain rfft of the samples, as the stepper does.
 """
 
 from __future__ import annotations
@@ -46,13 +49,6 @@ class PeriodicGrid:
         return k
 
     @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """Full integer wavenumber set {-n/2+1, ..., n/2}."""
-        k = np.arange(-self.n // 2 + 1, self.n // 2 + 1)
-        k.setflags(write=False)
-        return k
-
-    @cached_property
     def _node_phase(self) -> np.ndarray:
         # (-1)^k translates rfft output (origin at x=0 ordering) to true
         # coefficients of e^{2 pi i k x} for nodes starting at x=-1/2
@@ -63,10 +59,6 @@ class PeriodicGrid:
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients c_k of the trig interpolant of `values`."""
         return np.fft.rfft(values) / self.n * self._node_phase
-
-    def synthesis(self, coeffs: np.ndarray) -> np.ndarray:
-        """Node samples of the field with half-spectrum coefficients `coeffs`."""
-        return np.fft.irfft(coeffs * self._node_phase, self.n) * self.n
 
     def node_index(self, x: float) -> int:
         """Index of the grid node closest to x (wrapped into the torus)."""
@@ -107,29 +99,14 @@ class DensityField:
         return float(self.values.mean())
 
 
-def _resolve_symbol(grid: PeriodicGrid, symbol) -> np.ndarray:
-    """Evaluate a wavenumber -> complex map on the half spectrum, checking
-    the conjugate symmetry symbol(-k) = conj(symbol(k)) required for real output."""
-    if callable(symbol):
-        sym = np.array([symbol(int(k)) for k in grid.k_half], dtype=complex)
-        neg = np.array([symbol(-int(k)) for k in grid.k_half[1:-1]], dtype=complex)
-        scale = max(np.max(np.abs(sym)), 1.0)
-        if np.max(np.abs(neg - np.conj(sym[1:-1]))) > 1e-12 * scale:
-            raise ValueError("symbol violates conjugate symmetry; output would not be real")
-    else:
-        sym = np.asarray(symbol, dtype=complex)
-        if sym.shape != grid.k_half.shape:
-            raise ValueError("symbol array must cover wavenumbers 0 .. n/2")
-    return sym
-
-
-def apply_multiplier(f: DensityField, symbol) -> DensityField:
-    """Apply a Fourier multiplier.  `symbol` maps integer k to a complex scalar
-    (or is a ready half-spectrum array).  The Nyquist coefficient is forced real."""
-    sym = _resolve_symbol(f.grid, symbol).copy()
+def apply_multiplier(f: DensityField, symbol: np.ndarray) -> DensityField:
+    """Apply the Fourier multiplier with half-spectrum `symbol` (k = 0 .. n/2).
+    The Nyquist entry is forced real, so the output is real."""
+    sym = np.array(symbol, dtype=complex)
+    if sym.shape != f.grid.k_half.shape:
+        raise ValueError("symbol array must cover wavenumbers 0 .. n/2")
     sym[-1] = sym[-1].real
-    out = f.grid.synthesis(sym * f.coefficients)
-    return DensityField(f.grid, out)
+    return DensityField(f.grid, np.fft.irfft(sym * np.fft.rfft(f.values), f.grid.n))
 
 
 def derivative_symbol(grid: PeriodicGrid) -> np.ndarray:
@@ -162,11 +139,6 @@ def evaluate_trig(f: DensityField, xs, _block: int = 2048) -> np.ndarray:
             + c[-1].real * np.cos(np.pi * n * xb)
         )
     return out
-
-
-def trig_interpolate(f: DensityField, x: float) -> float:
-    """Interpolant value at one point (wrapped into the torus)."""
-    return float(evaluate_trig(f, [x])[0])
 
 
 def antiderivative_at(f: DensityField, xs) -> np.ndarray:

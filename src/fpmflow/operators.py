@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi, zeta as hurwitz_zeta
 
-from .grid import DensityField, evaluate_trig
+from .grid import DensityField, apply_multiplier, evaluate_trig
 
 __all__ = [
     "OperatorParams",
@@ -89,9 +89,14 @@ _SING_HALF_WIDTH = 0.25  # half width of the symmetric singular cell
 _TAIL_MOMENTS = 6  # terms of the image-tail expansion
 
 
-def _check_quadrature(alpha: float, kernel_truncation: int, quadrature_points: int):
+def _check_alpha(alpha: float) -> None:
+    """Reject a fractional order outside (0, 2)."""
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+
+
+def _check_quadrature(alpha: float, kernel_truncation: int, quadrature_points: int):
+    _check_alpha(alpha)
     if kernel_truncation < 8:
         raise ValueError("kernel truncation must be at least 8 images")
     if quadrature_points < 8:
@@ -256,10 +261,8 @@ def velocity_symbol(grid, alpha: float) -> np.ndarray:
 
 def fractional_laplacian_spectral(f: DensityField, alpha: float) -> DensityField:
     """(-d^2/dx^2)^(alpha/2) via the multiplier (2 pi |k|)^alpha."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    out = f.grid.synthesis(laplacian_symbol(f.grid, alpha) * f.coefficients)
-    return DensityField(f.grid, out)
+    _check_alpha(alpha)
+    return apply_multiplier(f, laplacian_symbol(f.grid, alpha))
 
 
 def velocity_spectral(rho: DensityField, alpha: float) -> DensityField:
@@ -268,10 +271,8 @@ def velocity_spectral(rho: DensityField, alpha: float) -> DensityField:
     Sign fixed so that rho = 1 - cos(2 pi x) at alpha = 1 gives
     u = -sin(2 pi x), i.e. nonpositive on [0, 1/2] for monotone data.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    out = rho.grid.synthesis(velocity_symbol(rho.grid, alpha) * rho.coefficients)
-    return DensityField(rho.grid, out)
+    _check_alpha(alpha)
+    return apply_multiplier(rho, velocity_symbol(rho.grid, alpha))
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import DensityField, PeriodicGrid, derivative_symbol
-from .operators import laplacian_symbol, velocity_symbol
+from .operators import _check_alpha, laplacian_symbol, velocity_symbol
 
 __all__ = [
     "SolverConfig",
@@ -38,11 +38,7 @@ __all__ = [
     "RunResult",
     "SolverBlowupError",
     "integrate",
-    "rhs",
-    "stable_dt",
-    "step_ssprk3",
     "run",
-    "tail_fraction",
 ]
 
 
@@ -66,8 +62,7 @@ class SolverConfig:
     dt_fixed: Optional[float] = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
+        _check_alpha(self.alpha)
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
         if not 0.0 < self.dealias_fraction <= 1.0:
@@ -227,46 +222,11 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
 
 
 def _state(config: SolverConfig, grid: PeriodicGrid, t: float, y: np.ndarray,
-           u: np.ndarray, tail: float, steps: int = 0,
-           dt_last: float = 0.0) -> SimulationState:
+           u: np.ndarray, tail: float, steps: int, dt_last: float) -> SimulationState:
     return SimulationState(t=t, rho=DensityField(grid, y), u=DensityField(grid, u),
                            step_count=steps, dt_last=dt_last,
                            under_resolved=tail > config.tail_threshold,
                            tail_fraction=tail)
-
-
-def rhs(rho: DensityField, alpha: float, dealias_fraction: float = 2.0 / 3.0) -> DensityField:
-    """Flux divergence -d_x(rho u), dealiased, exactly mass neutral."""
-    ws = _Workspace(rho.grid, alpha, dealias_fraction)
-    f_hat = ws.continuity_rates(np.fft.rfft(rho.values))[0]
-    return DensityField(rho.grid, np.fft.irfft(f_hat, rho.grid.n))
-
-
-def tail_fraction(rho: DensityField, dealias_fraction: float = 2.0 / 3.0) -> float:
-    """l1 spectral mass fraction in the top third of the retained band."""
-    return _Workspace(rho.grid, 1.0, dealias_fraction).tail_fraction(np.fft.rfft(rho.values))
-
-
-def stable_dt(state: SimulationState, config: SolverConfig) -> float:
-    ws = _Workspace(state.rho.grid, config.alpha, config.dealias_fraction)
-    return ws.stable_dt(state.rho.values, state.u.values, config.cfl)[0]
-
-
-def step_ssprk3(state: SimulationState, dt: float, config: SolverConfig) -> SimulationState:
-    """One SSP-RK3 step; recomputes the induced velocity for the new state."""
-    ws = _Workspace(state.rho.grid, config.alpha, config.dealias_fraction)
-    rho_hat = np.fft.rfft(state.rho.values)
-    y_hat = _ssprk3(rho_hat, ws.continuity_rates(rho_hat)[0], ws.continuity_rates, dt)
-    _, y, u = ws.continuity_rates(y_hat)
-    return _state(config, ws.grid, state.t + dt, y, u, ws.tail_fraction(y_hat),
-                  state.step_count + 1, dt)
-
-
-def initial_state(rho0: DensityField, config: SolverConfig) -> SimulationState:
-    ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
-    y_hat = np.fft.rfft(rho0.values)
-    return _state(config, ws.grid, 0.0, rho0.values, ws.continuity_rates(y_hat)[2],
-                  ws.tail_fraction(y_hat))
 
 
 def run(rho0: DensityField, config: SolverConfig,

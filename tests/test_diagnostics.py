@@ -13,7 +13,7 @@ from fpmflow.diagnostics import (DiagnosticsRecord, bathtub_brute, bathtub_min,
                                  fit_velocity_exponent, observe,
                                  verify_enhanced_bound_derivation)
 from fpmflow.operators import make_params
-from fpmflow.solver import SolverConfig, initial_state
+from fpmflow.solver import SolverConfig, run
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +22,8 @@ def params_one():
 
 
 def _state_for(rho, alpha=1.0):
-    cfg = SolverConfig(alpha=alpha, n_points=rho.grid.n, t_end=1.0)
-    return initial_state(rho, cfg)
+    cfg = SolverConfig(alpha=alpha, n_points=rho.grid.n, t_end=1.0, max_steps=0)
+    return run(rho, cfg).final_state
 
 
 class TestObserve:

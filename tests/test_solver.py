@@ -7,13 +7,30 @@ from fpmflow.extensions import run_alignment
 from fpmflow.grid import DensityField, make_grid
 from fpmflow.initial_data import gen_cccf, gen_positive_control
 from fpmflow.operators import velocity_spectral
-from fpmflow.solver import (SolverConfig, initial_state, rhs, run, stable_dt,
-                            step_ssprk3, tail_fraction)
+from fpmflow.solver import SolverConfig, _Workspace, run
 
 
 @pytest.fixture(scope="module")
 def grid():
     return make_grid(256)
+
+
+def _initial_state(rho, alpha=1.0):
+    """The t = 0 state of a run: rho, its velocity and its tail fraction."""
+    cfg = SolverConfig(alpha=alpha, n_points=rho.grid.n, t_end=1.0, max_steps=0)
+    return run(rho, cfg).final_state
+
+
+def _first_dt(rho, alpha):
+    """The step size a run picks for its first step."""
+    cfg = SolverConfig(alpha=alpha, n_points=rho.grid.n, t_end=1.0, max_steps=1)
+    return run(rho, cfg).telemetry["dt_min"]
+
+
+def rhs(rho, alpha):
+    """Flux divergence -d_x(rho u) of the continuity flow, dealiased at 2/3."""
+    f_hat = _Workspace(rho.grid, alpha, 2.0 / 3.0).continuity_rates(np.fft.rfft(rho.values))[0]
+    return DensityField(rho.grid, np.fft.irfft(f_hat, rho.grid.n))
 
 
 class TestRhs:
@@ -50,48 +67,43 @@ class TestConfig:
 class TestStableDt:
     def test_dissipative_limit_formula(self):
         grid = make_grid(256)
-        cfg = SolverConfig(alpha=1.0, n_points=256, t_end=1.0)
-        state = initial_state(DensityField(grid, np.ones(256)), cfg)
-        dt = stable_dt(state, cfg)
-        assert abs(dt - 0.4 / (2 * np.pi * 85)) < 1e-15
+        cfg = SolverConfig(alpha=1.0, n_points=256, t_end=1.0, max_steps=1)
+        tel = run(DensityField(grid, np.ones(256)), cfg).telemetry
+        assert tel["step_limits"]["dissipative"] == 1
+        assert abs(tel["dt_min"] - 0.4 / (2 * np.pi * 85)) < 1e-15
 
     def test_transport_scaling(self):
         # fabricate a transport-dominated state: tiny density, large velocity
         grid = make_grid(256)
-        cfg = SolverConfig(alpha=1.0, n_points=256, t_end=1.0)
-        rho = DensityField(grid, 1e-6 * (1.0 + 0.5 * np.cos(2 * np.pi * grid.nodes)))
-        u1 = DensityField(grid, np.sin(2 * np.pi * grid.nodes))
-        u2 = DensityField(grid, 2.0 * np.sin(2 * np.pi * grid.nodes))
-        s1 = initial_state(rho, cfg)
-        object.__setattr__(s1, "u", u1)
-        s2 = initial_state(rho, cfg)
-        object.__setattr__(s2, "u", u2)
-        dt1, dt2 = stable_dt(s1, cfg), stable_dt(s2, cfg)
+        ws = _Workspace(grid, 1.0, 2.0 / 3.0)
+        rho = 1e-6 * (1.0 + 0.5 * np.cos(2 * np.pi * grid.nodes))
+        u1 = np.sin(2 * np.pi * grid.nodes)
+        (dt1, limit1), (dt2, limit2) = (ws.stable_dt(rho, u, 0.4) for u in (u1, 2.0 * u1))
+        assert limit1 == limit2 == "transport"
         assert dt1 > 0 and dt2 > 0
         assert abs(dt1 / dt2 - 2.0) < 1e-6
 
     def test_positive(self, grid):
-        cfg = SolverConfig(alpha=0.5, n_points=256, t_end=1.0)
-        state = initial_state(gen_cccf(grid), cfg)
-        assert stable_dt(state, cfg) > 0
+        assert _first_dt(gen_cccf(grid), 0.5) > 0
 
 
 class TestStep:
     def test_constant_is_fixed_point(self, grid):
-        cfg = SolverConfig(alpha=1.0, n_points=256, t_end=1.0)
-        state = initial_state(DensityField(grid, np.full(grid.n, 2.0)), cfg)
-        new = step_ssprk3(state, 1e-3, cfg)
+        cfg = SolverConfig(alpha=1.0, n_points=256, t_end=1e-3, dt_fixed=1e-3,
+                           snapshot_interval=1e-3)
+        new = run(DensityField(grid, np.full(grid.n, 2.0)), cfg).final_state
         assert np.max(np.abs(new.rho.values - 2.0)) < 1e-14
         assert new.t == 1e-3 and new.step_count == 1
 
     def test_mass_drift_thousand_steps(self, grid):
-        cfg = SolverConfig(alpha=1.0, n_points=256, t_end=1.0)
-        state = initial_state(gen_positive_control(grid, 1.5), cfg)
-        m0 = state.rho.mean
-        dt = 0.5 * stable_dt(state, cfg)
-        for _ in range(1000):
-            state = step_ssprk3(state, dt, cfg)
-        assert abs(state.rho.mean - m0) < 1e-11
+        rho0 = gen_positive_control(grid, 1.5)
+        dt = 2.0 ** -13  # a power of two, so 1000 steps land on t_end exactly
+        assert dt <= 0.5 * _first_dt(rho0, 1.0)
+        cfg = SolverConfig(alpha=1.0, n_points=256, t_end=1000 * dt, dt_fixed=dt,
+                           snapshot_interval=1000 * dt)
+        final = run(rho0, cfg).final_state
+        assert final.step_count == 1000
+        assert abs(final.rho.mean - rho0.mean) < 1e-11
 
     def test_richardson_order_three(self, grid):
         rho0 = gen_positive_control(grid, 1.5)
@@ -328,9 +340,24 @@ class TestTelemetry:
 
 class TestTailFraction:
     def test_smooth_field_tiny(self, grid):
-        assert tail_fraction(gen_cccf(grid)) < 1e-14
+        assert _initial_state(gen_cccf(grid)).tail_fraction < 1e-14
 
     def test_rough_field_large(self, grid):
         rng = np.random.default_rng(2)
         rough = DensityField(grid, rng.normal(size=grid.n))
-        assert tail_fraction(rough) > 1e-2
+        assert _initial_state(rough).tail_fraction > 1e-2
+
+
+class TestOneMultiplierPath:
+    @pytest.mark.parametrize("n", (96, 256))
+    @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
+    def test_library_velocity_is_run_velocity(self, n, alpha):
+        # the library operator and the stepper apply the velocity symbol
+        # the same way, so the t = 0 velocity agrees bit for bit
+        grid = make_grid(n)
+        x = grid.nodes
+        rng = np.random.default_rng(n)
+        rho0 = DensityField(grid, 1.5 + 0.3 * np.cos(2 * np.pi * x)
+                            + 0.2 * np.sin(4 * np.pi * x) + 0.01 * rng.normal(size=n))
+        u_run = _initial_state(rho0, alpha).u.values
+        assert np.array_equal(velocity_spectral(rho0, alpha).values, u_run)
