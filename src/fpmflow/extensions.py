@@ -92,7 +92,7 @@ def alignment_force(rho: DensityField, u: DensityField, alpha: float,
 
 def run_alignment(rho0: DensityField, u0: DensityField,
                   config: SolverConfig) -> AlignmentResult:
-    """Evolve the coupled (rho, u) system with the main solver's SSP-RK3
+    """Evolve the coupled (rho, u) system with the main solver's Heun RK3
     driver, dealiasing and stop rules; the tail check covers both fields.
     """
     if rho0.grid.n != config.n_points or u0.grid.n != config.n_points:

@@ -5,10 +5,19 @@ The state is kept as rfft coefficients, one row per field.  Each
 Runge-Kutta stage makes two batched numpy FFT calls: one irfft for every
 physical field the stage needs and one rfft of every product.  Products are
 formed in physical space and the quadratic flux is truncated at a fraction
-of the Nyquist band (2/3 by default).  Time stepping is the three-stage
-strong-stability-preserving Runge-Kutta scheme with a CFL step combining
-the transport limit dx/max|u| and the explicit limit of the dissipative
-factor hidden in the flux, 1/(max rho (2 pi k_max)^alpha).
+of the Nyquist band (2/3 by default).
+
+Time stepping is Heun's third-order Runge-Kutta scheme (c = 0, 1/3, 2/3)
+in Lawson form.  Linearised about its mean m, the dealiased flux of the
+continuity flow is the diagonal dissipation -m (2 pi |k|)^alpha on the kept
+band; the stepper integrates that part exactly by the factors
+exp(c dt (-m (2 pi |k|)^alpha)) and steps only the remainder explicitly.
+The mean is the k = 0 coefficient, which the flux never changes, so the
+factor is fixed for the run.  The alignment system has no diagonal linear
+part, and there the stepper is plain Heun RK3.  The step is cfl times the
+tighter of the transport limit dx/max|u| and the explicit limit of the
+dissipation left to the explicit stages, 1/(max|rho - c| (2 pi k_max)^alpha),
+with c = m under the factor and c = 0 without it.
 
 The run stops when the spectral tail mass fraction exceeds a threshold:
 past that point the solution is not trustworthy and the simulator refuses
@@ -118,6 +127,8 @@ class _Workspace:
         self.lap_sym = laplacian_symbol(grid, alpha)
         self.deriv_sym = derivative_symbol(grid)
         self.flux_sym = np.where(self.mask, -self.deriv_sym, 0.0)
+        # the flux linearised about a unit constant density: -mask (2 pi k)^alpha
+        self.lin = np.real(self.flux_sym * self.rho_u_sym[1])
         self.tail_band = slice((2 * self.k_max_kept) // 3 + 1, self.k_max_kept + 1)
         self.l1_weights = np.where(
             (grid.k_half > 0) & (grid.k_half < n // 2), 2.0, 1.0)
@@ -135,12 +146,13 @@ class _Workspace:
         tail = a[..., self.tail_band] @ self.l1_weights[self.tail_band]
         return float((tail / np.maximum(total, _TINY)).max())
 
-    def stable_dt(self, y: np.ndarray, u: np.ndarray, cfl: float):
+    def stable_dt(self, y: np.ndarray, u: np.ndarray, cfl: float, center: float = 0.0):
         """cfl times the tighter step limit, and that limit's name; y holds
-        the physical fields, density first."""
+        the physical fields, density first, and center is the density whose
+        dissipation the stepper integrates exactly."""
         transport = self.grid.dx / (float(np.max(np.abs(u))) + 1e-12)
         rho = y[0] if y.ndim == 2 else y
-        rho_peak = max(float(np.max(rho)), 1e-12)
+        rho_peak = max(float(np.max(np.abs(rho - center))), 1e-12)
         dissipative = 1.0 / (rho_peak * (2.0 * np.pi * self.k_max_kept) ** self.alpha)
         if transport < dissipative:
             return cfl * transport, "transport"
@@ -153,21 +165,42 @@ def _finite(y_hat: np.ndarray, stage: int) -> np.ndarray:
     return y_hat
 
 
-def _ssprk3(y_hat: np.ndarray, f0: np.ndarray, rates: Callable, dt: float) -> np.ndarray:
-    """One Shu-Osher SSP-RK3 step of the transforms y_hat, given the stage-1
-    tendency f0."""
-    y1 = _finite(y_hat + dt * f0, 1)
-    y2 = _finite(0.75 * y_hat + 0.25 * (y1 + dt * rates(y1)[0]), 2)
-    return _finite(y_hat / 3.0 + (2.0 / 3.0) * (y2 + dt * rates(y2)[0]), 3)
+def _lawson_heun(y_hat: np.ndarray, f0: np.ndarray, rates: Callable, dt: float,
+                 lin: Optional[np.ndarray] = None) -> np.ndarray:
+    """One Heun RK3 step (c = 0, 1/3, 2/3) of the transforms y_hat, given the
+    stage-1 tendency f0, in Lawson form: the diagonal linear rates lin are
+    integrated exactly and the rest of the tendency explicitly.  Without
+    lin the step is plain Heun RK3."""
+    if lin is not None:
+        e1 = np.exp((dt / 3.0) * lin)
+        e2 = e1 * e1
+        factors = (e1, e2, e2 * e1)
+
+    def decay(y, stage):  # exact linear flow over stage * dt / 3
+        return y if lin is None else factors[stage - 1] * y
+
+    def remainder(y, f):  # the tendency f at y minus its linear part
+        return f if lin is None else f - lin * y
+
+    n0 = remainder(y_hat, f0)
+    y1 = _finite(decay(y_hat + (dt / 3.0) * n0, 1), 1)
+    y2 = _finite(decay(y_hat, 2) + (2.0 * dt / 3.0) * decay(remainder(y1, rates(y1)[0]), 1), 2)
+    return _finite(decay(y_hat + (dt / 4.0) * n0, 3)
+                   + (0.75 * dt) * decay(remainder(y2, rates(y2)[0]), 1), 3)
 
 
 def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
-              config: SolverConfig, snapshot: Callable):
-    """Step the transforms y_hat = rfft(y0) with SSP-RK3 from t = 0.
+              config: SolverConfig, snapshot: Callable,
+              lin: Optional[np.ndarray] = None):
+    """Step the transforms y_hat = rfft(y0) with Heun RK3 from t = 0.
 
     y0 holds one field per row, density first.  rates(y_hat) returns
     (tendency_hat, y, u): the transform of the tendency, the physical fields
-    of the stage (density first) and the transport velocity.
+    of the stage (density first) and the transport velocity.  lin, if given,
+    is the real symbol of the tendency of a single density field linearised
+    about a unit constant; scaled by the mean density it is integrated
+    exactly (Lawson form) and the dissipative step limit is measured from
+    the mean.
     snapshot(t, y, u, tail, steps, dt_last) builds the state recorded at
     each snapshot time from the stage-1 fields.  Stops on t_end,
     under-resolution of any row, the step budget, or non-finite values; on
@@ -177,6 +210,12 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
     snapshot, t_end, fixed), and the dt range (None before the first step).
     """
     y_hat, t, steps, dt_last = np.fft.rfft(y0), 0.0, 0, 0.0
+    # the k = 0 coefficient is never updated, so the mean and the linear
+    # rates are fixed for the run
+    mean = 0.0
+    if lin is not None:
+        mean = y_hat[0].real / ws.grid.n
+        lin = mean * lin
     next_snap = 0.0
     states = []
     limits = dict.fromkeys(("transport", "dissipative", "snapshot", "t_end", "fixed"), 0)
@@ -197,13 +236,13 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
             stop_reason = "max_steps"
             break
         dt, limit = ((config.dt_fixed, "fixed") if config.dt_fixed
-                     else ws.stable_dt(y, u, config.cfl))
+                     else ws.stable_dt(y, u, config.cfl, mean))
         if config.t_end - t < dt:
             dt, limit = config.t_end - t, "t_end"
         if t < next_snap and next_snap - t < dt:
             dt, limit = next_snap - t, "snapshot"
         try:
-            y_hat = _ssprk3(y_hat, f0, rates, dt)
+            y_hat = _lawson_heun(y_hat, f0, rates, dt, lin)
         except SolverBlowupError:
             stop_reason = "nan"
             break
@@ -240,7 +279,8 @@ def run(rho0: DensityField, config: SolverConfig,
         raise ValueError("initial data grid does not match the configuration")
     ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
     states, final, stop_reason, telemetry = integrate(
-        rho0.values, ws.continuity_rates, ws, config, partial(_state, config, ws.grid))
+        rho0.values, ws.continuity_rates, ws, config, partial(_state, config, ws.grid),
+        lin=ws.lin)
     records: list = []
     for state in states:
         outputs = [o for o in (obs(state) for obs in observers) if o is not None]

@@ -27,6 +27,12 @@ def _first_dt(rho, alpha):
     return run(rho, cfg).telemetry["dt_min"]
 
 
+def _zero_mean_wave(grid):
+    """Sign-changing data of mean zero, where the integrating factor is 1."""
+    x = grid.nodes
+    return DensityField(grid, np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x))
+
+
 def rhs(rho, alpha):
     """Flux divergence -d_x(rho u) of the continuity flow, dealiased at 2/3."""
     f_hat = _Workspace(rho.grid, alpha, 2.0 / 3.0).continuity_rates(np.fft.rfft(rho.values))[0]
@@ -66,11 +72,14 @@ class TestConfig:
 
 class TestStableDt:
     def test_dissipative_limit_formula(self):
+        # the mean's dissipation is integrated exactly, so the limit is
+        # measured from the mean: max|rho - 1| = 0.5
         grid = make_grid(256)
         cfg = SolverConfig(alpha=1.0, n_points=256, t_end=1.0, max_steps=1)
-        tel = run(DensityField(grid, np.ones(256)), cfg).telemetry
+        rho = DensityField(grid, 1.0 + 0.5 * np.cos(2 * np.pi * grid.nodes))
+        tel = run(rho, cfg).telemetry
         assert tel["step_limits"]["dissipative"] == 1
-        assert abs(tel["dt_min"] - 0.4 / (2 * np.pi * 85)) < 1e-15
+        assert abs(tel["dt_min"] - 0.4 / (0.5 * 2 * np.pi * 85)) < 1e-15
 
     def test_transport_scaling(self):
         # fabricate a transport-dominated state: tiny density, large velocity
@@ -104,6 +113,19 @@ class TestStep:
         final = run(rho0, cfg).final_state
         assert final.step_count == 1000
         assert abs(final.rho.mean - rho0.mean) < 1e-11
+
+    def test_mean_dissipation_is_exact(self, grid):
+        # one step ten times past the explicit dissipative limit: a small
+        # mode near k_max on a constant decays by exactly exp(-m (2 pi k)^a dt)
+        alpha, m, k, eps = 1.5, 1.2, 80, 1e-6
+        dt = 10.0 / (m * (2 * np.pi * 85) ** alpha)
+        rho0 = DensityField(grid, m + eps * np.cos(2 * np.pi * k * grid.nodes))
+        cfg = SolverConfig(alpha=alpha, n_points=256, t_end=dt, dt_fixed=dt,
+                           snapshot_interval=dt, tail_threshold=1.0)
+        final = run(rho0, cfg).final_state
+        assert final.step_count == 1
+        amplitude = 2 * np.fft.rfft(final.rho.values)[k].real / grid.n
+        assert abs(amplitude - eps * np.exp(-m * (2 * np.pi * k) ** alpha * dt)) <= eps ** 2
 
     def test_richardson_order_three(self, grid):
         rho0 = gen_positive_control(grid, 1.5)
@@ -166,7 +188,7 @@ class TestRun:
         cfg = SolverConfig(alpha=1.0, n_points=256, t_end=100.0, dt_fixed=0.5,
                            snapshot_interval=100.0, tail_threshold=10.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = run(gen_cccf(grid), cfg)
+            res = run(_zero_mean_wave(grid), cfg)
         assert res.stop_reason == "nan"
         assert np.all(np.isfinite(res.final_state.rho.values))
 
@@ -208,16 +230,19 @@ class TestRun:
         assert len(times) == 5
 
 
-# stop reason -> (initial data, config overrides); snapshots every 0.01 unless
-# the interval exceeds the run
+# stop reason -> (initial data, or initial data per system, config
+# overrides); snapshots every 0.01 unless the interval exceeds the run
 STOPS = {
     "t_end": (gen_positive_control, dict(t_end=0.02)),
     "max_steps": (gen_positive_control, dict(t_end=10.0, max_steps=5,
                                              snapshot_interval=10.0)),
     "under_resolved": (gen_cccf, dict(t_end=5.0)),
-    # CFL-violating fixed step with the trust monitor disabled
-    "nan": (gen_cccf, dict(t_end=100.0, dt_fixed=0.5, snapshot_interval=100.0,
-                           tail_threshold=10.0)),
+    # CFL-violating fixed step with the trust monitor disabled; run
+    # integrates the mean's dissipation exactly and relaxes cccf to its mean
+    # at any step, so it gets zero-mean data
+    "nan": ({"run": _zero_mean_wave, "run_alignment": gen_cccf},
+            dict(t_end=100.0, dt_fixed=0.5, snapshot_interval=100.0,
+                 tail_threshold=10.0)),
 }
 
 
@@ -226,6 +251,8 @@ class TestStopRules:
     @pytest.mark.parametrize("system", ("run", "run_alignment"))
     def test_stop(self, system, stop):
         gen, overrides = STOPS[stop]
+        if isinstance(gen, dict):
+            gen = gen[system]
         grid = make_grid(128)
         rho0 = gen(grid)
         cfg = SolverConfig(alpha=1.0, n_points=128,
