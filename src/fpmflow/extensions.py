@@ -55,22 +55,21 @@ class AlignmentResult:
     telemetry: dict  # see solver.integrate
 
 
-def _u_tendency(ws: _Workspace, rho: np.ndarray, u: np.ndarray,
-                lap_rho: np.ndarray, du_dx=0.0):
-    """Transform of u Lambda^a rho - Lambda^a(rho u) - u d_x u (the alignment
-    force when du_dx = 0) and the masked transform of rho u, from one
-    batched rfft."""
-    rho_u_hat, w_hat = ws.mask * np.fft.rfft(np.stack((rho * u, u * (lap_rho - du_dx))))
-    return w_hat - ws.lap_sym * rho_u_hat, rho_u_hat
+def _u_tendency(ws: _Workspace, rho: np.ndarray, u: np.ndarray, g: np.ndarray):
+    """Transform of -u g - Lambda^a(rho u), the u tendency when
+    g = d_x u - Lambda^a rho and the alignment force when g = -Lambda^a rho,
+    and the masked transform of rho u, from one batched rfft."""
+    rho_u_hat, w_hat = ws.mask * np.fft.rfft(np.stack((rho * u, u * g)))
+    return -(w_hat + ws.lap_sym * rho_u_hat), rho_u_hat
 
 
 def _alignment_rates(ws: _Workspace, y_hat: np.ndarray):
     """Tendency transforms of the stacked (rho, u) state, the physical fields
-    (rho, u, d_x u, Lambda^a rho) from one batched irfft, and u."""
+    (rho, u, G) from one batched irfft, and u."""
     rho_hat, u_hat = y_hat
-    y = np.fft.irfft(np.stack((rho_hat, u_hat, ws.deriv_sym * u_hat,
-                               ws.lap_sym * rho_hat)), ws.grid.n)
-    du_hat, rho_u_hat = _u_tendency(ws, y[0], y[1], y[3], y[2])
+    y = np.fft.irfft(np.stack((rho_hat, u_hat, ws.deriv_sym * u_hat
+                               - ws.lap_sym * rho_hat)), ws.grid.n)
+    du_hat, rho_u_hat = _u_tendency(ws, y[0], y[1], y[2])
     return np.stack((ws.flux_sym * rho_u_hat, du_hat)), y, y[1]
 
 
@@ -85,8 +84,8 @@ def alignment_force(rho: DensityField, u: DensityField, alpha: float,
     if rho.grid is not u.grid and rho.grid.n != u.grid.n:
         raise ValueError("fields must share a grid")
     ws = _Workspace(rho.grid, alpha, dealias_fraction)
-    lap_rho = apply_multiplier(rho, ws.lap_sym).values
-    force_hat = _u_tendency(ws, rho.values, u.values, lap_rho)[0]
+    minus_lap_rho = apply_multiplier(rho, -ws.lap_sym).values
+    force_hat = _u_tendency(ws, rho.values, u.values, minus_lap_rho)[0]
     return DensityField(rho.grid, np.fft.irfft(force_hat, rho.grid.n))
 
 
@@ -94,6 +93,14 @@ def run_alignment(rho0: DensityField, u0: DensityField,
                   config: SolverConfig) -> AlignmentResult:
     """Evolve the coupled (rho, u) system with the main solver's Heun RK3
     driver, dealiasing and stop rules; the tail check covers both fields.
+
+    Linearised about (m, 0), with m the mean density, the rates per mode
+    are upper-triangular: u_hat relaxes at lambda = -m (2 pi k)^a on the
+    kept band and feeds rho_hat at r lambda, r = i (2 pi k)^(1 - a)
+    (ws.shear).  The stepper integrates that part exactly: its flow keeps
+    rho_hat - r u_hat, the linear part of -G_hat / Lambda^a, and scales
+    u_hat by exp(t lambda).  So G = 0 data keep G at roundoff level, and
+    the dissipative step limit is measured from m, as in `run`.
     """
     if rho0.grid.n != config.n_points or u0.grid.n != config.n_points:
         raise ValueError("initial data grids do not match the configuration")
@@ -102,11 +109,11 @@ def run_alignment(rho0: DensityField, u0: DensityField,
 
     def snapshot(t, y, u, tail, steps, dt_last) -> AlignmentState:
         return AlignmentState(t=t, rho=DensityField(grid, y[0]), u=DensityField(grid, u),
-                              G=DensityField(grid, y[2] - y[3]))
+                              G=DensityField(grid, y[2]))
 
     states, final, stop_reason, telemetry = integrate(
         np.stack((rho0.values, u0.values)), partial(_alignment_rates, ws), ws,
-        config, snapshot)
+        config, snapshot, shear=ws.shear)
     return AlignmentResult(states=states, final_state=final,
                            stop_reason=stop_reason, telemetry=telemetry)
 

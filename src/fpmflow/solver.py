@@ -12,12 +12,13 @@ in Lawson form.  Linearised about its mean m, the dealiased flux of the
 continuity flow is the diagonal dissipation -m (2 pi |k|)^alpha on the kept
 band; the stepper integrates that part exactly by the factors
 exp(c dt (-m (2 pi |k|)^alpha)) and steps only the remainder explicitly.
-The mean is the k = 0 coefficient, which the flux never changes, so the
-factor is fixed for the run.  The alignment system has no diagonal linear
-part, and there the stepper is plain Heun RK3.  The step is cfl times the
-tighter of the transport limit dx/max|u| and the explicit limit of the
-dissipation left to the explicit stages, 1/(max|rho - c| (2 pi k_max)^alpha),
-with c = m under the factor and c = 0 without it.
+Linearised about (m, 0), the alignment system has the same dissipation in
+u, which feeds rho through a fixed per-mode shear; its factor is the exact
+exponential of that upper-triangular pair.  The mean is the density's k = 0
+coefficient, which the flux never changes, so the factors are fixed for the
+run.  The step is cfl times the tighter of the transport limit dx/max|u|
+and the explicit limit of the dissipation left to the explicit stages,
+1/(max|rho - m| (2 pi k_max)^alpha).
 
 The run stops when the spectral tail mass fraction exceeds a threshold:
 past that point the solution is not trustworthy and the simulator refuses
@@ -27,7 +28,7 @@ threshold commensurate with amplitude-level error bounds.
 
 One driver, `integrate`, steps every system: this flow and the alignment
 system of `extensions`.  It counts the steps, the limit that bound each
-step and the step-size range for the run's metadata.
+step, the step-size range and the FFT calls for the run's metadata.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class RunResult:
     records: list  # one entry per observer return value per snapshot
     final_state: SimulationState
     stop_reason: str  # t_end | under_resolved | max_steps | nan
-    telemetry: dict  # steps, binding step limits, dt range (see integrate)
+    telemetry: dict  # steps, binding step limits, dt range, FFT calls (see integrate)
 
 
 class _Workspace:
@@ -129,6 +130,11 @@ class _Workspace:
         self.flux_sym = np.where(self.mask, -self.deriv_sym, 0.0)
         # the flux linearised about a unit constant density: -mask (2 pi k)^alpha
         self.lin = np.real(self.flux_sym * self.rho_u_sym[1])
+        # r = flux_sym / lin = i (2 pi k)^(1 - alpha) on the kept band, 0
+        # elsewhere: the alignment system's linear density rate per unit
+        # linear velocity rate (see _lawson_heun)
+        self.shear = np.divide(self.flux_sym, self.lin, out=np.zeros_like(self.flux_sym),
+                               where=self.lin != 0.0)
         self.tail_band = slice((2 * self.k_max_kept) // 3 + 1, self.k_max_kept + 1)
         self.l1_weights = np.where(
             (grid.k_half > 0) & (grid.k_half < n // 2), 2.0, 1.0)
@@ -166,62 +172,93 @@ def _finite(y_hat: np.ndarray, stage: int) -> np.ndarray:
 
 
 def _lawson_heun(y_hat: np.ndarray, f0: np.ndarray, rates: Callable, dt: float,
-                 lin: Optional[np.ndarray] = None) -> np.ndarray:
+                 lam: np.ndarray, shear: Optional[np.ndarray] = None) -> np.ndarray:
     """One Heun RK3 step (c = 0, 1/3, 2/3) of the transforms y_hat, given the
-    stage-1 tendency f0, in Lawson form: the diagonal linear rates lin are
-    integrated exactly and the rest of the tendency explicitly.  Without
-    lin the step is plain Heun RK3."""
-    if lin is not None:
-        e1 = np.exp((dt / 3.0) * lin)
-        e2 = e1 * e1
-        factors = (e1, e2, e2 * e1)
+    stage-1 tendency f0, in Lawson form: the linear rates A are integrated
+    exactly and the remainder f - A y explicitly.  A y is lam y or, given
+    shear, (shear lam u_hat, lam u_hat) for the pair y = (rho_hat, u_hat).
+    The exact flow over tau multiplies y, or u_hat, by exp(tau lam); given
+    shear it keeps rho_hat - shear u_hat.  The stage arithmetic runs in
+    place and overwrites y_hat and f0."""
+    e1 = np.exp((dt / 3.0) * lam)
+    e2 = e1 * e1
+    factors = (e1, e2, e2 * e1)
 
-    def decay(y, stage):  # exact linear flow over stage * dt / 3
-        return y if lin is None else factors[stage - 1] * y
+    def flow(y, stage):  # exact linear flow over stage * dt / 3, in place
+        if shear is None:
+            y *= factors[stage - 1]
+        else:
+            y[0] -= shear * y[1]
+            y[1] *= factors[stage - 1]
+            y[0] += shear * y[1]
+        return y
 
-    def remainder(y, f):  # the tendency f at y minus its linear part
-        return f if lin is None else f - lin * y
+    def remainder(y, f):  # f minus the linear rates at y, in place
+        if shear is None:
+            f -= lam * y
+        else:
+            linear = lam * y[1]
+            f[1] -= linear
+            linear *= shear
+            f[0] -= linear
+        return f
 
     n0 = remainder(y_hat, f0)
-    y1 = _finite(decay(y_hat + (dt / 3.0) * n0, 1), 1)
-    y2 = _finite(decay(y_hat, 2) + (2.0 * dt / 3.0) * decay(remainder(y1, rates(y1)[0]), 1), 2)
-    return _finite(decay(y_hat + (dt / 4.0) * n0, 3)
-                   + (0.75 * dt) * decay(remainder(y2, rates(y2)[0]), 1), 3)
+    y1 = (dt / 3.0) * n0
+    y1 += y_hat
+    _finite(flow(y1, 1), 1)
+    n0 *= dt / 4.0
+    n0 += y_hat  # the stage-3 base, before its flow
+    y2 = flow(remainder(y1, rates(y1)[0]), 1)
+    y2 *= 2.0 * dt / 3.0
+    y2 += flow(y_hat, 2)
+    _finite(y2, 2)
+    y3 = flow(n0, 3)
+    f2 = flow(remainder(y2, rates(y2)[0]), 1)
+    f2 *= 0.75 * dt
+    y3 += f2
+    return _finite(y3, 3)
 
 
 def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
               config: SolverConfig, snapshot: Callable,
-              lin: Optional[np.ndarray] = None):
+              shear: Optional[np.ndarray] = None):
     """Step the transforms y_hat = rfft(y0) with Heun RK3 from t = 0.
 
     y0 holds one field per row, density first.  rates(y_hat) returns
     (tendency_hat, y, u): the transform of the tendency, the physical fields
-    of the stage (density first) and the transport velocity.  lin, if given,
-    is the real symbol of the tendency of a single density field linearised
-    about a unit constant; scaled by the mean density it is integrated
-    exactly (Lawson form) and the dissipative step limit is measured from
-    the mean.
+    of the stage (density first) and the transport velocity.  The tendency
+    linearised about the mean density m is integrated exactly (Lawson form):
+    a single field relaxes at the rates m ws.lin; given shear, y0 is the
+    pair (rho, u), u relaxes at those rates and feeds rho at shear times
+    them (see _lawson_heun).  The dissipative step limit is measured from m.
     snapshot(t, y, u, tail, steps, dt_last) builds the state recorded at
     each snapshot time from the stage-1 fields.  Stops on t_end,
     under-resolution of any row, the step budget, or non-finite values; on
     the last the final state is the last finite one and is not recorded.
     Returns (states, final_state, stop_reason, telemetry); telemetry holds
     the step count, how many steps each limit bound (transport, dissipative,
-    snapshot, t_end, fixed), and the dt range (None before the first step).
+    snapshot, t_end, fixed), the dt range (None before the first step), and
+    the numpy FFT calls: the first rfft and two per rates call.
     """
     y_hat, t, steps, dt_last = np.fft.rfft(y0), 0.0, 0, 0.0
-    # the k = 0 coefficient is never updated, so the mean and the linear
-    # rates are fixed for the run
-    mean = 0.0
-    if lin is not None:
-        mean = y_hat[0].real / ws.grid.n
-        lin = mean * lin
+    # the density's k = 0 coefficient is never updated, so the mean and the
+    # linear rates are fixed for the run
+    mean = np.atleast_2d(y_hat)[0, 0].real / ws.grid.n
+    lam = mean * ws.lin
+    rate_calls = 0
+
+    def counted_rates(y_hat):
+        nonlocal rate_calls
+        rate_calls += 1
+        return rates(y_hat)
+
     next_snap = 0.0
     states = []
     limits = dict.fromkeys(("transport", "dissipative", "snapshot", "t_end", "fixed"), 0)
     dt_min, dt_max = np.inf, 0.0
     while True:
-        f0, y, u = rates(y_hat)
+        f0, y, u = counted_rates(y_hat)
         tail = ws.tail_fraction(y_hat)
         if tail > config.tail_threshold:
             stop_reason = "under_resolved"
@@ -242,7 +279,7 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
         if t < next_snap and next_snap - t < dt:
             dt, limit = next_snap - t, "snapshot"
         try:
-            y_hat = _lawson_heun(y_hat, f0, rates, dt, lin)
+            y_hat = _lawson_heun(y_hat, f0, counted_rates, dt, lam, shear)
         except SolverBlowupError:
             stop_reason = "nan"
             break
@@ -257,7 +294,8 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
         states.append(final)
     return states, final, stop_reason, {
         "steps": steps, "step_limits": limits,
-        "dt_min": dt_min if steps else None, "dt_max": dt_max if steps else None}
+        "dt_min": dt_min if steps else None, "dt_max": dt_max if steps else None,
+        "fft_calls": 1 + 2 * rate_calls}
 
 
 def _state(config: SolverConfig, grid: PeriodicGrid, t: float, y: np.ndarray,
@@ -279,8 +317,7 @@ def run(rho0: DensityField, config: SolverConfig,
         raise ValueError("initial data grid does not match the configuration")
     ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
     states, final, stop_reason, telemetry = integrate(
-        rho0.values, ws.continuity_rates, ws, config, partial(_state, config, ws.grid),
-        lin=ws.lin)
+        rho0.values, ws.continuity_rates, ws, config, partial(_state, config, ws.grid))
     records: list = []
     for state in states:
         outputs = [o for o in (obs(state) for obs in observers) if o is not None]

@@ -337,20 +337,25 @@ TEMPORAL_ORDER_INPUTS = ((1.0, 1e-3, 0.05), (1.5, 1.6e-4, 0.0128))
 
 
 def test_criterion_10_temporal_order():
+    # both systems, the alignment system on G = 0 data
     grid = make_grid(256)
     rho0 = gen_positive_control(grid, 1.5)
-    for alpha, dt, t_end in TEMPORAL_ORDER_INPUTS:
-        finals = {}
-        for div in (1, 2, 4):
-            cfg = SolverConfig(alpha=alpha, n_points=256, t_end=t_end,
-                               dt_fixed=dt / div, snapshot_interval=t_end)
-            finals[div] = run(rho0, cfg).final_state.rho.values
-        d1 = float(np.max(np.abs(finals[1] - finals[2])))
-        d2 = float(np.max(np.abs(finals[2] - finals[4])))
-        order = math.log2(d1 / d2)
-        _report("10", abs(order - 3.0) <= 0.2,
-                f"alpha={alpha}, base dt {dt:g}: step-halving order "
-                f"{order:.3f} within 3.0 +/- 0.2")
+    systems = {"run": run,
+               "run_alignment": lambda rho0, cfg: run_alignment(
+                   rho0, velocity_spectral(rho0, cfg.alpha), cfg)}
+    for name, system in systems.items():
+        for alpha, dt, t_end in TEMPORAL_ORDER_INPUTS:
+            finals = {}
+            for div in (1, 2, 4):
+                cfg = SolverConfig(alpha=alpha, n_points=256, t_end=t_end,
+                                   dt_fixed=dt / div, snapshot_interval=t_end)
+                finals[div] = system(rho0, cfg).final_state.rho.values
+            d1 = float(np.max(np.abs(finals[1] - finals[2])))
+            d2 = float(np.max(np.abs(finals[2] - finals[4])))
+            order = math.log2(d1 / d2)
+            _report("10", abs(order - 3.0) <= 0.2,
+                    f"{name}, alpha={alpha}, base dt {dt:g}: step-halving order "
+                    f"{order:.3f} within 3.0 +/- 0.2")
 
 
 def test_criterion_10_deterministic_reruns(tmp_path):

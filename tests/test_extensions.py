@@ -86,6 +86,41 @@ class TestAlignmentRun:
                              - mres.final_state.rho.values))
         assert diff < 1e-6
 
+    def test_g_zero_takes_the_main_solver_steps(self):
+        # both systems integrate the same linear part exactly and measure the
+        # dissipative limit from the mean, so on G = 0 data they take the
+        # same steps and their densities agree to roundoff
+        n, alpha, t_end = 512, 1.0, 0.06
+        grid = make_grid(n)
+        rho0 = gen_cccf(grid)
+        cfg = SolverConfig(alpha=alpha, n_points=n, t_end=t_end,
+                           snapshot_interval=0.01)
+        ares = run_alignment(rho0, velocity_spectral(rho0, alpha), cfg)
+        mres = run(rho0, cfg)
+        assert ares.telemetry["steps"] == mres.telemetry["steps"] == 162
+        diff = np.max(np.abs(ares.final_state.rho.values
+                             - mres.final_state.rho.values))
+        assert diff <= 1e-12
+
+    def test_linear_relaxation_is_exact(self):
+        # one step ten times past the explicit limit 1/(max rho (2 pi k_max)^a):
+        # a small mode near k_max decays in u by exactly exp(-m (2 pi k)^a dt),
+        # and the factor keeps G = 0
+        n, alpha, m, k, eps = 256, 1.5, 1.2, 80, 1e-6
+        grid = make_grid(n)
+        dt = 10.0 / (m * (2 * np.pi * 85) ** alpha)
+        rho0 = DensityField(grid, m + eps * np.cos(2 * np.pi * k * grid.nodes))
+        u0 = velocity_spectral(rho0, alpha)
+        cfg = SolverConfig(alpha=alpha, n_points=n, t_end=dt, dt_fixed=dt,
+                           snapshot_interval=dt, tail_threshold=1.0)
+        res = run_alignment(rho0, u0, cfg)
+        assert res.telemetry["steps"] == 1
+        final = res.final_state
+        mode = 2 * np.fft.rfft(final.u.values)[k] / n
+        mode0 = 2 * np.fft.rfft(u0.values)[k] / n
+        assert abs(mode - mode0 * np.exp(-m * (2 * np.pi * k) ** alpha * dt)) <= eps ** 2
+        assert np.max(np.abs(final.G.values)) <= 1e-12
+
     def test_burgers_reduction(self):
         # rho near 1 with small velocity: the u-equation follows the scalar
         # fractional-dissipation equation; oracle is an independent RK4 line

@@ -230,19 +230,18 @@ class TestRun:
         assert len(times) == 5
 
 
-# stop reason -> (initial data, or initial data per system, config
-# overrides); snapshots every 0.01 unless the interval exceeds the run
+# stop reason -> (initial data, config overrides); snapshots every 0.01
+# unless the interval exceeds the run
 STOPS = {
     "t_end": (gen_positive_control, dict(t_end=0.02)),
     "max_steps": (gen_positive_control, dict(t_end=10.0, max_steps=5,
                                              snapshot_interval=10.0)),
     "under_resolved": (gen_cccf, dict(t_end=5.0)),
-    # CFL-violating fixed step with the trust monitor disabled; run
-    # integrates the mean's dissipation exactly and relaxes cccf to its mean
-    # at any step, so it gets zero-mean data
-    "nan": ({"run": _zero_mean_wave, "run_alignment": gen_cccf},
-            dict(t_end=100.0, dt_fixed=0.5, snapshot_interval=100.0,
-                 tail_threshold=10.0)),
+    # CFL-violating fixed step with the trust monitor disabled; both systems
+    # integrate the mean's dissipation exactly and relax cccf to its mean at
+    # any step, so they get zero-mean data, where the factor is 1
+    "nan": (_zero_mean_wave, dict(t_end=100.0, dt_fixed=0.5, snapshot_interval=100.0,
+                                  tail_threshold=10.0)),
 }
 
 
@@ -251,8 +250,6 @@ class TestStopRules:
     @pytest.mark.parametrize("system", ("run", "run_alignment"))
     def test_stop(self, system, stop):
         gen, overrides = STOPS[stop]
-        if isinstance(gen, dict):
-            gen = gen[system]
         grid = make_grid(128)
         rho0 = gen(grid)
         cfg = SolverConfig(alpha=1.0, n_points=128,
@@ -341,6 +338,7 @@ class TestExactSymmetries:
         res = _fixed_step_run(system, *skewed)
         assert len(res.states) == 5
         assert len(calls) <= 6 * 16 + len(res.states) + 1
+        assert res.telemetry["fft_calls"] == len(calls)
 
 
 class TestTelemetry:
@@ -359,10 +357,13 @@ class TestTelemetry:
 
     @pytest.mark.parametrize("system", ("run", "run_alignment"))
     def test_fixed_step_counts(self, system, skewed):
+        # 17 stage-1 rates calls (one per step and one at the stop) and two
+        # more per step, each one irfft and one rfft, after the first rfft
         res = _fixed_step_run(system, *skewed)
         assert res.telemetry == {"steps": 16, "dt_min": 2.0 ** -10, "dt_max": 2.0 ** -10,
                                  "step_limits": {"transport": 0, "dissipative": 0,
-                                                 "snapshot": 0, "t_end": 0, "fixed": 16}}
+                                                 "snapshot": 0, "t_end": 0, "fixed": 16},
+                                 "fft_calls": 1 + 2 * (17 + 2 * 16)}
 
 
 class TestTailFraction:
