@@ -30,7 +30,6 @@ class CharacteristicPath:
     mass0: float  # mass of [0, x_start] at t = 0
     rho_along: np.ndarray  # density sampled on the path at snapshot times
     mass_along: np.ndarray  # mass of [0, X(t)] at snapshot times
-    under_sampled: bool  # snapshot cadence too coarse for the path speed
 
 
 def mass_profile(rho: DensityField, x: float) -> float:
@@ -43,7 +42,7 @@ def _wrap(x: float) -> float:
     return (x + 0.5) % 1.0 - 0.5
 
 
-def advect_path(states, x_start: float, substeps: int = 4) -> CharacteristicPath:
+def advect_path(states, x_start: float) -> CharacteristicPath:
     """Integrate the path through the snapshot series with classical RK4.
 
     The velocity between snapshots is interpolated linearly in time; spatial
@@ -60,7 +59,7 @@ def advect_path(states, x_start: float, substeps: int = 4) -> CharacteristicPath
     positions = np.empty(len(times))
     positions[0] = x_start
     pos = x_start
-    max_speed = 0.0
+    substeps = 4  # RK4 steps per snapshot interval
     for i in range(len(times) - 1):
         h_total = times[i + 1] - times[i]
         ua, ub = fields[i], fields[i + 1]
@@ -80,12 +79,7 @@ def advect_path(states, x_start: float, substeps: int = 4) -> CharacteristicPath
             k3 = u_at(fm, pos + 0.5 * h * k2)
             k4 = u_at(f1, pos + h * k3)
             pos = pos + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            max_speed = max(max_speed, abs(k1))
         positions[i + 1] = pos
-
-    dx = fields[0].grid.dx
-    gaps = np.diff(times)
-    under_sampled = bool(np.max(gaps) * max_speed > 10.0 * dx) if max_speed > 0 else False
 
     rho_along = np.array([
         float(evaluate_trig(r, [_wrap(p)])[0]) for r, p in zip(rhos, positions)])
@@ -94,8 +88,7 @@ def advect_path(states, x_start: float, substeps: int = 4) -> CharacteristicPath
     return CharacteristicPath(
         x_start=x_start, times=times, positions=positions,
         mass0=mass_profile(rhos[0], x_start),
-        rho_along=rho_along, mass_along=mass_along,
-        under_sampled=under_sampled)
+        rho_along=rho_along, mass_along=mass_along)
 
 
 def check_mass_transport(path1: CharacteristicPath, path2: CharacteristicPath,

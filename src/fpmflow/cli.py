@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -72,64 +73,65 @@ def _parse_scalar(text: str):
         return text
 
 
+# (key, flag, type, default) per run key; a tuple type lists the allowed names
+RUN_KEYS = (
+    ("preset", "--preset", PRESETS, "cccf"),
+    ("alpha", "--alpha", float, 1.0),
+    ("n_points", "--n", int, 1024),
+    ("t_end", "--t-end", float, 0.5),
+    ("cfl", "--cfl", float, 0.4),
+    ("dealias_fraction", "--dealias-fraction", float, 2.0 / 3.0),
+    ("tail_threshold", "--tail-threshold", float, 1e-8),
+    ("snapshot_interval", "--snapshot-interval", float, None),
+    ("max_steps", "--max-steps", int, 20_000_000),
+    ("rho_max", "--rho-max", float, 2.0),
+    ("x0", "--x0", float, 0.15),
+    ("width", "--width", float, 0.1),
+    ("offset", "--offset", float, 1.5),
+    ("require_t_end", "--require-t-end", bool, False),
+)
+_TYPES = {key: kind for key, _, kind, _ in RUN_KEYS}
+
+
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", type=str, help="flat key = value config file")
-    p.add_argument("--preset", choices=PRESETS)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--n", type=int, dest="n_points")
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--cfl", type=float)
-    p.add_argument("--tail-threshold", type=float, dest="tail_threshold")
-    p.add_argument("--snapshot-interval", type=float, dest="snapshot_interval")
-    p.add_argument("--dealias-fraction", type=float, dest="dealias_fraction")
-    p.add_argument("--rho-max", type=float, dest="rho_max")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--width", type=float)
-    p.add_argument("--offset", type=float)
-    p.add_argument("--max-steps", type=int, dest="max_steps")
-    p.add_argument("--require-t-end", action="store_true", dest="require_t_end")
+    for key, flag, kind, _ in RUN_KEYS:
+        how = ({"action": "store_true"} if kind is bool else
+               {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+        p.add_argument(flag, dest=key, default=None, **how)
     p.add_argument("--no-plots", action="store_true")
     p.add_argument("--snapshot-stride", type=int, default=10,
                    help="write every k-th snapshot CSV")
     p.add_argument("--out", type=str, default="out")
 
 
-_DEFAULTS = dict(preset="cccf", alpha=1.0, n_points=1024, t_end=0.5, cfl=0.4,
-                 dealias_fraction=2.0 / 3.0, tail_threshold=1e-8,
-                 snapshot_interval=None, rho_max=2.0, x0=0.15, width=0.1,
-                 offset=1.5, max_steps=20_000_000, require_t_end=False)
+def _typed(key: str, value):
+    """value, if key is a run key and value has its type; a float key also
+    takes an int, and no number key takes a bool."""
+    kind = _TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
+    ok = (value in kind if isinstance(kind, tuple) else
+          type(value) is kind or (kind is float and type(value) is int))
+    if not ok:
+        name = "one of " + ", ".join(kind) if isinstance(kind, tuple) else kind.__name__
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
+    return value
 
 
 def _settings(args) -> dict:
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    settings = {key: default for key, _, _, default in RUN_KEYS}
+    if args.config:
         cfg = load_config(args.config)
-        unknown = set(cfg) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(cfg)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None and not (key == "require_t_end" and value is False):
-            settings[key] = value
+        settings.update((key, _typed(key, value)) for key, value in cfg.items())
+    flags = vars(args)
+    settings.update((key, flags[key]) for key in _TYPES if flags[key] is not None)
     return settings
 
 
-def _initial_spec(settings) -> InitialDataSpec:
-    kind = str(settings["preset"]).replace("-", "_")
-    return InitialDataSpec(kind=kind, rho_max=settings["rho_max"],
-                           x0=settings["x0"],
-                           transition_width=settings["width"],
-                           offset=settings["offset"])
-
-
-def _solver_config(settings) -> SolverConfig:
-    return SolverConfig(alpha=settings["alpha"], n_points=settings["n_points"],
-                        t_end=settings["t_end"], cfl=settings["cfl"],
-                        dealias_fraction=settings["dealias_fraction"],
-                        tail_threshold=settings["tail_threshold"],
-                        snapshot_interval=settings["snapshot_interval"],
-                        max_steps=settings["max_steps"])
+def _fields_of(cls, settings) -> dict:
+    """The settings whose run key names a field of the dataclass cls."""
+    return {f.name: settings[f.name] for f in fields(cls) if f.name in settings}
 
 
 def _inputs(settings):
@@ -137,7 +139,11 @@ def _inputs(settings):
     the initial data or SolverConfig rejects is a config error."""
     try:
         grid = make_grid(settings["n_points"])
-        return make_initial_data(grid, _initial_spec(settings)), _solver_config(settings)
+        spec = InitialDataSpec(kind=settings["preset"].replace("-", "_"),
+                               transition_width=settings["width"],
+                               **_fields_of(InitialDataSpec, settings))
+        config = SolverConfig(**_fields_of(SolverConfig, settings))
+        return make_initial_data(grid, spec), config
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -151,19 +157,19 @@ def _execute(settings):
     return rho0, config, constants, result, wall
 
 
-def _write_artifacts(settings, out_dir: Path, config, result, wall,
-                     stride=10, plots=True):
+def _write_artifacts(settings, args, result, wall):
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_timeseries(out_dir / "timeseries.csv", result.records)
     for i, state in enumerate(result.states):
-        if i % max(1, stride) == 0 or i == len(result.states) - 1:
+        if i % max(1, args.snapshot_stride) == 0 or i == len(result.states) - 1:
             write_snapshot(out_dir / f"snapshot_{i:04d}.csv", state)
     write_metadata(out_dir / "metadata.json", {
         "settings": settings, "stop_reason": result.stop_reason,
         "wall_time": wall, "steps": result.final_state.step_count,
         "t_final": result.final_state.t, "run": result.telemetry,
     })
-    if plots:
+    if not args.no_plots:
         xs = result.states[0].rho.grid.nodes
         picks = result.states[:: max(1, len(result.states) // 6)]
         line_chart([(xs, s.rho.values, f"t={s.t:.4g}") for s in picks],
@@ -177,12 +183,10 @@ def _write_artifacts(settings, out_dir: Path, config, result, wall,
 
 def cmd_simulate(args) -> int:
     settings = _settings(args)
-    out_dir = Path(args.out)
     rho0, config, constants, result, wall = _execute(settings)
-    _write_artifacts(settings, out_dir, config, result, wall,
-                     stride=args.snapshot_stride, plots=not args.no_plots)
+    _write_artifacts(settings, args, result, wall)
     print(f"stop_reason={result.stop_reason} t={result.final_state.t:.6g} "
-          f"steps={result.final_state.step_count} artifacts in {out_dir}")
+          f"steps={result.final_state.step_count} artifacts in {args.out}")
     if settings["require_t_end"] and result.stop_reason == "under_resolved":
         return 3
     return 0
@@ -232,7 +236,6 @@ def check_invariants(records, constants, tail_threshold,
 
 def cmd_verify(args) -> int:
     settings = _settings(args)
-    out_dir = Path(args.out)
     rho0, config, constants, result, wall = _execute(settings)
     hyp = validate_hypotheses(rho0)
     report = check_invariants(result.records, constants, config.tail_threshold,
@@ -240,8 +243,7 @@ def cmd_verify(args) -> int:
     report["hypotheses"] = {"h1": hyp.h1, "h2": hyp.h2, "h3": hyp.h3}
     report["stop_reason"] = result.stop_reason
     report["verdict"] = classify_run(result.records) if len(result.records) >= 10 else None
-    _write_artifacts(settings, out_dir, config, result, wall,
-                     stride=args.snapshot_stride, plots=not args.no_plots)
+    _write_artifacts(settings, args, result, wall)
     print(json.dumps(report, indent=2, default=str))
     if not report["all_ok"]:
         return 2
@@ -361,8 +363,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for value in values:
         row_settings = dict(settings)
-        row_settings[axis] = value
         try:
+            row_settings[axis] = _typed(axis, value)
             rho0, config, constants, result, wall = _execute(row_settings)
             if len(result.records) >= 10:
                 verdict = classify_run(result.records)

@@ -1,6 +1,6 @@
 """Observer suite: per-snapshot scalar observables, the layer-density
-minimization oracle pair, the enhanced-velocity-bound link checker, the
-exploratory velocity-exponent fit, and run classification.
+minimization oracle pair, the enhanced-velocity-bound link checker, and run
+classification.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "bathtub_min",
     "bathtub_brute",
     "verify_enhanced_bound_derivation",
-    "fit_velocity_exponent",
-    "fit_exponent",
     "classify_run",
 ]
 
@@ -232,43 +230,9 @@ def verify_enhanced_bound_derivation(rho: DensityField, params: OperatorParams,
 
 
 # --------------------------------------------------------------------------
-# exploratory exponent fit
-
-def fit_exponent(xs, us) -> dict:
-    """Least-squares fit of log(-u) against log(x); exploratory only."""
-    xs = np.asarray(xs, dtype=float)
-    us = np.asarray(us, dtype=float)
-    good = (xs > 0) & (us < 0)
-    if np.count_nonzero(good) < 3:
-        return {"applicable": False, "C": math.nan, "gamma": math.nan, "r2": math.nan}
-    lx = np.log(xs[good])
-    ly = np.log(-us[good])
-    gamma, logC = np.polyfit(lx, ly, 1)
-    pred = gamma * lx + logC
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return {"applicable": True, "C": float(np.exp(logC)), "gamma": float(gamma),
-            "r2": r2}
-
-
-def fit_velocity_exponent(rho: DensityField, alpha: float, x_range) -> dict:
-    """Fit u(x) ~ -C x^gamma on grid nodes inside x_range (velocity from rho)."""
-    from .operators import velocity_spectral
-    x_lo, x_hi = x_range
-    u = velocity_spectral(rho, alpha)
-    nodes = rho.grid.nodes
-    sel = (nodes >= x_lo) & (nodes <= x_hi)
-    if np.any(u.values[sel] >= 0):
-        return {"applicable": False, "C": math.nan, "gamma": math.nan, "r2": math.nan}
-    return fit_exponent(nodes[sel], u.values[sel])
-
-
-# --------------------------------------------------------------------------
 # run classification
 
-def classify_run(records, growth_factor: float = 5.0, bounded_factor: float = 2.0,
-                 dip_tolerance: float = 0.05) -> dict:
+def classify_run(records) -> dict:
     """Qualitative regime verdict from the c1-norm series.
 
     c1_growth: after the initial dissipative transient (up to the global
@@ -276,8 +240,9 @@ def classify_run(records, growth_factor: float = 5.0, bounded_factor: float = 2.
     the running maximum bounded by dip_tolerance) by at least growth_factor
     over the initial value.  c1_bounded: the norm never exceeds
     bounded_factor times the initial value.  Anything else: inconclusive.
-    The thresholds are artifact choices, tunable via the keyword arguments.
+    The thresholds are artifact choices.
     """
+    growth_factor, bounded_factor, dip_tolerance = 5.0, 2.0, 0.05
     series = [r.c1_norm for r in records]
     if len(series) < 10:
         raise ValueError("classification needs at least 10 records")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -244,16 +243,13 @@ def _free_space_ratio(alpha: float, x1: float = 0.1, r0: float = 0.2,
     return J / K
 
 
-def slab_check_2d(rho0_1d: DensityField, alpha: float,
-                  n2d: Optional[int] = None) -> SlabReport:
+def slab_check_2d(rho0_1d: DensityField, alpha: float) -> SlabReport:
     """Static multi-d reduction checks on slab data rho(x1, x2) = rho0(x1):
     the transverse velocity vanishes, the longitudinal velocity matches the
     1D formula at multiplier exactness, the spectral gap vanishes, and the
     free-space quadrature reproduces the plane-slice constant.
     """
-    n = n2d or rho0_1d.grid.n
-    if n != rho0_1d.grid.n:
-        raise ValueError("2D slab grid must match the 1D profile resolution")
+    n = rho0_1d.grid.n
     field2d = np.broadcast_to(rho0_1d.values[:, None], (n, n)).copy()
     u1, u2 = slab_velocity_2d(field2d, alpha)
     u_1d = velocity_spectral(rho0_1d, alpha).values

@@ -5,8 +5,9 @@ the modes e^{2 pi i k x}, so a Fourier multiplier m(k) acts on the integer
 wavenumber k.  Real fields are stored as sample vectors; the half-spectrum
 coefficients c_k (k = 0 .. n/2) are cached per field and evaluate the trig
 interpolant off the grid.  Every multiplier outside the time stepper goes
-through `apply_multiplier`, which takes the symbol as a half-spectrum array
-and works on the plain rfft of the samples, as the stepper does.
+through `apply_multiplier`, which takes a half-spectrum symbol, works on the
+plain rfft of the samples as the stepper does, and leaves the imaginary part
+of the Nyquist entry to irfft, which drops it.
 """
 
 from __future__ import annotations
@@ -100,18 +101,18 @@ class DensityField:
 
 
 def apply_multiplier(f: DensityField, symbol: np.ndarray) -> DensityField:
-    """Apply the Fourier multiplier with half-spectrum `symbol` (k = 0 .. n/2).
-    The Nyquist entry is forced real, so the output is real."""
-    sym = np.array(symbol, dtype=complex)
+    """Apply the Fourier multiplier with half-spectrum `symbol` (k = 0 .. n/2)."""
+    sym = np.asarray(symbol, dtype=complex)
     if sym.shape != f.grid.k_half.shape:
         raise ValueError("symbol array must cover wavenumbers 0 .. n/2")
-    sym[-1] = sym[-1].real
     return DensityField(f.grid, np.fft.irfft(sym * np.fft.rfft(f.values), f.grid.n))
 
 
 def derivative_symbol(grid: PeriodicGrid) -> np.ndarray:
     sym = 2j * np.pi * grid.k_half.astype(complex)
-    sym[-1] = 0.0  # odd symbol: Nyquist forced real
+    # 0 at Nyquist: at dealias fraction 1 the stepper's flux, linear rates
+    # and shear keep that mode and use this entry before any irfft
+    sym[-1] = 0.0
     return sym
 
 
@@ -119,7 +120,7 @@ def spectral_derivative(f: DensityField) -> DensityField:
     return apply_multiplier(f, derivative_symbol(f.grid))
 
 
-def evaluate_trig(f: DensityField, xs, _block: int = 2048) -> np.ndarray:
+def evaluate_trig(f: DensityField, xs) -> np.ndarray:
     """Evaluate the trigonometric interpolant of f at arbitrary points.
 
     Exact at the nodes and for any resolved trig polynomial; the Nyquist mode
@@ -130,10 +131,11 @@ def evaluate_trig(f: DensityField, xs, _block: int = 2048) -> np.ndarray:
     n = f.grid.n
     k_mid = f.grid.k_half[1:-1]
     out = np.empty(len(xs))
-    for lo in range(0, len(xs), _block):
-        xb = xs[lo:lo + _block]
+    block = 2048  # points per phase matrix
+    for lo in range(0, len(xs), block):
+        xb = xs[lo:lo + block]
         phases = np.exp(2j * np.pi * np.outer(xb, k_mid))
-        out[lo:lo + _block] = (
+        out[lo:lo + block] = (
             c[0].real
             + 2.0 * (phases @ c[1:-1]).real
             + c[-1].real * np.cos(np.pi * n * xb)
@@ -156,12 +158,3 @@ def antiderivative_at(f: DensityField, xs) -> np.ndarray:
     out = c[0].real * xs + 2.0 * (phases @ a_mid).real
     out += c[-1].real * np.sin(np.pi * n * xs) / (np.pi * n)
     return out
-
-
-def parseval_mismatch(f: DensityField) -> float:
-    """Relative gap between physical and spectral energy (identically small)."""
-    c = f.coefficients
-    w = np.where((f.grid.k_half > 0) & (f.grid.k_half < f.grid.n // 2), 2.0, 1.0)
-    spec = float(np.sum(w * np.abs(c) ** 2))
-    phys = float(np.sum(f.values ** 2) * f.grid.dx)
-    return abs(spec - phys) / max(phys, 1e-300)

@@ -41,11 +41,12 @@ class InitialDataSpec:
             raise ValueError(f"unknown initial data kind {self.kind!r}")
         if self.rho_max <= 0.0:
             raise ValueError("rho_max must be positive")
-        if self.kind == "vacuum_plateau":
-            if self.x0 <= 0.0:
-                raise ValueError("vacuum half-width must be positive")
-            if self.x0 + self.transition_width > 0.5 + 1e-12:
-                raise ValueError("vacuum plus transition exceeds the half torus")
+        if self.x0 <= 0.0 or self.transition_width <= 0.0:
+            raise ValueError("vacuum half-width and transition width must be positive")
+        if self.x0 + self.transition_width > 0.5 + 1e-12:
+            raise ValueError("vacuum plus transition exceeds the half torus")
+        if self.offset <= 1.0:
+            raise ValueError("offset must exceed 1 for strict positivity")
 
 
 @dataclass(frozen=True)

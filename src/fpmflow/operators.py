@@ -255,7 +255,9 @@ def velocity_symbol(grid, alpha: float) -> np.ndarray:
     k = grid.k_half.astype(float)
     sym = np.zeros(len(k), dtype=complex)
     sym[1:] = -1j * (2.0 * np.pi * k[1:]) ** (alpha - 1.0)
-    sym[-1] = 0.0  # odd symbol: Nyquist forced real
+    # odd symbol, so 0 at Nyquist: at dealias fraction 1 the stepper's linear
+    # rates and shear keep that mode and use this entry before any irfft
+    sym[-1] = 0.0
     return sym
 
 

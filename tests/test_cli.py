@@ -1,11 +1,17 @@
 """CLI subcommands, config parsing, artifact determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
-from fpmflow.cli import ConfigError, load_config, main
+from fpmflow.cli import RUN_KEYS, ConfigError, load_config, main
+from fpmflow.initial_data import InitialDataSpec
+from fpmflow.solver import SolverConfig
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "configuration.md"
 
 
 def run_cli(*argv):
@@ -33,17 +39,33 @@ class TestConfigFile:
             load_config(cfg)
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
-        # unparsable lines and values the grid or SolverConfig rejects all
-        # exit 1 with a message, before any run
+        # unparsable lines, values of the wrong type, and values the grid,
+        # the initial data or SolverConfig rejects all exit 1 with a
+        # message, before any run; a preset's keys are checked under every
+        # preset
         cfg = tmp_path / "bad.cfg"
         for text in ("whatever", "alpha = abc", "alpha = 3.0",
                      "n_points = 100.5", "snapshot_interval = -1",
-                     "max_steps = -5"):
+                     "max_steps = -5", "alpha = true", 'require_t_end = "no"',
+                     "max_steps = 2.5", 'preset = "positive_control"',
+                     'preset = "cccf"\noffset = 0.5',
+                     'preset = "cccf"\nx0 = 0.45', 'preset = "cccf"\nwidth = 0'):
             cfg.write_text(text + "\nt_end = 0.001\n")
             code = run_cli("simulate", "--config", str(cfg), "--no-plots",
                            "--out", str(tmp_path / "o"))
             assert code == 1, text
-            assert "config error" in capsys.readouterr().err, text
+            assert capsys.readouterr().err.startswith("config error: "), text
+            assert not (tmp_path / "o").exists(), text
+
+    def test_float_key_takes_int(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 1\nn_points = 64\nt_end = 0.001\n"
+                       "require_t_end = true\n")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(cfg), "--no-plots",
+                       "--out", str(out)) == 0
+        settings = json.loads((out / "metadata.json").read_text())["settings"]
+        assert settings["alpha"] == 1 and settings["require_t_end"] is True
 
     @pytest.mark.parametrize("argv, message", [
         (("characteristics", "--n", "64", "--t-end", "0.001",
@@ -74,6 +96,30 @@ class TestConfigFile:
         code = run_cli("simulate", "--config", str(cfg), "--out",
                        str(tmp_path / "o"))
         assert code == 1
+
+
+class TestDocs:
+    def test_docs_table_matches_run_keys(self):
+        # the key column of docs/configuration.md lists the run keys in the
+        # order of the cli table
+        rows = [line.split("|")[1].strip() for line in DOCS.read_text().splitlines()
+                if line.startswith("| `")]
+        assert [row.strip("`") for row in rows] == [key for key, *_ in RUN_KEYS]
+
+    def test_defaults_match_dataclasses(self):
+        # a run key that sets a SolverConfig or InitialDataSpec field has
+        # that field's default
+        renamed = {"width": "transition_width"}
+        shared = 0
+        for cls in (SolverConfig, InitialDataSpec):
+            defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                        if f.default is not dataclasses.MISSING}
+            for key, _, _, default in RUN_KEYS:
+                field = renamed.get(key, key)
+                if field in defaults:
+                    assert default == defaults[field], key
+                    shared += 1
+        assert shared == 9
 
 
 class TestSimulate:

@@ -1,5 +1,5 @@
-"""Observables, the minimization oracle pair, bound-derivation links,
-exponent fit, and run classification."""
+"""Observables, the minimization oracle pair, bound-derivation links, and
+run classification."""
 
 import math
 
@@ -9,8 +9,7 @@ import pytest
 from fpmflow.grid import DensityField, make_grid
 from fpmflow.initial_data import gen_cccf, gen_vacuum_plateau
 from fpmflow.diagnostics import (DiagnosticsRecord, bathtub_brute, bathtub_min,
-                                 classify_run, constants_for, fit_exponent,
-                                 fit_velocity_exponent, observe,
+                                 classify_run, constants_for, observe,
                                  verify_enhanced_bound_derivation)
 from fpmflow.operators import make_params
 from fpmflow.solver import SolverConfig, run
@@ -137,38 +136,6 @@ class TestEnhancedBoundLinks:
         report = verify_enhanced_bound_derivation(rho, params_one, 0.05,
                                                   m=rho.mean, rho_max=2.0)
         assert report.applicable and report.all_ok
-
-
-class TestExponentFit:
-    def test_recovers_synthetic_half_power(self):
-        xs = np.geomspace(1e-3, 1e-1, 50)
-        out = fit_exponent(xs, -xs ** 0.5)
-        assert out["applicable"]
-        assert abs(out["gamma"] - 0.5) < 1e-10
-        assert out["r2"] > 0.999999
-
-    def test_sine_velocity_near_origin(self):
-        rho = gen_cccf(make_grid(1024))
-        out = fit_velocity_exponent(rho, 1.0, (1e-3, 2e-2))
-        assert out["applicable"]
-        assert abs(out["gamma"] - 1.0) < 0.05
-
-    def test_not_applicable_for_positive_velocity(self):
-        xs = np.geomspace(1e-3, 1e-1, 20)
-        out = fit_exponent(xs, xs)
-        assert not out["applicable"]
-
-    def test_evolved_snapshot_reports_exponent(self):
-        # exploratory output on a late snapshot: reported, not validated
-        from fpmflow.solver import SolverConfig, run
-        grid = make_grid(512)
-        rho0 = gen_vacuum_plateau(grid, 0.1, 0.15, 2.0)
-        cfg = SolverConfig(alpha=1.0, n_points=512, t_end=0.05,
-                           snapshot_interval=0.01)
-        res = run(rho0, cfg)
-        out = fit_velocity_exponent(res.states[-1].rho, 1.0, (0.01, 0.15))
-        assert out["applicable"]
-        assert math.isfinite(out["gamma"]) and math.isfinite(out["C"])
 
 
 def _fake_records(series):

@@ -187,10 +187,6 @@ class TestSlab:
         assert rep.spectral_gap < 1e-12
         assert rep.real_space_rel_err < 1e-3
 
-    def test_rejects_mismatched_grid(self):
-        with pytest.raises(ValueError):
-            slab_check_2d(gen_cccf(make_grid(128)), 1.0, n2d=64)
-
 
 class TestSpectralGap:
     def test_shear_flow_vanishes(self):

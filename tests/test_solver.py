@@ -389,3 +389,13 @@ class TestOneMultiplierPath:
                             + 0.2 * np.sin(4 * np.pi * x) + 0.01 * rng.normal(size=n))
         u_run = _initial_state(rho0, alpha).u.values
         assert np.array_equal(velocity_spectral(rho0, alpha).values, u_run)
+
+    @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
+    def test_no_nyquist_entry_at_full_band(self, alpha):
+        # at dealias fraction 1 the kept band includes the Nyquist mode, and
+        # the stepper's symbols are used there before any irfft drops it
+        ws = _Workspace(make_grid(64), alpha, 1.0)
+        assert ws.mask[-1]
+        assert ws.deriv_sym[-1] == 0.0
+        assert ws.lin[-1] == 0.0
+        assert ws.shear[-1] == 0.0
