@@ -157,18 +157,24 @@ def _execute(settings):
     return rho0, config, constants, result, wall
 
 
-def _write_artifacts(settings, args, result, wall):
+def _finish(settings, out_dir, result, wall, **extra) -> int:
+    """Write the run's metadata.json and return its exit code: 3 if it
+    stopped under-resolved when required to reach t_end, else 0."""
+    write_metadata(out_dir / "metadata.json", {
+        "settings": settings, "stop_reason": result.stop_reason,
+        "wall_time": wall, "steps": result.telemetry["steps"],
+        "t_final": result.final_state.t, "run": result.telemetry, **extra,
+    })
+    return 3 if settings["require_t_end"] and result.stop_reason == "under_resolved" else 0
+
+
+def _write_artifacts(settings, args, result, wall) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_timeseries(out_dir / "timeseries.csv", result.records)
     for i, state in enumerate(result.states):
         if i % max(1, args.snapshot_stride) == 0 or i == len(result.states) - 1:
             write_snapshot(out_dir / f"snapshot_{i:04d}.csv", state)
-    write_metadata(out_dir / "metadata.json", {
-        "settings": settings, "stop_reason": result.stop_reason,
-        "wall_time": wall, "steps": result.final_state.step_count,
-        "t_final": result.final_state.t, "run": result.telemetry,
-    })
     if not args.no_plots:
         xs = result.states[0].rho.grid.nodes
         picks = result.states[:: max(1, len(result.states) // 6)]
@@ -179,17 +185,16 @@ def _write_artifacts(settings, args, result, wall):
         line_chart([(ts, [r.c1_norm for r in result.records], "max |d_x rho|")],
                    out_dir / "c1_norm.svg", title="gradient norm",
                    xlabel="t", ylabel="c1", logy=True)
+    return _finish(settings, out_dir, result, wall)
 
 
 def cmd_simulate(args) -> int:
     settings = _settings(args)
     rho0, config, constants, result, wall = _execute(settings)
-    _write_artifacts(settings, args, result, wall)
+    code = _write_artifacts(settings, args, result, wall)
     print(f"stop_reason={result.stop_reason} t={result.final_state.t:.6g} "
           f"steps={result.final_state.step_count} artifacts in {args.out}")
-    if settings["require_t_end"] and result.stop_reason == "under_resolved":
-        return 3
-    return 0
+    return code
 
 
 _INVARIANT_TOLS = dict(mass_drift=1e-11, rho_min=1e-8, rho_max=1e-8,
@@ -243,13 +248,9 @@ def cmd_verify(args) -> int:
     report["hypotheses"] = {"h1": hyp.h1, "h2": hyp.h2, "h3": hyp.h3}
     report["stop_reason"] = result.stop_reason
     report["verdict"] = classify_run(result.records) if len(result.records) >= 10 else None
-    _write_artifacts(settings, args, result, wall)
+    code = _write_artifacts(settings, args, result, wall)
     print(json.dumps(report, indent=2, default=str))
-    if not report["all_ok"]:
-        return 2
-    if settings["require_t_end"] and result.stop_reason == "under_resolved":
-        return 3
-    return 0
+    return code if report["all_ok"] else 2
 
 
 def cmd_characteristics(args) -> int:
@@ -273,18 +274,12 @@ def cmd_characteristics(args) -> int:
                   ("t", "X", "mass_along", "decay_bound"), rows)
     reports = [check_decay_bound(p, constants.A, constants.m,
                                  delta=constants.delta) for p in paths]
-    drift = None
+    summary = {"decay_reports": [r.__dict__ for r in reports], "pair_mass_drift": None}
     if len(paths) >= 2:
-        drift = check_mass_transport(paths[0], paths[1], result.states)
-    write_metadata(out_dir / "metadata.json", {
-        "settings": settings, "x_start": starts,
-        "stop_reason": result.stop_reason, "wall_time": wall,
-        "decay_reports": [r.__dict__ for r in reports],
-        "pair_mass_drift": drift,
-    })
-    print(json.dumps({"decay_reports": [r.__dict__ for r in reports],
-                      "pair_mass_drift": drift}, indent=2, default=str))
-    return 0
+        summary["pair_mass_drift"] = check_mass_transport(paths[0], paths[1], result.states)
+    code = _finish(settings, out_dir, result, wall, x_start=starts, **summary)
+    print(json.dumps(summary, indent=2, default=str))
+    return code
 
 
 def cmd_align(args) -> int:
@@ -304,14 +299,10 @@ def cmd_align(args) -> int:
                      g_norm, g_norm / max(dux, 1e-300)))
     write_csv(out_dir / "alignment_timeseries.csv",
               ("t", "rho_min", "rho_max", "g_norm", "g_over_dux"), rows)
-    write_metadata(out_dir / "metadata.json", {
-        "settings": settings, "stop_reason": result.stop_reason,
-        "wall_time": wall, "steps": result.telemetry["steps"],
-        "t_final": result.final_state.t, "run": result.telemetry,
-    })
+    code = _finish(settings, out_dir, result, wall)
     print(f"stop_reason={result.stop_reason} records={len(result.states)} "
           f"max g_norm={max(r[3] for r in rows):.3e}")
-    return 0
+    return code
 
 
 def cmd_reduce(args) -> int:

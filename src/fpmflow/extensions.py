@@ -203,7 +203,7 @@ def spectral_gap_2d(u1: np.ndarray, u2: np.ndarray) -> float:
     return float(np.max(np.abs(gap)))
 
 
-def _mollifier(x: np.ndarray, r0: float = 0.2) -> np.ndarray:
+def _mollifier(x: np.ndarray, r0: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     inside = np.abs(x) < r0
     out = np.zeros_like(x)
@@ -212,10 +212,10 @@ def _mollifier(x: np.ndarray, r0: float = 0.2) -> np.ndarray:
     return out
 
 
-def _free_space_inner(y1: float, alpha: float, n_gauss: int = 24) -> float:
+def _free_space_inner(y1: float, alpha: float) -> float:
     """int_R (y1^2 + y2^2)^(-(2+alpha)/2) dy2 by geometric Gauss cells plus a
     second-order analytic tail; independent of the plane-slice constant."""
-    xg, wg = leggauss(n_gauss)
+    xg, wg = leggauss(24)
     a = abs(y1)
     Y = 200.0 * a
     total = _integrate_steep_left(
@@ -226,10 +226,10 @@ def _free_space_inner(y1: float, alpha: float, n_gauss: int = 24) -> float:
     return 2.0 * (total + tail)
 
 
-def _free_space_ratio(alpha: float, x1: float = 0.1, r0: float = 0.2,
-                      n_jac: int = 48) -> float:
+def _free_space_ratio(alpha: float) -> float:
     """Ratio of the 2D plane integral to the 1D odd-kernel integral on a
     compactly supported profile; equals the plane-slice constant."""
+    x1, r0, n_jac = 0.1, 0.2, 48  # profile centre and radius, Gauss-Jacobi nodes
 
     def odd_diff(s):
         return (_mollifier(x1 - s, r0) - _mollifier(x1 + s, r0)) / s

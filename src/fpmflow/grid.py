@@ -3,8 +3,8 @@
 The torus is [-1/2, 1/2) with nodes x_j = -1/2 + j/n.  Fields are expanded in
 the modes e^{2 pi i k x}, so a Fourier multiplier m(k) acts on the integer
 wavenumber k.  Real fields are stored as sample vectors; the half-spectrum
-coefficients c_k (k = 0 .. n/2) are cached per field and evaluate the trig
-interpolant off the grid.  Every multiplier outside the time stepper goes
+coefficients c_k (k = 0 .. n/2) are cached per field, and `trig_sum` evaluates
+any such row off the grid.  Every multiplier outside the time stepper goes
 through `apply_multiplier`, which takes a half-spectrum symbol, works on the
 plain rfft of the samples as the stepper does, and leaves the imaginary part
 of the Nyquist entry to irfft, which drops it.
@@ -120,16 +120,11 @@ def spectral_derivative(f: DensityField) -> DensityField:
     return apply_multiplier(f, derivative_symbol(f.grid))
 
 
-def evaluate_trig(f: DensityField, xs) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of f at arbitrary points.
-
-    Exact at the nodes and for any resolved trig polynomial; the Nyquist mode
-    is represented by its real cosine branch.
-    """
+def trig_sum(grid: PeriodicGrid, c: np.ndarray, xs) -> np.ndarray:
+    """c_0 + 2 Re sum_{0<k<n/2} c_k e^{2 pi i k x} + c_{n/2} cos(pi n x) of a
+    half-spectrum coefficient row c at arbitrary points; 1-periodic in x."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    c = f.coefficients
-    n = f.grid.n
-    k_mid = f.grid.k_half[1:-1]
+    k_mid = grid.k_half[1:-1]
     out = np.empty(len(xs))
     block = 2048  # points per phase matrix
     for lo in range(0, len(xs), block):
@@ -138,23 +133,30 @@ def evaluate_trig(f: DensityField, xs) -> np.ndarray:
         out[lo:lo + block] = (
             c[0].real
             + 2.0 * (phases @ c[1:-1]).real
-            + c[-1].real * np.cos(np.pi * n * xb)
+            + c[-1].real * np.cos(np.pi * grid.n * xb)
         )
     return out
+
+
+def evaluate_trig(f: DensityField, xs) -> np.ndarray:
+    """Evaluate the trigonometric interpolant of f at arbitrary points.
+
+    Exact at the nodes and for any resolved trig polynomial.
+    """
+    return trig_sum(f.grid, f.coefficients, xs)
 
 
 def antiderivative_at(f: DensityField, xs) -> np.ndarray:
     """Antiderivative F(x) = mean * x + (periodic part), with F(0) = 0.
 
     Spectrally exact for resolved fields; usable for mass integrals
-    int_a^b f = F(b) - F(a) on unwrapped coordinates.
+    int_a^b f = F(b) - F(a) on unwrapped coordinates.  The periodic part is
+    the trig sum of c_k / (2 pi i k) less its value at 0, plus a Nyquist sine.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     c = f.coefficients
     n = f.grid.n
-    k_mid = f.grid.k_half[1:-1]
-    a_mid = c[1:-1] / (2j * np.pi * k_mid)
-    phases = np.exp(2j * np.pi * np.outer(xs, k_mid)) - 1.0
-    out = c[0].real * xs + 2.0 * (phases @ a_mid).real
-    out += c[-1].real * np.sin(np.pi * n * xs) / (np.pi * n)
-    return out
+    a = np.zeros_like(c)
+    a[1:-1] = c[1:-1] / (2j * np.pi * f.grid.k_half[1:-1])
+    periodic = trig_sum(f.grid, a, xs) - trig_sum(f.grid, a, [0.0])[0]
+    return c[0].real * xs + periodic + c[-1].real * np.sin(np.pi * n * xs) / (np.pi * n)

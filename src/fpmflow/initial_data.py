@@ -41,12 +41,20 @@ class InitialDataSpec:
             raise ValueError(f"unknown initial data kind {self.kind!r}")
         if self.rho_max <= 0.0:
             raise ValueError("rho_max must be positive")
-        if self.x0 <= 0.0 or self.transition_width <= 0.0:
-            raise ValueError("vacuum half-width and transition width must be positive")
-        if self.x0 + self.transition_width > 0.5 + 1e-12:
-            raise ValueError("vacuum plus transition exceeds the half torus")
-        if self.offset <= 1.0:
-            raise ValueError("offset must exceed 1 for strict positivity")
+        _check_vacuum(self.x0, self.transition_width)
+        _check_offset(self.offset)
+
+
+def _check_vacuum(x0: float, width: float) -> None:
+    if x0 <= 0.0 or width <= 0.0:
+        raise ValueError("vacuum half-width and transition width must be positive")
+    if x0 + width > 0.5 + 1e-12:
+        raise ValueError("vacuum plus transition exceeds the half torus")
+
+
+def _check_offset(offset: float) -> None:
+    if offset <= 1.0:
+        raise ValueError("offset must exceed 1 for strict positivity")
 
 
 @dataclass(frozen=True)
@@ -94,10 +102,7 @@ def gen_cccf(grid: PeriodicGrid) -> DensityField:
 def gen_vacuum_plateau(grid: PeriodicGrid, x0: float = 0.15, width: float = 0.1,
                        rho_max: float = 2.0) -> DensityField:
     """Vacuum interval [-x0, x0], plateau at rho_max, C-infinity transitions."""
-    if x0 <= 0.0 or width <= 0.0:
-        raise ValueError("vacuum half-width and transition width must be positive")
-    if x0 + width > 0.5 + 1e-12:
-        raise ValueError("vacuum plus transition exceeds the half torus")
+    _check_vacuum(x0, width)
     r = np.abs(grid.nodes)
     return DensityField(grid, rho_max * smooth_transition((r - x0) / width))
 
@@ -110,8 +115,7 @@ def gen_smooth_monotone(grid: PeriodicGrid, rho_max: float = 2.0) -> DensityFiel
 
 def gen_positive_control(grid: PeriodicGrid, offset: float = 1.5) -> DensityField:
     """Strictly positive contrast profile offset - cos(2 pi x); min = offset - 1."""
-    if offset <= 1.0:
-        raise ValueError("offset must exceed 1 for strict positivity")
+    _check_offset(offset)
     return DensityField(grid, offset - np.cos(2.0 * np.pi * grid.nodes))
 
 

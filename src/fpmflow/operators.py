@@ -315,10 +315,10 @@ def velocity_kernel(rho: DensityField, params: OperatorParams, x: float) -> floa
     return params.c_velocity * raw
 
 
-def _check_even(rho: DensityField, tol: float = 1e-8) -> None:
+def _check_even(rho: DensityField) -> None:
     v = rho.values
     mirrored = np.roll(v[::-1], 1)  # node -x_j is node (n - j) mod n
-    if np.max(np.abs(v - mirrored)) > tol * max(np.max(np.abs(v)), 1.0):
+    if np.max(np.abs(v - mirrored)) > 1e-8 * max(np.max(np.abs(v)), 1.0):
         raise ValueError("velocity decomposition requires an even density")
 
 

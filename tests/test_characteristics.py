@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fpmflow.grid import DensityField, make_grid
+from fpmflow.grid import DensityField, antiderivative_at, make_grid
 from fpmflow.initial_data import gen_cccf, gen_positive_control
 from fpmflow.characteristics import (advect_path, check_decay_bound,
                                      check_mass_transport, mass_profile)
@@ -83,6 +83,17 @@ class TestMassTransport:
         p1 = advect_path(cccf_run.states, 0.05)
         p2 = advect_path(cccf_run.states, 0.25)
         assert check_mass_transport(p1, p2, cccf_run.states) < 1e-5
+
+    def test_drift_matches_antiderivative_pass(self, cccf_run):
+        # mass_along carries F(X) per snapshot, so the drift equals a fresh
+        # antiderivative pass over the two paths, in either order
+        p1 = advect_path(cccf_run.states, 0.05)
+        p2 = advect_path(cccf_run.states, 0.25)
+        between = np.array([np.diff(antiderivative_at(s.rho, [x1, x2]))[0] for s, x1, x2
+                            in zip(cccf_run.states, p1.positions, p2.positions)])
+        expected = np.max(np.abs(between - between[0]))
+        assert abs(check_mass_transport(p1, p2, cccf_run.states) - expected) <= 1e-15
+        assert abs(check_mass_transport(p2, p1, cccf_run.states) - expected) <= 1e-15
 
     def test_control_drift_small(self, control_run):
         p1 = advect_path(control_run.states, 0.1)

@@ -170,12 +170,16 @@ class TestSimulate:
         assert code == 0
         assert (out / "timeseries.csv").exists()
 
-    def test_require_t_end_exit_three(self, tmp_path):
-        code = run_cli("simulate", "--preset", "cccf", "--alpha", "1.0",
+    @pytest.mark.parametrize("command", ["simulate", "verify", "characteristics", "align"])
+    def test_require_t_end_exit_three(self, command, tmp_path):
+        out = tmp_path / "o"
+        code = run_cli(command, "--preset", "cccf", "--alpha", "1.0",
                        "--n", "256", "--t-end", "5.0",
                        "--snapshot-interval", "0.01", "--require-t-end",
-                       "--no-plots", "--out", str(tmp_path / "o"))
+                       "--no-plots", "--out", str(out))
         assert code == 3
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["stop_reason"] == "under_resolved"
 
 
 class TestVerify:
@@ -246,6 +250,9 @@ class TestCharacteristicsCommand:
         assert payload["decay_reports"][0]["applicable"]
         assert payload["decay_reports"][0]["holds"]
         assert not payload["decay_reports"][1]["applicable"]
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["run"]["steps"] == meta["steps"] > 0
+        assert meta["pair_mass_drift"] == payload["pair_mass_drift"]
 
 
 class TestAlignCommand:

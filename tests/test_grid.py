@@ -174,3 +174,12 @@ class TestAntiderivative:
         assert abs(vals[0]) < 1e-14
         assert abs(vals[1] - exact(0.25)) < 1e-12
         assert abs(vals[2] - exact(0.5)) < 1e-12
+
+    def test_closed_forms_across_blocks(self):
+        # 5,000 points fill three 2,048-point phase matrices
+        grid = make_grid(128)
+        f = DensityField(grid, 1.0 - np.cos(2 * np.pi * grid.nodes))
+        xs = np.linspace(-0.5, 0.5, 5000)
+        assert np.max(np.abs(evaluate_trig(f, xs) - (1.0 - np.cos(2 * np.pi * xs)))) < 1e-12
+        exact = xs - np.sin(2 * np.pi * xs) / (2 * np.pi)
+        assert np.max(np.abs(antiderivative_at(f, xs) - exact)) < 1e-12
