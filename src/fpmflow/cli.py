@@ -11,7 +11,6 @@ the run was required to reach t_end.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -28,7 +27,7 @@ from .grid import make_grid, spectral_derivative
 from .initial_data import InitialDataSpec, make_initial_data, validate_hypotheses
 from .operators import (compute_A, compute_C, compute_delta, kernel_tail_bound,
                         make_params, velocity_spectral)
-from .output import fmt, write_csv, write_metadata, write_snapshot, write_timeseries
+from .output import write_csv, write_metadata, write_snapshot, write_timeseries
 from .solver import SolverConfig, run
 from .svgplot import line_chart
 
@@ -276,7 +275,7 @@ def cmd_characteristics(args) -> int:
                                  delta=constants.delta) for p in paths]
     summary = {"decay_reports": [r.__dict__ for r in reports], "pair_mass_drift": None}
     if len(paths) >= 2:
-        summary["pair_mass_drift"] = check_mass_transport(paths[0], paths[1], result.states)
+        summary["pair_mass_drift"] = check_mass_transport(paths[0], paths[-1], result.states)
     code = _finish(settings, out_dir, result, wall, x_start=starts, **summary)
     print(json.dumps(summary, indent=2, default=str))
     return code
@@ -362,25 +361,18 @@ def cmd_sweep(args) -> int:
             else:
                 verdict = {"verdict": "inconclusive", "growth_factor": math.nan}
             inv = check_invariants(result.records, constants, config.tail_threshold)
-            rows.append((value, verdict["verdict"], verdict["growth_factor"],
+            rows.append((str(value), verdict["verdict"], verdict["growth_factor"],
                          result.stop_reason, result.final_state.t,
                          inv["margins"]["rho_min"] if inv.get("margins") else math.nan,
                          inv["margins"]["u_max_on_delta"] if inv.get("margins") else math.nan,
                          "" if inv["all_ok"] else "invariant_failure"))
         except Exception as exc:  # keep sweeping, record the failure
-            rows.append((value, "error", math.nan, "error", math.nan,
+            rows.append((str(value), "error", math.nan, "error", math.nan,
                          math.nan, math.nan, f"{type(exc).__name__}: {exc}"))
     header = (axis, "verdict", "growth_factor", "stop_reason", "t_final",
               "rho_min", "u_max_on_delta", "note")
     path = out_dir / "sweep.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([str(row[0]), str(row[1]),
-                             fmt(row[2]) if isinstance(row[2], float) else str(row[2]),
-                             str(row[3]), fmt(row[4]), fmt(row[5]), fmt(row[6]),
-                             str(row[7])])
+    write_csv(path, header, rows)
     print(f"sweep table: {path} ({len(rows)} rows)")
     return 0
 

@@ -4,7 +4,9 @@ reduction checks.
 The 1D system evolves (rho, u) with the velocity as an unknown driven by a
 singular-kernel alignment force; the diagnostic field G = d_x u - Lambda^a rho
 is transported, so data prepared with G = 0 must keep it at discretization
-level and reproduce the induced-velocity flow of the main solver.
+level and reproduce the induced-velocity flow of the main solver.  It is
+stepped by `solver.integrate` and returns the same RunResult as `run`,
+whose states also carry G.
 
 The multi-d part is static: velocities of slab densities rho(x1) on the 2D
 torus, their reduction to the 1D formula, the plane-slice constant c', and
@@ -24,11 +26,9 @@ from scipy.special import gamma as gamma_fn, roots_jacobi
 from .grid import DensityField, apply_multiplier
 from .operators import (_check_alpha, _integrate_steep_left,
                         _jacobi_endpoint_integral, velocity_spectral)
-from .solver import SolverConfig, _Workspace, integrate
+from .solver import RunResult, SolverConfig, _Workspace, integrate
 
 __all__ = [
-    "AlignmentState",
-    "AlignmentResult",
     "alignment_force",
     "run_alignment",
     "c_prime",
@@ -36,22 +36,6 @@ __all__ = [
     "spectral_gap_2d",
     "SlabReport",
 ]
-
-
-@dataclass(frozen=True)
-class AlignmentState:
-    t: float
-    rho: DensityField
-    u: DensityField
-    G: DensityField  # d_x u - Lambda^alpha rho
-
-
-@dataclass
-class AlignmentResult:
-    states: list
-    final_state: AlignmentState
-    stop_reason: str
-    telemetry: dict  # see solver.integrate
 
 
 def _u_tendency(ws: _Workspace, rho: np.ndarray, u: np.ndarray, g: np.ndarray):
@@ -63,13 +47,13 @@ def _u_tendency(ws: _Workspace, rho: np.ndarray, u: np.ndarray, g: np.ndarray):
 
 
 def _alignment_rates(ws: _Workspace, y_hat: np.ndarray):
-    """Tendency transforms of the stacked (rho, u) state, the physical fields
-    (rho, u, G) from one batched irfft, and u."""
+    """Tendency transforms of the stacked (rho, u) state and the physical
+    rows (rho, u, G) from one batched irfft."""
     rho_hat, u_hat = y_hat
     y = np.fft.irfft(np.stack((rho_hat, u_hat, ws.deriv_sym * u_hat
                                - ws.lap_sym * rho_hat)), ws.grid.n)
     du_hat, rho_u_hat = _u_tendency(ws, y[0], y[1], y[2])
-    return np.stack((ws.flux_sym * rho_u_hat, du_hat)), y, y[1]
+    return np.stack((ws.flux_sym * rho_u_hat, du_hat)), y
 
 
 def alignment_force(rho: DensityField, u: DensityField, alpha: float,
@@ -89,9 +73,11 @@ def alignment_force(rho: DensityField, u: DensityField, alpha: float,
 
 
 def run_alignment(rho0: DensityField, u0: DensityField,
-                  config: SolverConfig) -> AlignmentResult:
+                  config: SolverConfig) -> RunResult:
     """Evolve the coupled (rho, u) system with the main solver's Heun RK3
     driver, dealiasing and stop rules; the tail check covers both fields.
+    Returns integrate's RunResult: its states carry G, and records is
+    empty.
 
     Linearised about (m, 0), with m the mean density, the rates per mode
     are upper-triangular: u_hat relaxes at lambda = -m (2 pi k)^a on the
@@ -103,18 +89,9 @@ def run_alignment(rho0: DensityField, u0: DensityField,
     """
     if rho0.grid.n != config.n_points or u0.grid.n != config.n_points:
         raise ValueError("initial data grids do not match the configuration")
-    grid = rho0.grid
-    ws = _Workspace(grid, config.alpha, config.dealias_fraction)
-
-    def snapshot(t, y, u, tail, steps, dt_last) -> AlignmentState:
-        return AlignmentState(t=t, rho=DensityField(grid, y[0]), u=DensityField(grid, u),
-                              G=DensityField(grid, y[2]))
-
-    states, final, stop_reason, telemetry = integrate(
-        np.stack((rho0.values, u0.values)), partial(_alignment_rates, ws), ws,
-        config, snapshot, shear=ws.shear)
-    return AlignmentResult(states=states, final_state=final,
-                           stop_reason=stop_reason, telemetry=telemetry)
+    ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
+    return integrate(np.stack((rho0.values, u0.values)), partial(_alignment_rates, ws),
+                     ws, config, shear=ws.shear)
 
 
 # --------------------------------------------------------------------------

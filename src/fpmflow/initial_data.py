@@ -39,21 +39,21 @@ class InitialDataSpec:
         if self.kind not in ("cccf", "vacuum_plateau", "smooth_monotone",
                              "positive_control"):
             raise ValueError(f"unknown initial data kind {self.kind!r}")
-        if self.rho_max <= 0.0:
+        if not self.rho_max > 0.0:
             raise ValueError("rho_max must be positive")
         _check_vacuum(self.x0, self.transition_width)
         _check_offset(self.offset)
 
 
 def _check_vacuum(x0: float, width: float) -> None:
-    if x0 <= 0.0 or width <= 0.0:
+    if not (x0 > 0.0 and width > 0.0):
         raise ValueError("vacuum half-width and transition width must be positive")
-    if x0 + width > 0.5 + 1e-12:
+    if not x0 + width <= 0.5 + 1e-12:
         raise ValueError("vacuum plus transition exceeds the half torus")
 
 
 def _check_offset(offset: float) -> None:
-    if offset <= 1.0:
+    if not offset > 1.0:
         raise ValueError("offset must exceed 1 for strict positivity")
 
 

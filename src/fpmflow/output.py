@@ -6,6 +6,7 @@ runs of the same configuration produce byte-identical files.
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -18,11 +19,12 @@ def fmt(value: float) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Header and rows, one line each; str cells are written as they are,
+    numbers through fmt."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, str) else fmt(v) for v in row] for row in rows)
 
 
 def write_timeseries(path, records) -> None:

@@ -27,14 +27,15 @@ the top third of the retained band over the total l1 mass, which makes the
 threshold commensurate with amplitude-level error bounds.
 
 One driver, `integrate`, steps every system: this flow and the alignment
-system of `extensions`.  It counts the steps, the limit that bound each
-step, the step-size range and the FFT calls for the run's metadata.
+system of `extensions`.  It records each snapshot as a SimulationState
+(rho, u, and G for the alignment system) and returns a RunResult that
+counts the steps, the limit that bound each step, the step-size range and
+the FFT calls for the run's metadata.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,8 +78,8 @@ class SolverConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ValueError("dealias fraction must lie in (0, 1]")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError("t_end must be finite and positive")
         if not self.tail_threshold > 0.0:
             raise ValueError("tail_threshold must be positive")
         if self.snapshot_interval is not None and not self.snapshot_interval > 0.0:
@@ -96,18 +97,21 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SimulationState:
     t: float
-    rho: DensityField
-    u: DensityField
     step_count: int
     dt_last: float
     under_resolved: bool
     tail_fraction: float
+    rho: DensityField
+    u: DensityField
+    G: Optional[DensityField] = None  # alignment system: d_x u - Lambda^alpha rho
 
 
 @dataclass
 class RunResult:
+    """What `integrate` returns for either system; `run` fills records."""
+
     states: list  # snapshot SimulationStates
-    records: list  # one entry per observer return value per snapshot
+    records: list  # each observer's return value per snapshot, in order
     final_state: SimulationState
     stop_reason: str  # t_end | under_resolved | max_steps | nan
     telemetry: dict  # steps, binding step limits, dt range, FFT calls (see integrate)
@@ -141,9 +145,9 @@ class _Workspace:
 
     def continuity_rates(self, rho_hat: np.ndarray):
         """Transform of the dealiased flux divergence -d_x(rho u), which is
-        exactly mass neutral, with rho and the transport velocity u."""
-        rho, u = np.fft.irfft(self.rho_u_sym * rho_hat, self.grid.n)
-        return self.flux_sym * np.fft.rfft(rho * u), rho, u
+        exactly mass neutral, and the rows (rho, u)."""
+        y = np.fft.irfft(self.rho_u_sym * rho_hat, self.grid.n)
+        return self.flux_sym * np.fft.rfft(y[0] * y[1]), y
 
     def tail_fraction(self, y_hat: np.ndarray) -> float:
         """Largest tail fraction over the rows of y_hat."""
@@ -152,13 +156,13 @@ class _Workspace:
         tail = a[..., self.tail_band] @ self.l1_weights[self.tail_band]
         return float((tail / np.maximum(total, _TINY)).max())
 
-    def stable_dt(self, y: np.ndarray, u: np.ndarray, cfl: float, center: float = 0.0):
+    def stable_dt(self, y: np.ndarray, cfl: float, center: float = 0.0):
         """cfl times the tighter step limit, and that limit's name; y holds
-        the physical fields, density first, and center is the density whose
-        dissipation the stepper integrates exactly."""
-        transport = self.grid.dx / (float(np.max(np.abs(u))) + 1e-12)
-        rho = y[0] if y.ndim == 2 else y
-        rho_peak = max(float(np.max(np.abs(rho - center))), 1e-12)
+        the physical fields, density first and transport velocity second,
+        and center is the density whose dissipation the stepper integrates
+        exactly."""
+        transport = self.grid.dx / (float(np.max(np.abs(y[1]))) + 1e-12)
+        rho_peak = max(float(np.max(np.abs(y[0] - center))), 1e-12)
         dissipative = 1.0 / (rho_peak * (2.0 * np.pi * self.k_max_kept) ** self.alpha)
         if transport < dissipative:
             return cfl * transport, "transport"
@@ -221,25 +225,25 @@ def _lawson_heun(y_hat: np.ndarray, f0: np.ndarray, rates: Callable, dt: float,
 
 
 def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
-              config: SolverConfig, snapshot: Callable,
-              shear: Optional[np.ndarray] = None):
+              config: SolverConfig, shear: Optional[np.ndarray] = None) -> RunResult:
     """Step the transforms y_hat = rfft(y0) with Heun RK3 from t = 0.
 
     y0 holds one field per row, density first.  rates(y_hat) returns
-    (tendency_hat, y, u): the transform of the tendency, the physical fields
-    of the stage (density first) and the transport velocity.  The tendency
+    (tendency_hat, y): the transform of the tendency and the physical rows
+    of the stage, (rho, u) or (rho, u, G), u being the transport velocity
+    and each row a field of the SimulationState in that order.  The tendency
     linearised about the mean density m is integrated exactly (Lawson form):
     a single field relaxes at the rates m ws.lin; given shear, y0 is the
     pair (rho, u), u relaxes at those rates and feeds rho at shear times
     them (see _lawson_heun).  The dissipative step limit is measured from m.
-    snapshot(t, y, u, tail, steps, dt_last) builds the state recorded at
-    each snapshot time from the stage-1 fields.  Stops on t_end,
-    under-resolution of any row, the step budget, or non-finite values; on
-    the last the final state is the last finite one and is not recorded.
-    Returns (states, final_state, stop_reason, telemetry); telemetry holds
-    the step count, how many steps each limit bound (transport, dissipative,
-    snapshot, t_end, fixed), the dt range (None before the first step), and
-    the numpy FFT calls: the first rfft and two per rates call.
+    The state recorded at each snapshot time is built from the stage-1 rows.
+    Stops on t_end, under-resolution of any row, the step budget, or
+    non-finite values; on the last the final state is the last finite one
+    and is not recorded.  Returns a RunResult with empty records; its
+    telemetry holds the step count, how many steps each limit bound
+    (transport, dissipative, snapshot, t_end, fixed), the dt range (None
+    before the first step), and the numpy FFT calls: the first rfft and two
+    per rates call.
     """
     y_hat, t, steps, dt_last = np.fft.rfft(y0), 0.0, 0, 0.0
     # the density's k = 0 coefficient is never updated, so the mean and the
@@ -253,18 +257,22 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
         rate_calls += 1
         return rates(y_hat)
 
+    def state():
+        return SimulationState(t, steps, dt_last, tail > config.tail_threshold, tail,
+                               *(DensityField(ws.grid, row) for row in y))
+
     next_snap = 0.0
     states = []
     limits = dict.fromkeys(("transport", "dissipative", "snapshot", "t_end", "fixed"), 0)
     dt_min, dt_max = np.inf, 0.0
     while True:
-        f0, y, u = counted_rates(y_hat)
+        f0, y = counted_rates(y_hat)
         tail = ws.tail_fraction(y_hat)
         if tail > config.tail_threshold:
             stop_reason = "under_resolved"
             break
         if t >= next_snap - 1e-13 * max(1.0, t):
-            states.append(snapshot(t, y, u, tail, steps, dt_last))
+            states.append(state())
             next_snap += config.snapshot_dt
         if t >= config.t_end - 1e-13 * config.t_end:
             stop_reason = "t_end"
@@ -273,7 +281,7 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
             stop_reason = "max_steps"
             break
         dt, limit = ((config.dt_fixed, "fixed") if config.dt_fixed
-                     else ws.stable_dt(y, u, config.cfl, mean))
+                     else ws.stable_dt(y, config.cfl, mean))
         if config.t_end - t < dt:
             dt, limit = config.t_end - t, "t_end"
         if t < next_snap and next_snap - t < dt:
@@ -289,41 +297,25 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
         limits[limit] += 1
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
 
-    final = snapshot(t, y, u, tail, steps, dt_last)
+    final = state()
     if stop_reason != "nan" and (not states or states[-1].t < t - 1e-13):
         states.append(final)
-    return states, final, stop_reason, {
+    return RunResult(states, [], final, stop_reason, {
         "steps": steps, "step_limits": limits,
         "dt_min": dt_min if steps else None, "dt_max": dt_max if steps else None,
-        "fft_calls": 1 + 2 * rate_calls}
-
-
-def _state(config: SolverConfig, grid: PeriodicGrid, t: float, y: np.ndarray,
-           u: np.ndarray, tail: float, steps: int, dt_last: float) -> SimulationState:
-    return SimulationState(t=t, rho=DensityField(grid, y), u=DensityField(grid, u),
-                           step_count=steps, dt_last=dt_last,
-                           under_resolved=tail > config.tail_threshold,
-                           tail_fraction=tail)
+        "fft_calls": 1 + 2 * rate_calls})
 
 
 def run(rho0: DensityField, config: SolverConfig,
         observers: tuple[Callable, ...] = ()) -> RunResult:
-    """Integrate to t_end, stopping early on under-resolution, step budget,
-    or non-finite values.  Observers run on every snapshot; their non-None
-    return values are collected in records (grouped per snapshot when there
-    are several observers).
+    """Integrate the continuity flow to t_end, stopping early on
+    under-resolution, step budget, or non-finite values.  Each observer runs
+    on every snapshot, and records holds their return values snapshot by
+    snapshot, in observer order.
     """
     if rho0.grid.n != config.n_points:
         raise ValueError("initial data grid does not match the configuration")
     ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
-    states, final, stop_reason, telemetry = integrate(
-        rho0.values, ws.continuity_rates, ws, config, partial(_state, config, ws.grid))
-    records: list = []
-    for state in states:
-        outputs = [o for o in (obs(state) for obs in observers) if o is not None]
-        if len(outputs) == 1:
-            records.append(outputs[0])
-        elif outputs:
-            records.append(tuple(outputs))
-    return RunResult(states=states, records=records, final_state=final,
-                     stop_reason=stop_reason, telemetry=telemetry)
+    result = integrate(rho0.values, ws.continuity_rates, ws, config)
+    result.records = [obs(s) for s in result.states for obs in observers]
+    return result

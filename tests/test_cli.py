@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from fpmflow.characteristics import advect_path, check_mass_transport
 from fpmflow.cli import RUN_KEYS, ConfigError, load_config, main
-from fpmflow.initial_data import InitialDataSpec
-from fpmflow.solver import SolverConfig
+from fpmflow.grid import make_grid
+from fpmflow.initial_data import InitialDataSpec, make_initial_data
+from fpmflow.solver import SolverConfig, run
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "configuration.md"
 
@@ -49,8 +51,10 @@ class TestConfigFile:
                      "max_steps = -5", "alpha = true", 'require_t_end = "no"',
                      "max_steps = 2.5", 'preset = "positive_control"',
                      'preset = "cccf"\noffset = 0.5',
-                     'preset = "cccf"\nx0 = 0.45', 'preset = "cccf"\nwidth = 0'):
-            cfg.write_text(text + "\nt_end = 0.001\n")
+                     'preset = "cccf"\nx0 = 0.45', 'preset = "cccf"\nwidth = 0',
+                     'preset = "cccf"\noffset = nan', 'preset = "cccf"\nx0 = nan',
+                     "t_end = nan", "t_end = inf"):
+            cfg.write_text("t_end = 0.001\n" + text + "\n")
             code = run_cli("simulate", "--config", str(cfg), "--no-plots",
                            "--out", str(tmp_path / "o"))
             assert code == 1, text
@@ -253,6 +257,20 @@ class TestCharacteristicsCommand:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["run"]["steps"] == meta["steps"] > 0
         assert meta["pair_mass_drift"] == payload["pair_mass_drift"]
+
+    def test_pair_drift_uses_outer_starts(self, tmp_path, capsys):
+        # with three starts the drift is taken between the first and the last
+        settings = ("--preset", "cccf", "--n", "256", "--t-end", "0.05",
+                    "--snapshot-interval", "0.002")
+        assert run_cli("characteristics", *settings, "--x-start", "0.05,0.15,0.25",
+                       "--out", str(tmp_path / "o")) == 0
+        drift = json.loads(capsys.readouterr().out)["pair_mass_drift"]
+        grid = make_grid(256)
+        states = run(make_initial_data(grid, InitialDataSpec("cccf")),
+                     SolverConfig(alpha=1.0, n_points=256, t_end=0.05,
+                                  snapshot_interval=0.002)).states
+        outer = [advect_path(states, xs) for xs in (0.05, 0.25)]
+        assert drift == check_mass_transport(*outer, states)
 
 
 class TestAlignCommand:

@@ -64,10 +64,10 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("snapshot_interval", 0.0), ("snapshot_interval", -1.0),
         ("max_steps", -5), ("dt_fixed", 0.0), ("dt_fixed", -1e-3),
-        ("tail_threshold", 0.0)])
+        ("tail_threshold", 0.0), ("t_end", np.nan), ("t_end", np.inf)])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
-            SolverConfig(alpha=1.0, n_points=256, t_end=1.0, **{field: value})
+            SolverConfig(**{"alpha": 1.0, "n_points": 256, "t_end": 1.0, field: value})
 
 
 class TestStableDt:
@@ -87,7 +87,8 @@ class TestStableDt:
         ws = _Workspace(grid, 1.0, 2.0 / 3.0)
         rho = 1e-6 * (1.0 + 0.5 * np.cos(2 * np.pi * grid.nodes))
         u1 = np.sin(2 * np.pi * grid.nodes)
-        (dt1, limit1), (dt2, limit2) = (ws.stable_dt(rho, u, 0.4) for u in (u1, 2.0 * u1))
+        (dt1, limit1), (dt2, limit2) = (ws.stable_dt(np.stack((rho, u)), 0.4)
+                                        for u in (u1, 2.0 * u1))
         assert limit1 == limit2 == "transport"
         assert dt1 > 0 and dt2 > 0
         assert abs(dt1 / dt2 - 2.0) < 1e-6
@@ -261,6 +262,7 @@ class TestStopRules:
                 res = run_alignment(rho0, velocity_spectral(rho0, 1.0), cfg)
         assert res.stop_reason == stop
         final = res.final_state
+        assert final.under_resolved == (stop == "under_resolved")
         assert np.all(np.isfinite(final.rho.values))
         assert np.all(np.isfinite(final.u.values))
         times = [s.t for s in res.states]
@@ -364,6 +366,8 @@ class TestTelemetry:
                                  "step_limits": {"transport": 0, "dissipative": 0,
                                                  "snapshot": 0, "t_end": 0, "fixed": 16},
                                  "fft_calls": 1 + 2 * (17 + 2 * 16)}
+        assert res.final_state.step_count == 16
+        assert res.final_state.dt_last == 2.0 ** -10
 
 
 class TestTailFraction:
