@@ -6,8 +6,8 @@ the mass between two paths is read from the paths themselves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -95,8 +95,8 @@ def check_mass_transport(path1: CharacteristicPath, path2: CharacteristicPath,
 class DecayBoundReport:
     applicable: bool
     holds: bool
-    margin: float  # min over checked times of eps e^{-At} - X(t)
-    t_checked: float  # last time the smallness hypothesis held
+    margin: Optional[float]  # min over checked times of eps e^{-At} - X(t)
+    t_checked: Optional[float]  # last time the smallness hypothesis held
 
 
 def check_decay_bound(path: CharacteristicPath, A: float, m: float,
@@ -106,12 +106,13 @@ def check_decay_bound(path: CharacteristicPath, A: float, m: float,
 
     Times after the first smallness violation are not checked; if the
     hypothesis fails from the start, or the path starts outside the
-    smallness radius delta, the report is marked not applicable.
+    smallness radius delta, the report is marked not applicable and has no
+    margin or checked time.
     """
     eps = path.x_start
     small = path.rho_along <= m / 2.0 + 1e-12
     if not small[0] or (delta is not None and eps > delta + 1e-12):
-        return DecayBoundReport(False, False, math.nan, math.nan)
+        return DecayBoundReport(False, False, None, None)
     n_ok = int(np.argmin(small)) if not np.all(small) else len(small)
     times = path.times[:n_ok]
     pos = path.positions[:n_ok]

@@ -106,7 +106,8 @@ def _add_run_flags(p: argparse.ArgumentParser):
 
 def _typed(key: str, value):
     """value, if key is a run key and value has its type; a float key also
-    takes an int, and no number key takes a bool."""
+    takes an int, no number key takes a bool, and a float must be finite
+    (metadata.json is strict JSON)."""
     kind = _TYPES.get(key)
     if kind is None:
         raise ConfigError(f"unknown config key {key!r}")
@@ -115,6 +116,8 @@ def _typed(key: str, value):
     if not ok:
         name = "one of " + ", ".join(kind) if isinstance(kind, tuple) else kind.__name__
         raise ConfigError(f"{key} must be {name}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return value
 
 
@@ -124,7 +127,7 @@ def _settings(args) -> dict:
         cfg = load_config(args.config)
         settings.update((key, _typed(key, value)) for key, value in cfg.items())
     flags = vars(args)
-    settings.update((key, flags[key]) for key in _TYPES if flags[key] is not None)
+    settings.update((key, _typed(key, flags[key])) for key in _TYPES if flags[key] is not None)
     return settings
 
 
@@ -259,6 +262,8 @@ def cmd_characteristics(args) -> int:
         starts = [float(s) for s in args.x_start.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--x-start: {exc}") from exc
+    if not all(map(math.isfinite, starts)):
+        raise ConfigError(f"--x-start: start points must be finite, got {args.x_start!r}")
     rho0, config, constants, result, wall = _execute(settings)
     if len(result.states) < 2:
         raise ConfigError(
@@ -268,7 +273,7 @@ def cmd_characteristics(args) -> int:
     paths = [advect_path(result.states, xs) for xs in starts]
     for xs, path in zip(starts, paths):
         bound = path.x_start * np.exp(-constants.A * path.times)
-        rows = zip(path.times, path.positions, path.mass_along, bound)
+        rows = np.column_stack((path.times, path.positions, path.mass_along, bound))
         write_csv(out_dir / f"path_{xs:+.4f}.csv".replace("+", ""),
                   ("t", "X", "mass_along", "decay_bound"), rows)
     reports = [check_decay_bound(p, constants.A, constants.m,
@@ -296,11 +301,12 @@ def cmd_align(args) -> int:
         dux = float(np.max(np.abs(spectral_derivative(s.u).values)))
         rows.append((s.t, float(s.rho.values.min()), float(s.rho.values.max()),
                      g_norm, g_norm / max(dux, 1e-300)))
+    rows = np.array(rows)
     write_csv(out_dir / "alignment_timeseries.csv",
               ("t", "rho_min", "rho_max", "g_norm", "g_over_dux"), rows)
     code = _finish(settings, out_dir, result, wall)
     print(f"stop_reason={result.stop_reason} records={len(result.states)} "
-          f"max g_norm={max(r[3] for r in rows):.3e}")
+          f"max g_norm={rows[:, 3].max():.3e}")
     return code
 
 

@@ -85,7 +85,7 @@ def run_alignment(rho0: DensityField, u0: DensityField,
     (ws.shear).  The stepper integrates that part exactly: its flow keeps
     rho_hat - r u_hat, the linear part of -G_hat / Lambda^a, and scales
     u_hat by exp(t lambda).  So G = 0 data keep G at roundoff level, and
-    the dissipative step limit is measured from m, as in `run`.
+    the dissipative floor of the step is measured from m, as in `run`.
     """
     if rho0.grid.n != config.n_points or u0.grid.n != config.n_points:
         raise ValueError("initial data grids do not match the configuration")

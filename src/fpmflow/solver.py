@@ -16,9 +16,29 @@ Linearised about (m, 0), the alignment system has the same dissipation in
 u, which feeds rho through a fixed per-mode shear; its factor is the exact
 exponential of that upper-triangular pair.  The mean is the density's k = 0
 coefficient, which the flux never changes, so the factors are fixed for the
-run.  The step is cfl times the tighter of the transport limit dx/max|u|
-and the explicit limit of the dissipation left to the explicit stages,
-1/(max|rho - m| (2 pi k_max)^alpha).
+run.
+
+The step size is controlled by Heun's embedded second-order solution,
+b^ = (0, 1/2, 1/2) against b = (1/4, 0, 3/4), in the same Lawson form
+(Balac & Mahe, Comput. Phys. Commun. 184 (2013) 1211): err, the sup norm
+of the difference of the two solutions, bounded from the spectrum,
+estimates the local error.  The next step is the last one times
+min(5, max(0.2, 0.9 (tol / err)^(1/3))); it does not grow right after a
+rejected step (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and a step
+cut short to land on a snapshot or t_end does not shrink it.  cfl times
+the tighter of the transport limit dx/max|u| and the explicit limit of the
+dissipation left to the explicit stages, 1/(max|rho - m| (2 pi k_max)^alpha),
+is the floor: a longer step is taken when the estimate allows it and
+retried shorter when it does not, never below the floor.  cfl times the
+transport limit caps every step.  The tolerance is relative to the density:
+tol = rtol min rho, so that err <= tol keeps the error at each point within
+rtol times the density there.  rtol is 2e-9 at cfl 0.4 and scales as cfl^3,
+so cfl stays the one accuracy dial.  Near vacuum the dissipation vanishes
+and nothing damps the step errors, which there are of one sign and add up:
+a sup-norm tolerance lets rho(0) of the cccf data drift 200 times further
+from a fine run than the floor does.  When rtol min rho lies within the
+rounding of the density, eps max|rho|, as on data with vacuum, no estimate
+is formed and every step is the floor.
 
 The run stops when the spectral tail mass fraction exceeds a threshold:
 past that point the solution is not trustworthy and the simulator refuses
@@ -29,12 +49,13 @@ threshold commensurate with amplitude-level error bounds.
 One driver, `integrate`, steps every system: this flow and the alignment
 system of `extensions`.  It records each snapshot as a SimulationState
 (rho, u, and G for the alignment system) and returns a RunResult that
-counts the steps, the limit that bound each step, the step-size range and
-the FFT calls for the run's metadata.
+counts the accepted and rejected steps, the limit that bound each step,
+the step-size range and the FFT calls for the run's metadata.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,17 +68,14 @@ __all__ = [
     "SolverConfig",
     "SimulationState",
     "RunResult",
-    "SolverBlowupError",
     "integrate",
     "run",
 ]
 
 
 _TINY = np.finfo(float).tiny  # keeps an all-zero spectrum's fraction at 0
-
-
-class SolverBlowupError(RuntimeError):
-    """Raised when a stage produces non-finite values."""
+_EPS = np.finfo(float).eps
+_RTOL = 2e-9  # the step controller's tolerance at cfl 0.4, per unit of min rho
 
 
 @dataclass(frozen=True)
@@ -156,74 +174,104 @@ class _Workspace:
         tail = a[..., self.tail_band] @ self.l1_weights[self.tail_band]
         return float((tail / np.maximum(total, _TINY)).max())
 
-    def stable_dt(self, y: np.ndarray, cfl: float, center: float = 0.0):
-        """cfl times the tighter step limit, and that limit's name; y holds
-        the physical fields, density first and transport velocity second,
-        and center is the density whose dissipation the stepper integrates
-        exactly."""
-        transport = self.grid.dx / (float(np.max(np.abs(y[1]))) + 1e-12)
-        rho_peak = max(float(np.max(np.abs(y[0] - center))), 1e-12)
+    def sup_bound(self, y_hat: np.ndarray) -> float:
+        """Largest over the rows of y_hat of the l1 spectral mass over n,
+        which bounds the row's sup norm in physical space."""
+        return float((np.abs(y_hat) @ self.l1_weights).max()) / self.grid.n
+
+    def step_limits(self, y: np.ndarray, cfl: float, center: float = 0.0,
+                    rtol: float = 0.0) -> tuple[dict, float]:
+        """cfl times the transport limit dx/max|u| and the explicit
+        dissipative limit 1/(max|rho - center| (2 pi k_max)^alpha), by name,
+        and the error tolerance rtol min rho, or 0 when that lies within the
+        rounding of the density, eps max|rho|.  y holds the physical fields,
+        density first and transport velocity second, and center is the
+        density whose dissipation the stepper integrates exactly."""
+        lo, hi = y[:2].min(axis=1).tolist(), y[:2].max(axis=1).tolist()
+        transport = self.grid.dx / (max(hi[1], -lo[1]) + 1e-12)
+        rho_peak = max(hi[0] - center, center - lo[0], 1e-12)
         dissipative = 1.0 / (rho_peak * (2.0 * np.pi * self.k_max_kept) ** self.alpha)
-        if transport < dissipative:
-            return cfl * transport, "transport"
-        return cfl * dissipative, "dissipative"
+        tol = rtol * lo[0]
+        if tol <= _EPS * max(hi[0], -lo[0]):
+            tol = 0.0
+        return {"transport": cfl * transport, "dissipative": cfl * dissipative}, tol
 
 
-def _finite(y_hat: np.ndarray, stage: int) -> np.ndarray:
-    if not np.isfinite(y_hat).all():
-        raise SolverBlowupError(f"non-finite values after stage {stage}")
-    return y_hat
+def _remainder(y: np.ndarray, f: np.ndarray, lam: np.ndarray,
+               shear: Optional[np.ndarray] = None) -> np.ndarray:
+    """The tendency f minus the linear rates A y, in place in f.  A y is
+    lam y or, given shear, (shear lam u_hat, lam u_hat) for the pair
+    y = (rho_hat, u_hat)."""
+    if shear is None:
+        f -= lam * y
+    else:
+        linear = lam * y[1]
+        f[1] -= linear
+        linear *= shear
+        f[0] -= linear
+    return f
 
 
-def _lawson_heun(y_hat: np.ndarray, f0: np.ndarray, rates: Callable, dt: float,
-                 lam: np.ndarray, shear: Optional[np.ndarray] = None) -> np.ndarray:
-    """One Heun RK3 step (c = 0, 1/3, 2/3) of the transforms y_hat, given the
-    stage-1 tendency f0, in Lawson form: the linear rates A are integrated
-    exactly and the remainder f - A y explicitly.  A y is lam y or, given
-    shear, (shear lam u_hat, lam u_hat) for the pair y = (rho_hat, u_hat).
-    The exact flow over tau multiplies y, or u_hat, by exp(tau lam); given
-    shear it keeps rho_hat - shear u_hat.  The stage arithmetic runs in
-    place and overwrites y_hat and f0."""
+def _step_ratio(error: float, tol: float) -> float:
+    """The controller's factor on the step, 0.9 (tol / error)^(1/3) kept
+    within [0.2, 5]; an infinite error gives 0.2."""
+    return min(5.0, max(0.2, 0.9 * (tol / max(error, _TINY)) ** (1.0 / 3.0)))
+
+
+def _lawson_heun(y_hat: np.ndarray, n0: np.ndarray, rates: Callable, dt: float,
+                 lam: np.ndarray, shear: Optional[np.ndarray], err: np.ndarray,
+                 estimate: bool) -> np.ndarray:
+    """One Heun RK3 step (c = 0, 1/3, 2/3) of the transforms y_hat in Lawson
+    form, given the stage-1 remainder n0 = _remainder(y_hat, f0): the linear
+    rates A are integrated exactly and the remainder N = f - A y explicitly.
+    The exact flow E over dt / 3 multiplies y, or u_hat, by exp(dt lam / 3);
+    given shear it keeps rho_hat - shear u_hat.
+
+    Returns the new transforms.  err carries stage 1, then, given estimate,
+    receives E^3 N0 - 2 E^2 N1 + E N2, N_i being the remainder of stage
+    i + 1; dt / 4 times it is the step minus Heun's embedded second-order
+    solution, b^ = (0, 1/2, 1/2).  err is finite only if every stage
+    remainder is, and then so is the step, short of overflow.  y_hat and
+    n0 are left as they are, so a rejected step is retried from them."""
     e1 = np.exp((dt / 3.0) * lam)
     e2 = e1 * e1
     factors = (e1, e2, e2 * e1)
 
-    def flow(y, stage):  # exact linear flow over stage * dt / 3, in place
+    def flow(y, stage, out=None):  # exact flow over stage dt / 3, into out or in place
         if shear is None:
-            y *= factors[stage - 1]
-        else:
-            y[0] -= shear * y[1]
-            y[1] *= factors[stage - 1]
-            y[0] += shear * y[1]
+            return np.multiply(y, factors[stage - 1], out=y if out is None else out)
+        if out is not None:
+            np.copyto(out, y)
+            y = out
+        y[0] -= shear * y[1]
+        y[1] *= factors[stage - 1]
+        y[0] += shear * y[1]
         return y
 
-    def remainder(y, f):  # f minus the linear rates at y, in place
-        if shear is None:
-            f -= lam * y
-        else:
-            linear = lam * y[1]
-            f[1] -= linear
-            linear *= shear
-            f[0] -= linear
-        return f
-
-    n0 = remainder(y_hat, f0)
-    y1 = (dt / 3.0) * n0
+    y1 = np.multiply(n0, dt / 3.0, out=err)
     y1 += y_hat
-    _finite(flow(y1, 1), 1)
-    n0 *= dt / 4.0
-    n0 += y_hat  # the stage-3 base, before its flow
-    y2 = flow(remainder(y1, rates(y1)[0]), 1)
+    flow(y1, 1)
+    y2 = flow(_remainder(y1, rates(y1)[0], lam, shear), 1)  # E N1
+    if estimate:
+        flow(n0, 2, out=err)
+        err -= y2
+        err -= y2
     y2 *= 2.0 * dt / 3.0
-    y2 += flow(y_hat, 2)
-    _finite(y2, 2)
-    y3 = flow(n0, 3)
-    f2 = flow(remainder(y2, rates(y2)[0]), 1)
+    y2 += flow(y_hat, 2, out=np.empty_like(y_hat))
+    f2 = _remainder(y2, rates(y2)[0], lam, shear)  # N2
+    if estimate:
+        err += f2
+        flow(err, 1)
+    f2 = flow(f2, 1)
     f2 *= 0.75 * dt
+    y3 = np.multiply(n0, dt / 4.0, out=y2)  # the stage-3 base, before its flow
+    y3 += y_hat
+    flow(y3, 3)
     y3 += f2
-    return _finite(y3, 3)
+    return y3
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the error estimate catches non-finite stages
 def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
               config: SolverConfig, shear: Optional[np.ndarray] = None) -> RunResult:
     """Step the transforms y_hat = rfft(y0) with Heun RK3 from t = 0.
@@ -235,20 +283,28 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
     linearised about the mean density m is integrated exactly (Lawson form):
     a single field relaxes at the rates m ws.lin; given shear, y0 is the
     pair (rho, u), u relaxes at those rates and feeds rho at shear times
-    them (see _lawson_heun).  The dissipative step limit is measured from m.
-    The state recorded at each snapshot time is built from the stage-1 rows.
-    Stops on t_end, under-resolution of any row, the step budget, or
-    non-finite values; on the last the final state is the last finite one
-    and is not recorded.  Returns a RunResult with empty records; its
-    telemetry holds the step count, how many steps each limit bound
-    (transport, dissipative, snapshot, t_end, fixed), the dt range (None
-    before the first step), and the numpy FFT calls: the first rfft and two
-    per rates call.
+    them (see _lawson_heun).  The dissipative floor is measured from m.
+
+    Each step is proposed by the error controller (see the module
+    docstring), raised to the floor, capped by the transport limit, and
+    clamped to t_end and to the next snapshot time.  A step above the floor
+    whose estimate exceeds the tolerance, or whose stages go non-finite, is
+    retried shorter, never below the floor.  With no tolerance (vacuum) the
+    step is the floor, and dt_fixed takes every step at dt_fixed; neither
+    forms an estimate.  The state recorded at each snapshot time is built
+    from the stage-1 rows.  Stops on t_end, under-resolution of any row,
+    the step budget of accepted steps, or a non-finite step at the floor;
+    on the last the final state is the last finite one and is not
+    recorded.  Returns a RunResult with empty records; its telemetry holds
+    the accepted steps, the rejected ones, how many accepted steps each
+    limit bound (transport, dissipative, error, snapshot, t_end, fixed),
+    the dt range (None before the first step), and the numpy FFT calls:
+    the first rfft and two per rates call.
     """
     y_hat, t, steps, dt_last = np.fft.rfft(y0), 0.0, 0, 0.0
     # the density's k = 0 coefficient is never updated, so the mean and the
     # linear rates are fixed for the run
-    mean = np.atleast_2d(y_hat)[0, 0].real / ws.grid.n
+    mean = float(np.atleast_2d(y_hat)[0, 0].real) / ws.grid.n
     lam = mean * ws.lin
     rate_calls = 0
 
@@ -261,9 +317,14 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
         return SimulationState(t, steps, dt_last, tail > config.tail_threshold, tail,
                                *(DensityField(ws.grid, row) for row in y))
 
+    rtol = _RTOL * (config.cfl / 0.4) ** 3
+    err = np.empty_like(y_hat)  # every step's stage 1 and error estimate
+    wanted = 0.0  # the controller's next step; the first step is the floor
     next_snap = 0.0
     states = []
-    limits = dict.fromkeys(("transport", "dissipative", "snapshot", "t_end", "fixed"), 0)
+    limits = dict.fromkeys(
+        ("transport", "dissipative", "error", "snapshot", "t_end", "fixed"), 0)
+    rejected = 0
     dt_min, dt_max = np.inf, 0.0
     while True:
         f0, y = counted_rates(y_hat)
@@ -280,28 +341,62 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
         if steps >= config.max_steps:
             stop_reason = "max_steps"
             break
-        dt, limit = ((config.dt_fixed, "fixed") if config.dt_fixed
-                     else ws.stable_dt(y, config.cfl, mean))
+        if config.dt_fixed:
+            dt = floor = config.dt_fixed
+            limit = floor_limit = "fixed"
+            tol = 0.0
+        else:
+            caps, tol = ws.step_limits(y, config.cfl, mean, rtol)
+            limit = floor_limit = min(caps, key=caps.get)
+            dt = floor = caps[limit]
+            if wanted > floor:
+                dt, limit = ((wanted, "error") if wanted < caps["transport"]
+                             else (caps["transport"], "transport"))
         if config.t_end - t < dt:
             dt, limit = config.t_end - t, "t_end"
         if t < next_snap and next_snap - t < dt:
             dt, limit = next_snap - t, "snapshot"
-        try:
-            y_hat = _lawson_heun(y_hat, f0, counted_rates, dt, lam, shear)
-        except SolverBlowupError:
+        n0 = _remainder(y_hat, f0, lam, shear)
+        retried = False
+        while True:
+            y_next = _lawson_heun(y_hat, n0, counted_rates, dt, lam, shear, err, tol > 0.0)
+            if tol:
+                error = 0.25 * dt * ws.sup_bound(err)
+            else:
+                error = 0.0 if np.isfinite(y_next).all() else math.inf
+            if not math.isfinite(error):  # a stage went non-finite
+                error = math.inf
+            if error <= tol or dt <= floor:
+                break
+            rejected += 1
+            retried = True
+            dt, limit = dt * _step_ratio(error, tol), "error"
+            if dt <= floor:
+                dt, limit = floor, floor_limit
+        if error == math.inf:
             stop_reason = "nan"
             break
+        y_hat = y_next
         t += dt
         dt_last = dt
         steps += 1
         limits[limit] += 1
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+        ratio = _step_ratio(error, tol)
+        if not tol:  # no estimate: the next one starts from the floor
+            wanted = 0.0
+        elif retried:  # no growth right after a rejection
+            wanted = dt * min(ratio, 1.0)
+        elif limit in ("snapshot", "t_end"):  # an output clamp does not shrink it
+            wanted = max(dt * ratio, wanted)
+        else:
+            wanted = dt * ratio
 
     final = state()
     if stop_reason != "nan" and (not states or states[-1].t < t - 1e-13):
         states.append(final)
     return RunResult(states, [], final, stop_reason, {
-        "steps": steps, "step_limits": limits,
+        "steps": steps, "rejected": rejected, "step_limits": limits,
         "dt_min": dt_min if steps else None, "dt_max": dt_max if steps else None,
         "fft_calls": 1 + 2 * rate_calls})
 

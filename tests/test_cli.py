@@ -5,12 +5,14 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fpmflow.characteristics import advect_path, check_mass_transport
 from fpmflow.cli import RUN_KEYS, ConfigError, load_config, main
 from fpmflow.grid import make_grid
 from fpmflow.initial_data import InitialDataSpec, make_initial_data
+from fpmflow.output import write_csv
 from fpmflow.solver import SolverConfig, run
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "configuration.md"
@@ -18,6 +20,18 @@ DOCS = Path(__file__).resolve().parents[1] / "docs" / "configuration.md"
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture(autouse=True)
+def strict_json(tmp_path):
+    """Every JSON file a test writes parses without NaN or Infinity."""
+    yield
+    for path in tmp_path.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_no_constant)
 
 
 class TestConfigFile:
@@ -41,10 +55,10 @@ class TestConfigFile:
             load_config(cfg)
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
-        # unparsable lines, values of the wrong type, and values the grid,
-        # the initial data or SolverConfig rejects all exit 1 with a
-        # message, before any run; a preset's keys are checked under every
-        # preset
+        # unparsable lines, values of the wrong type, non-finite floats,
+        # and values the grid, the initial data or SolverConfig rejects all
+        # exit 1 with a message, before any run; a preset's keys are checked
+        # under every preset
         cfg = tmp_path / "bad.cfg"
         for text in ("whatever", "alpha = abc", "alpha = 3.0",
                      "n_points = 100.5", "snapshot_interval = -1",
@@ -53,7 +67,8 @@ class TestConfigFile:
                      'preset = "cccf"\noffset = 0.5',
                      'preset = "cccf"\nx0 = 0.45', 'preset = "cccf"\nwidth = 0',
                      'preset = "cccf"\noffset = nan', 'preset = "cccf"\nx0 = nan',
-                     "t_end = nan", "t_end = inf"):
+                     "t_end = nan", "t_end = inf", "rho_max = inf",
+                     "tail_threshold = inf", "snapshot_interval = inf"):
             cfg.write_text("t_end = 0.001\n" + text + "\n")
             code = run_cli("simulate", "--config", str(cfg), "--no-plots",
                            "--out", str(tmp_path / "o"))
@@ -82,11 +97,17 @@ class TestConfigFile:
         # path can be advected through the one snapshot
         (("characteristics", "--preset", "vacuum-plateau", "--n", "64",
           "--t-end", "0.001"), "under_resolved at t = 0 with 1 snapshot"),
+        (("characteristics", "--n", "64", "--t-end", "0.001",
+          "--x-start", "nan,0.2"), "start points must be finite, got 'nan,0.2'"),
+        (("characteristics", "--n", "64", "--t-end", "0.001",
+          "--x-start", "0.1,-inf"), "start points must be finite, got '0.1,-inf'"),
+        (("simulate", "--n", "64", "--t-end", "0.001", "--rho-max", "inf"),
+         "rho_max must be finite, got inf"),
     ])
     def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
         # rejected flag values exit 1 with a message and write nothing
         out = tmp_path / "o"
-        extra = ("--out", str(out)) if argv[0] == "characteristics" else ()
+        extra = ("--out", str(out)) if argv[0] in ("characteristics", "simulate") else ()
         assert run_cli(*argv, *extra) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ")
@@ -100,6 +121,20 @@ class TestConfigFile:
         code = run_cli("simulate", "--config", str(cfg), "--out",
                        str(tmp_path / "o"))
         assert code == 1
+
+
+class TestCsv:
+    def test_numeric_rows_match_fmt(self, tmp_path):
+        # the one-call formatting of a float array writes every value as
+        # format(v, ".17g") does, signed zero and non-finite values included
+        values = np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1e300],
+                           [0.1, -2.5e-17, 1.0 / 3.0]])
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b", "c"), values)
+        lines = ["a,b,c"] + [",".join(format(v, ".17g") for v in row) for row in values]
+        assert path.read_text() == "\n".join(lines) + "\n"
+        write_csv(path, ("a", "b", "c"), values[:0])
+        assert path.read_text() == "a,b,c\n"
 
 
 class TestDocs:
@@ -253,7 +288,8 @@ class TestCharacteristicsCommand:
         # 0.05 lies inside the smallness radius, 0.25 does not
         assert payload["decay_reports"][0]["applicable"]
         assert payload["decay_reports"][0]["holds"]
-        assert not payload["decay_reports"][1]["applicable"]
+        assert payload["decay_reports"][1] == {"applicable": False, "holds": False,
+                                               "margin": None, "t_checked": None}
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["run"]["steps"] == meta["steps"] > 0
         assert meta["pair_mass_drift"] == payload["pair_mass_drift"]

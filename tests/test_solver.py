@@ -87,11 +87,11 @@ class TestStableDt:
         ws = _Workspace(grid, 1.0, 2.0 / 3.0)
         rho = 1e-6 * (1.0 + 0.5 * np.cos(2 * np.pi * grid.nodes))
         u1 = np.sin(2 * np.pi * grid.nodes)
-        (dt1, limit1), (dt2, limit2) = (ws.stable_dt(np.stack((rho, u)), 0.4)
-                                        for u in (u1, 2.0 * u1))
-        assert limit1 == limit2 == "transport"
-        assert dt1 > 0 and dt2 > 0
-        assert abs(dt1 / dt2 - 2.0) < 1e-6
+        (caps1, _), (caps2, _) = (ws.step_limits(np.stack((rho, u)), 0.4)
+                                  for u in (u1, 2.0 * u1))
+        for caps in (caps1, caps2):
+            assert 0 < caps["transport"] < caps["dissipative"]
+        assert abs(caps1["transport"] / caps2["transport"] - 2.0) < 1e-6
 
     def test_positive(self, grid):
         assert _first_dt(gen_cccf(grid), 0.5) > 0
@@ -140,6 +140,120 @@ class TestStep:
         d2 = np.max(np.abs(final[2] - final[4]))
         order = np.log2(d1 / d2)
         assert abs(order - 3.0) <= 0.2
+
+
+class TestStepControl:
+    def test_cfl_is_the_accuracy_dial(self, grid):
+        # the tolerance scales as cfl^3, and so does the error against a
+        # fine fixed-step run; at cfl 0.4 the error stays below the per-step
+        # tolerance, 2e-9 min rho = 1e-9 on these data
+        rho0 = gen_positive_control(grid, 1.5)
+        T = 0.01
+        ref = run(rho0, SolverConfig(alpha=1.5, n_points=256, t_end=T, dt_fixed=T / 2048,
+                                     snapshot_interval=T)).final_state.rho.values
+        err = {}
+        for cfl in (0.4, 0.2):
+            res = run(rho0, SolverConfig(alpha=1.5, n_points=256, t_end=T, cfl=cfl,
+                                         snapshot_interval=T))
+            assert res.telemetry["step_limits"]["error"] > 0.5 * res.telemetry["steps"]
+            err[cfl] = np.max(np.abs(res.final_state.rho.values - ref))
+        assert err[0.4] < 1e-9
+        assert 6.0 < err[0.4] / err[0.2] < 11.0
+
+    def test_rejected_steps_are_retried(self, grid, monkeypatch):
+        # an estimate read 1e3 times too large on every fifth attempt makes
+        # that attempt miss the tolerance unless it is at the floor: it is
+        # retried shorter from the same state, and only accepted steps
+        # count, against max_steps as well
+        rho0 = gen_positive_control(grid, 1.5)
+        cfg = dict(alpha=1.5, n_points=256, t_end=0.005, snapshot_interval=0.001)
+        plain = run(rho0, SolverConfig(**cfg))
+        attempts = []
+        sup_bound = _Workspace.sup_bound
+
+        def inflated(ws, err):
+            attempts.append(None)
+            return sup_bound(ws, err) * (1e3 if len(attempts) % 5 == 0 else 1.0)
+
+        monkeypatch.setattr(_Workspace, "sup_bound", inflated)
+        res = run(rho0, SolverConfig(**cfg))
+        tel = res.telemetry
+        assert res.stop_reason == "t_end" and res.final_state.t == pytest.approx(0.005)
+        assert tel["rejected"] > 0
+        assert len(attempts) == tel["steps"] + tel["rejected"]
+        assert tel["steps"] == res.final_state.step_count == sum(tel["step_limits"].values())
+        # one rates call per accepted step and at the stop, two per attempt
+        assert tel["fft_calls"] == 1 + 2 * (tel["steps"] + 1 + 2 * len(attempts))
+        gap = np.max(np.abs(res.final_state.rho.values - plain.final_state.rho.values))
+        assert gap < 1e-9
+        attempts.clear()
+        capped = run(rho0, SolverConfig(**cfg, max_steps=tel["steps"] - 1))
+        assert capped.stop_reason == "max_steps"
+        assert capped.final_state.step_count == tel["steps"] - 1
+
+    def test_tolerance_is_relative_to_min_density(self, grid):
+        # sup|e| <= rtol min rho makes |e(x)| <= rtol rho(x) at every node;
+        # a minimum within the rounding of the density gives no tolerance
+        ws = _Workspace(grid, 1.5, 2.0 / 3.0)
+        u = np.zeros(grid.n)
+        positive = gen_positive_control(grid, 1.5).values
+        assert ws.step_limits(np.stack((positive, u)), 0.4, 1.5, 2e-9)[1] == 2e-9 * positive.min()
+        for floor in (0.0, -1e-14, 1e-18):
+            vacuum = gen_cccf(grid).values + floor
+            assert ws.step_limits(np.stack((vacuum, u)), 0.4, 0.5, 2e-9)[1] == 0.0
+
+    def test_vacuum_data_take_the_floor(self, grid, monkeypatch):
+        # with no tolerance no estimate is formed: every step is the floor
+        rho0 = gen_cccf(grid)
+        estimates = []
+        monkeypatch.setattr(_Workspace, "sup_bound", lambda ws, err: estimates.append(err))
+        res = run(rho0, SolverConfig(alpha=1.5, n_points=256, t_end=0.005,
+                                     snapshot_interval=0.001))
+        tel = res.telemetry
+        assert res.stop_reason == "t_end" and not estimates
+        assert tel["step_limits"]["error"] == tel["rejected"] == 0
+        assert tel["step_limits"]["dissipative"] > 0.9 * tel["steps"]
+
+    def test_non_finite_attempt_is_retried(self, grid, monkeypatch):
+        # a non-finite estimate on one attempt above the floor, as when a
+        # stage overflows: that attempt is retried shorter and the run goes on
+        rho0 = gen_positive_control(grid, 1.5)
+        cfg = SolverConfig(alpha=1.5, n_points=256, t_end=0.005, snapshot_interval=0.001)
+        attempts = []
+        sup_bound = _Workspace.sup_bound
+
+        def poisoned(ws, err):
+            attempts.append(None)
+            return np.nan if len(attempts) == 10 else sup_bound(ws, err)
+
+        monkeypatch.setattr(_Workspace, "sup_bound", poisoned)
+        res = run(rho0, cfg)
+        assert res.stop_reason == "t_end" and res.final_state.t == pytest.approx(0.005)
+        assert res.telemetry["rejected"] >= 1
+        assert np.isfinite(res.final_state.rho.values).all()
+
+    def test_non_finite_at_the_floor_stops(self, grid, monkeypatch):
+        # from the tenth attempt on every estimate is non-finite: the step
+        # is retried down to the floor, and there the run stops with nan,
+        # keeping the last finite state
+        rho0 = gen_positive_control(grid, 1.5)
+        cfg = SolverConfig(alpha=1.5, n_points=256, t_end=0.005, snapshot_interval=0.001)
+        attempts = []
+        sup_bound = _Workspace.sup_bound
+
+        def poisoned(ws, err):
+            attempts.append(None)
+            return np.nan if len(attempts) >= 10 else sup_bound(ws, err)
+
+        monkeypatch.setattr(_Workspace, "sup_bound", poisoned)
+        res = run(rho0, cfg)
+        tel = res.telemetry
+        assert res.stop_reason == "nan"
+        assert tel["steps"] == 9 and tel["rejected"] >= 1
+        assert len(attempts) == tel["steps"] + tel["rejected"] + 1
+        assert res.final_state.step_count == 9 and res.final_state.t < cfg.t_end
+        assert np.isfinite(res.final_state.rho.values).all()
+        assert res.states[-1].t <= res.final_state.t
 
 
 class TestRun:
@@ -328,6 +442,30 @@ class TestExactSymmetries:
         assert np.max(np.abs(b.rho.values - shift(a.rho).values)) <= 1e-14
         assert np.max(np.abs(b.u.values - shift(a.u).values)) <= 1e-14
 
+    @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
+    def test_dilation(self, system, alpha):
+        # rho(2x, 2^alpha t) solves the equation, with velocity
+        # 2^(alpha - 1) u(2x, 2^alpha t): on twice the grid, with the step
+        # and t_end divided by 2^alpha, the run of the dilated data is the
+        # run of the data taken twice over
+        def fixed_run(rho0, scale):
+            t_end = 2.0 ** -6 / scale
+            cfg = SolverConfig(alpha=alpha, n_points=rho0.grid.n, t_end=t_end,
+                               dt_fixed=2.0 ** -12 / scale, snapshot_interval=t_end)
+            if system == "run":
+                return run(rho0, cfg).final_state
+            return run_alignment(rho0, velocity_spectral(rho0, alpha), cfg).final_state
+
+        grid = make_grid(256)
+        x = grid.nodes
+        rho0 = DensityField(grid, 1.5 + 0.3 * np.cos(2 * np.pi * x)
+                            + 0.2 * np.sin(4 * np.pi * x))
+        pick = (np.arange(512) + 128) % 256  # 2 x_i is node pick[i] of 256, mod 1
+        a = fixed_run(rho0, 1.0)
+        b = fixed_run(DensityField(make_grid(512), rho0.values[pick]), 2.0 ** alpha)
+        assert np.max(np.abs(b.rho.values - a.rho.values[pick])) <= 1e-15
+        assert np.max(np.abs(b.u.values - 2.0 ** (alpha - 1) * a.u.values[pick])) <= 4e-15
+
     def test_fft_budget(self, system, skewed, monkeypatch):
         # two batched transforms per stage: at most 6 numpy FFT calls per
         # step, plus one per snapshot and one at the stop
@@ -344,27 +482,36 @@ class TestExactSymmetries:
 
 
 class TestTelemetry:
-    def test_dissipative_limit_dominates_stiff_run(self, grid):
-        # positive data at alpha = 1.5: the dissipative limit binds
-        cfg = SolverConfig(alpha=1.5, n_points=256, t_end=0.005,
+    def test_dissipative_limit_dominates_stiff_run(self):
+        # positive data at alpha = 1.5 on 1024 points: the dissipative limit
+        # is only the floor of the first step; the error estimate then binds,
+        # and the run takes under a fifth of the steps the floor of t = 0
+        # would take, 0.4 / (max|rho - 1.5| (2 pi 341)^1.5) each
+        grid = make_grid(1024)
+        cfg = SolverConfig(alpha=1.5, n_points=1024, t_end=0.005,
                            snapshot_interval=0.001)
         res = run(gen_positive_control(grid, 1.5), cfg)
         tel = res.telemetry
         limits = tel["step_limits"]
         assert tel["steps"] == res.final_state.step_count == sum(limits.values())
-        assert limits["dissipative"] > 0.9 * tel["steps"]
-        assert limits["transport"] == limits["fixed"] == 0
+        assert limits["dissipative"] == 1
+        assert limits["error"] > 0.9 * tel["steps"]
+        assert limits["transport"] == limits["fixed"] == tel["rejected"] == 0
         assert 1 <= limits["snapshot"] + limits["t_end"] <= 5
         assert 0.0 < tel["dt_min"] <= tel["dt_max"]
+        floor = 0.4 / (2 * np.pi * 341) ** 1.5
+        assert tel["steps"] < 0.2 * cfg.t_end / floor
 
     @pytest.mark.parametrize("system", ("run", "run_alignment"))
     def test_fixed_step_counts(self, system, skewed):
         # 17 stage-1 rates calls (one per step and one at the stop) and two
         # more per step, each one irfft and one rfft, after the first rfft
         res = _fixed_step_run(system, *skewed)
-        assert res.telemetry == {"steps": 16, "dt_min": 2.0 ** -10, "dt_max": 2.0 ** -10,
+        assert res.telemetry == {"steps": 16, "rejected": 0,
+                                 "dt_min": 2.0 ** -10, "dt_max": 2.0 ** -10,
                                  "step_limits": {"transport": 0, "dissipative": 0,
-                                                 "snapshot": 0, "t_end": 0, "fixed": 16},
+                                                 "error": 0, "snapshot": 0, "t_end": 0,
+                                                 "fixed": 16},
                                  "fft_calls": 1 + 2 * (17 + 2 * 16)}
         assert res.final_state.step_count == 16
         assert res.final_state.dt_last == 2.0 ** -10
