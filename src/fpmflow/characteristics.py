@@ -31,10 +31,6 @@ class CharacteristicPath:
     rho_along: np.ndarray  # density sampled on the path at snapshot times
     mass_along: np.ndarray  # mass of [0, X(t)] at snapshot times
 
-    @property
-    def mass0(self) -> float:  # mass of [0, x_start] at t = 0
-        return float(self.mass_along[0])
-
 
 def mass_profile(rho: DensityField, x: float) -> float:
     """Cumulative mass int_0^x rho dy by spectral antiderivative."""

@@ -11,11 +11,10 @@ the run was required to reach t_end.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +26,12 @@ from .grid import make_grid, spectral_derivative
 from .initial_data import InitialDataSpec, make_initial_data, validate_hypotheses
 from .operators import (compute_A, compute_C, compute_delta, kernel_tail_bound,
                         make_params, velocity_spectral)
-from .output import write_csv, write_metadata, write_snapshot, write_timeseries
+from .output import dumps, write_csv, write_metadata, write_snapshot, write_timeseries
 from .solver import SolverConfig, run
 from .svgplot import line_chart
 
 PRESETS = ("cccf", "vacuum-plateau", "positive-control", "smooth-monotone")
+SNAPSHOT_STRIDE = 10  # write every 10th snapshot CSV, and the last
 
 
 class ConfigError(ValueError):
@@ -40,8 +40,12 @@ class ConfigError(ValueError):
 
 def load_config(path) -> dict:
     """Parse a flat key = value file; values are TOML-style scalars."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -99,8 +103,6 @@ def _add_run_flags(p: argparse.ArgumentParser):
                {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
         p.add_argument(flag, dest=key, default=None, **how)
     p.add_argument("--no-plots", action="store_true")
-    p.add_argument("--snapshot-stride", type=int, default=10,
-                   help="write every k-th snapshot CSV")
     p.add_argument("--out", type=str, default="out")
 
 
@@ -153,9 +155,9 @@ def _inputs(settings):
 def _execute(settings):
     rho0, config = _inputs(settings)
     constants = constants_for(settings["alpha"], rho0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = run(rho0, config, observers=(make_observer(constants),))
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     return rho0, config, constants, result, wall
 
 
@@ -175,7 +177,7 @@ def _write_artifacts(settings, args, result, wall) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_timeseries(out_dir / "timeseries.csv", result.records)
     for i, state in enumerate(result.states):
-        if i % max(1, args.snapshot_stride) == 0 or i == len(result.states) - 1:
+        if i % SNAPSHOT_STRIDE == 0 or i == len(result.states) - 1:
             write_snapshot(out_dir / f"snapshot_{i:04d}.csv", state)
     if not args.no_plots:
         xs = result.states[0].rho.grid.nodes
@@ -217,6 +219,7 @@ def check_invariants(records, constants, tail_threshold,
     m0 = resolved[0].mass
     rho_max0 = constants.rho_max
     tol = _INVARIANT_TOLS
+    enhanced = max(r.enhanced_margin for r in resolved)  # -inf: nowhere applicable (null, passes)
     margins = {
         "mass_drift": max(abs(r.mass - m0) for r in resolved),
         "rho_min": min(r.rho_min for r in resolved),
@@ -224,7 +227,7 @@ def check_invariants(records, constants, tail_threshold,
         "zeta_min_over_c1": min(r.zeta_min_half / max(r.c1_norm, 1e-300)
                                 for r in resolved),
         "u_max_on_delta": max(r.u_max_on_delta for r in resolved),
-        "enhanced_margin": max(r.enhanced_margin for r in resolved),
+        "enhanced_margin": enhanced if enhanced > -math.inf else None,
     }
     checks = {
         "mass_drift": margins["mass_drift"] <= tol["mass_drift"],
@@ -235,7 +238,7 @@ def check_invariants(records, constants, tail_threshold,
         checks.update({
             "monotonicity": margins["zeta_min_over_c1"] >= -tol["monotonicity"],
             "velocity_sign": margins["u_max_on_delta"] <= tol["velocity_sign"],
-            "enhanced_margin": margins["enhanced_margin"] <= tol["enhanced_margin"],
+            "enhanced_margin": enhanced <= tol["enhanced_margin"],
         })
     return {"resolved_records": len(resolved), "checks": checks,
             "margins": margins, "all_ok": all(checks.values())}
@@ -251,7 +254,7 @@ def cmd_verify(args) -> int:
     report["stop_reason"] = result.stop_reason
     report["verdict"] = classify_run(result.records) if len(result.records) >= 10 else None
     code = _write_artifacts(settings, args, result, wall)
-    print(json.dumps(report, indent=2, default=str))
+    print(dumps(report))
     return code if report["all_ok"] else 2
 
 
@@ -282,7 +285,7 @@ def cmd_characteristics(args) -> int:
     if len(paths) >= 2:
         summary["pair_mass_drift"] = check_mass_transport(paths[0], paths[-1], result.states)
     code = _finish(settings, out_dir, result, wall, x_start=starts, **summary)
-    print(json.dumps(summary, indent=2, default=str))
+    print(dumps(summary))
     return code
 
 
@@ -292,9 +295,9 @@ def cmd_align(args) -> int:
     rho0, config = _inputs(settings)
     out_dir.mkdir(parents=True, exist_ok=True)
     u0 = velocity_spectral(rho0, config.alpha)
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = run_alignment(rho0, u0, config)
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
     rows = []
     for s in result.states:
         g_norm = float(np.max(np.abs(s.G.values)))
@@ -314,19 +317,12 @@ def cmd_reduce(args) -> int:
     settings = _settings(args)
     rho0, _ = _inputs(settings)
     report = slab_check_2d(rho0, settings["alpha"])
-    payload = {
-        "alpha": settings["alpha"], "n": settings["n_points"],
-        "u2_max": report.u2_max, "u1_mismatch": report.u1_mismatch,
-        "c_prime": report.c_prime_value,
-        "real_space_ratio": report.real_space_ratio,
-        "real_space_rel_err": report.real_space_rel_err,
-        "spectral_gap": report.spectral_gap,
-    }
+    payload = {"alpha": settings["alpha"], "n": settings["n_points"], **asdict(report)}
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_metadata(out_dir / "slab_report.json", payload)
-    print(json.dumps(payload, indent=2))
+    print(dumps(payload))
     return 0
 
 
@@ -346,7 +342,7 @@ def cmd_constants(args) -> int:
         }
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    print(json.dumps(payload, indent=2))
+    print(dumps(payload))
     return 0
 
 

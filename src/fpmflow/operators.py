@@ -194,8 +194,8 @@ def compute_delta(alpha: float) -> float:
 
 def compute_A(alpha: float, m: float, rho_max: float) -> float:
     """Enhanced-decay rate alpha * m / (4 rho_max)."""
-    if m <= 0.0 or rho_max <= 0.0:
-        raise ValueError("mass and density bound must be positive")
+    if not (0.0 < m < math.inf and 0.0 < rho_max < math.inf):
+        raise ValueError("mass and density bound must be positive and finite")
     if m > rho_max * (1.0 + 1e-12):
         raise ValueError("mass on the unit torus cannot exceed the density bound")
     return alpha * m / (4.0 * rho_max)

@@ -1,4 +1,4 @@
-"""Artifact writers: CSV at full double precision and run metadata JSON.
+"""Artifact writers: CSV at full double precision and strict JSON.
 
 CSV output is deterministic (17 significant digits, no timestamps), so two
 runs of the same configuration produce byte-identical files.
@@ -53,8 +53,12 @@ def write_snapshot(path, state) -> None:
     write_csv(path, ("x", "rho", "u"), rows)
 
 
+def dumps(payload) -> str:
+    """Strict JSON with sorted keys: NaN or infinity raises ValueError."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=str)
+
+
 def write_metadata(path, payload: dict) -> None:
     payload = dict(payload)
     payload.setdefault("code_version", __version__)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True,
-                                     allow_nan=False, default=str) + "\n")
+    Path(path).write_text(dumps(payload) + "\n")

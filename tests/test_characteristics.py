@@ -67,7 +67,7 @@ class TestAdvectPath:
     def test_mass0_attached(self, cccf_run):
         path = advect_path(cccf_run.states, 0.2)
         rho0 = cccf_run.states[0].rho
-        assert abs(path.mass0 - mass_profile(rho0, 0.2)) < 1e-14
+        assert abs(path.mass_along[0] - mass_profile(rho0, 0.2)) < 1e-14
 
     def test_needs_two_snapshots(self, cccf_run):
         with pytest.raises(ValueError):

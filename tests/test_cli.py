@@ -26,6 +26,11 @@ def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def strict_stdout(capsys):
+    """The captured stdout parsed as strict JSON: NaN or Infinity raises."""
+    return json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+
+
 @pytest.fixture(autouse=True)
 def strict_json(tmp_path):
     """Every JSON file a test writes parses without NaN or Infinity."""
@@ -76,6 +81,19 @@ class TestConfigFile:
             assert capsys.readouterr().err.startswith("config error: "), text
             assert not (tmp_path / "o").exists(), text
 
+    @pytest.mark.parametrize("content", (None, b"alpha = \xff\n"),
+                             ids=("missing", "not_utf8"))
+    def test_unreadable_config_exit_code(self, content, tmp_path, capsys):
+        # a missing file and a file that is not UTF-8 exit 1 with a message
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: ")
+        assert not (tmp_path / "o").exists()
+
     def test_float_key_takes_int(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha = 1\nn_points = 64\nt_end = 0.001\n"
@@ -103,6 +121,8 @@ class TestConfigFile:
           "--x-start", "0.1,-inf"), "start points must be finite, got '0.1,-inf'"),
         (("simulate", "--n", "64", "--t-end", "0.001", "--rho-max", "inf"),
          "rho_max must be finite, got inf"),
+        (("constants", "--alpha", "1", "--m", "nan"), "positive and finite"),
+        (("constants", "--alpha", "1", "--rho-max", "inf"), "positive and finite"),
     ])
     def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
         # rejected flag values exit 1 with a message and write nothing
@@ -248,6 +268,17 @@ class TestVerify:
         assert float(rows[-1].split(",")[8]) > 1e-8
         assert report["resolved_records"] == len(rows) - 1
 
+    def test_no_applicable_margin_is_null(self, tmp_path, capsys):
+        # with offset 3 no snapshot has a point with rho <= m/2: the
+        # enhanced margin is null in strict JSON and does not fail the run
+        code = run_cli("verify", "--preset", "positive-control", "--offset", "3",
+                       "--alpha", "1.0", "--n", "128", "--t-end", "0.01",
+                       "--no-plots", "--out", str(tmp_path / "o"))
+        assert code == 0
+        report = strict_stdout(capsys)
+        assert report["margins"]["enhanced_margin"] is None
+        assert report["all_ok"]
+
     def test_cccf_window_passes(self, tmp_path, capsys):
         code = run_cli("verify", "--preset", "cccf", "--alpha", "1.0",
                        "--n", "512", "--t-end", "0.08",
@@ -269,6 +300,12 @@ class TestConstants:
         assert abs(payload["delta"] - 1.0 / 6.0) < 1e-12
         assert payload["A"] == 0.125
         assert abs(payload["c_alpha"] - 0.3183098861837907) < 1e-6
+
+    def test_stdout_is_strict_json(self, capsys):
+        assert run_cli("constants", "--alpha", "1.0") == 0
+        payload = strict_stdout(capsys)
+        assert list(payload) == sorted(payload)
+        assert payload["A"] == 0.125
 
 
 class TestCharacteristicsCommand:
@@ -340,6 +377,19 @@ class TestReduceCommand:
         assert payload["u2_max"] < 1e-12
         assert payload["u1_mismatch"] < 1e-12
         assert payload["real_space_rel_err"] < 1e-3
+
+    def test_stdout_is_the_report(self, tmp_path, capsys):
+        # stdout is strict JSON with sorted keys, the slab_report.json payload
+        out = tmp_path / "o"
+        assert run_cli("reduce", "--alpha", "1.5", "--n", "64", "--out", str(out)) == 0
+        payload = strict_stdout(capsys)
+        assert list(payload) == sorted(payload)
+        report = json.loads((out / "slab_report.json").read_text())
+        assert report.pop("code_version")
+        assert report == payload
+        assert set(payload) == {"alpha", "n", "u2_max", "u1_mismatch", "c_prime",
+                                "real_space_ratio", "real_space_rel_err",
+                                "spectral_gap"}
 
 
 class TestSweep:

@@ -165,8 +165,11 @@ class TestCPrime:
         assert v > 0.0 and math.isfinite(v)
 
     def test_refinement_stability(self):
-        assert abs(c_prime(2, 0.7, n_nodes=32) - c_prime(2, 0.7, n_nodes=96)) \
-            < 1e-8 * c_prime(2, 0.7)
+        # at alpha = 1, r = tan(theta) makes the radial integral elementary:
+        # n = 3: omega_2 = 2 pi, int sin cos dtheta = 1/2;
+        # n = 4: omega_3 = 4 pi, int sin^2 cos dtheta = 1/3
+        assert abs(c_prime(3, 1.0) - math.pi) < 1e-14 * math.pi
+        assert abs(c_prime(4, 1.0) - 4.0 * math.pi / 3.0) < 1e-14 * 4.0 * math.pi / 3.0
 
     def test_higher_dimension_computes(self):
         v = c_prime(3, 1.0)
@@ -186,6 +189,18 @@ class TestSlab:
         assert rep.u1_mismatch < 1e-12
         assert rep.spectral_gap < 1e-12
         assert rep.real_space_rel_err < 1e-3
+
+    def test_strip_matches_square_grid(self):
+        # slab data have no k2 != 0 modes, so an (n, 8) strip carries the
+        # same velocity columns as the n x n grid
+        rho0 = gen_cccf(make_grid(64))
+        square = np.broadcast_to(rho0.values[:, None], (64, 64)).copy()
+        u1_sq, u2_sq = slab_velocity_2d(square, 1.0)
+        u1, u2 = slab_velocity_2d(square[:, :8].copy(), 1.0)
+        assert u1.shape == u2.shape == (64, 8)
+        assert np.max(np.abs(u1 - u1_sq[:, :8])) < 1e-14
+        assert np.max(np.abs(u2)) < 1e-14
+        assert spectral_gap_2d(u1, u2) < 1e-12
 
 
 class TestSpectralGap:
