@@ -6,6 +6,10 @@ Configs are flat key = value files (TOML-compatible scalars); command-line
 flags override file values.  Exit codes: 0 success, 1 malformed config or
 flag value, 2 invariant failure in verify mode, 3 stopped under-resolved when
 the run was required to reach t_end.
+
+The argument parser is built once, at import, and every `main` call reuses
+it.  Importing this module does not load scipy: only `constants`, `reduce`
+and the kernel-route library functions do (see `operators`).
 """
 
 from __future__ import annotations
@@ -161,12 +165,14 @@ def _execute(settings):
     return rho0, config, constants, result, wall
 
 
-def _finish(settings, out_dir, result, wall, **extra) -> int:
+def _finish(settings, out_dir, result, wall, output_s, **extra) -> int:
     """Write the run's metadata.json and return its exit code: 3 if it
-    stopped under-resolved when required to reach t_end, else 0."""
+    stopped under-resolved when required to reach t_end, else 0.  output_s
+    is the seconds spent writing the other artifacts."""
     write_metadata(out_dir / "metadata.json", {
         "settings": settings, "stop_reason": result.stop_reason,
-        "wall_time": wall, "steps": result.telemetry["steps"],
+        "wall_time": wall, "wall_split": {**result.wall_split, "output": output_s},
+        "steps": result.telemetry["steps"],
         "t_final": result.final_state.t, "run": result.telemetry, **extra,
     })
     return 3 if settings["require_t_end"] and result.stop_reason == "under_resolved" else 0
@@ -175,6 +181,7 @@ def _finish(settings, out_dir, result, wall, **extra) -> int:
 def _write_artifacts(settings, args, result, wall) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
     write_timeseries(out_dir / "timeseries.csv", result.records)
     for i, state in enumerate(result.states):
         if i % SNAPSHOT_STRIDE == 0 or i == len(result.states) - 1:
@@ -189,7 +196,7 @@ def _write_artifacts(settings, args, result, wall) -> int:
         line_chart([(ts, [r.c1_norm for r in result.records], "max |d_x rho|")],
                    out_dir / "c1_norm.svg", title="gradient norm",
                    xlabel="t", ylabel="c1", logy=True)
-    return _finish(settings, out_dir, result, wall)
+    return _finish(settings, out_dir, result, wall, time.perf_counter() - t0)
 
 
 def cmd_simulate(args) -> int:
@@ -267,6 +274,13 @@ def cmd_characteristics(args) -> int:
         raise ConfigError(f"--x-start: {exc}") from exc
     if not all(map(math.isfinite, starts)):
         raise ConfigError(f"--x-start: start points must be finite, got {args.x_start!r}")
+    names = {}  # path file name -> start, in start order
+    for xs in starts:
+        name = f"path_{xs:+.4f}.csv".replace("+", "")
+        if name in names:
+            raise ConfigError(f"--x-start: starts {names[name]!r} and {xs!r} "
+                              f"would both write {name}")
+        names[name] = xs
     rho0, config, constants, result, wall = _execute(settings)
     if len(result.states) < 2:
         raise ConfigError(
@@ -274,17 +288,18 @@ def cmd_characteristics(args) -> int:
             f"with {len(result.states)} snapshot(s); paths need at least two")
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [advect_path(result.states, xs) for xs in starts]
-    for xs, path in zip(starts, paths):
+    t0 = time.perf_counter()
+    for name, path in zip(names, paths):
         bound = path.x_start * np.exp(-constants.A * path.times)
         rows = np.column_stack((path.times, path.positions, path.mass_along, bound))
-        write_csv(out_dir / f"path_{xs:+.4f}.csv".replace("+", ""),
-                  ("t", "X", "mass_along", "decay_bound"), rows)
+        write_csv(out_dir / name, ("t", "X", "mass_along", "decay_bound"), rows)
+    output_s = time.perf_counter() - t0
     reports = [check_decay_bound(p, constants.A, constants.m,
                                  delta=constants.delta) for p in paths]
     summary = {"decay_reports": [r.__dict__ for r in reports], "pair_mass_drift": None}
     if len(paths) >= 2:
         summary["pair_mass_drift"] = check_mass_transport(paths[0], paths[-1], result.states)
-    code = _finish(settings, out_dir, result, wall, x_start=starts, **summary)
+    code = _finish(settings, out_dir, result, wall, output_s, x_start=starts, **summary)
     print(dumps(summary))
     return code
 
@@ -305,9 +320,10 @@ def cmd_align(args) -> int:
         rows.append((s.t, float(s.rho.values.min()), float(s.rho.values.max()),
                      g_norm, g_norm / max(dux, 1e-300)))
     rows = np.array(rows)
+    t0 = time.perf_counter()
     write_csv(out_dir / "alignment_timeseries.csv",
               ("t", "rho_min", "rho_max", "g_norm", "g_over_dux"), rows)
-    code = _finish(settings, out_dir, result, wall)
+    code = _finish(settings, out_dir, result, wall, time.perf_counter() - t0)
     print(f"stop_reason={result.stop_reason} records={len(result.states)} "
           f"max g_norm={rows[:, 3].max():.3e}")
     return code
@@ -414,9 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -9,10 +9,9 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .grid import DensityField, evaluate_trig, spectral_derivative
-from .operators import (OperatorParams, _jacobi_endpoint_integral,
+from .operators import (OperatorParams, _gauss_legendre, _jacobi_endpoint_integral,
                         compute_A, compute_delta, decompose_velocity)
 from .solver import SimulationState
 
@@ -204,7 +203,7 @@ def verify_enhanced_bound_derivation(rho: DensityField, params: OperatorParams,
     h_positive = bool(np.all(h >= -tol))
     h_decreasing = bool(np.all(np.diff(h) <= tol * max(float(h.max()), 1.0)))
 
-    xg, wg = leggauss(params.quadrature_points)
+    xg, wg = _gauss_legendre(params.quadrature_points)
     mid, half = 0.5 * (x + 0.5), 0.5 * (0.5 - x)
     yq = mid + half * xg
     rho_q = evaluate_trig(rho, yq)

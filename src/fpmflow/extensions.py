@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .grid import DensityField, apply_multiplier
-from .operators import (_check_alpha, _integrate_steep_left,
+from .operators import (_check_alpha, _gauss_legendre, _integrate_steep_left,
                         _jacobi_endpoint_integral, velocity_spectral)
 from .solver import RunResult, SolverConfig, _Workspace, integrate
 
@@ -168,7 +167,7 @@ def _mollifier(x: np.ndarray, r0: float) -> np.ndarray:
 def _free_space_inner(y1: float, alpha: float) -> float:
     """int_R (y1^2 + y2^2)^(-(2+alpha)/2) dy2 by geometric Gauss cells plus a
     second-order analytic tail; independent of the plane-slice constant."""
-    xg, wg = leggauss(24)
+    xg, wg = _gauss_legendre(24)
     a = abs(y1)
     Y = 200.0 * a
     total = _integrate_steep_left(

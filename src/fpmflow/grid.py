@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import numpy.fft  # noqa: F401  (numpy 2 loads np.fft on first use; load it here)
 
 
 @dataclass(frozen=True)

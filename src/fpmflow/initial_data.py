@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .grid import DensityField, PeriodicGrid, spectral_derivative
+from .operators import _gauss_legendre
 
 __all__ = [
     "InitialDataSpec",
@@ -77,7 +77,7 @@ def smooth_transition(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     tc = np.clip(t, 0.0, 1.0)
     pts = np.unique(np.concatenate(([0.0, 1.0], tc.ravel())))
-    xg, wg = leggauss(12)
+    xg, wg = _gauss_legendre(12)
 
     def integrand(s):
         inner = s * (1.0 - s)

@@ -18,16 +18,22 @@ kernel then carries normalization c_alpha / alpha: integrating the defining
 identity by parts converts the symmetric-kernel constant into the odd-kernel
 one with exactly that factor.  Both routes are pinned by tests against the
 multiplier path; the constants coincide only at alpha = 1.
+
+Only the kernel route loads scipy (``scipy.special`` for the Gauss-Jacobi
+rules and the Hurwitz zeta function): ``make_params``, the kernel operators,
+``decompose_velocity`` and the callers of ``_jacobi_endpoint_integral``.  The
+spectral route, and so the time stepper, never does.  Quadrature rules are
+built once per size (and Jacobi exponent) and shared read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi, zeta as hurwitz_zeta
 
 from .grid import DensityField, apply_multiplier, evaluate_trig
 
@@ -103,6 +109,26 @@ def _check_quadrature(alpha: float, kernel_truncation: int, quadrature_points: i
         raise ValueError("need at least 8 quadrature points per cell")
 
 
+def _read_only(rule):
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+@lru_cache(maxsize=32)
+def _gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    return _read_only(leggauss(n))
+
+
+@lru_cache(maxsize=32)
+def _gauss_jacobi(n: int, nu: float):
+    """n-point Gauss-Jacobi nodes and weights for (1 + t)^nu on [-1, 1],
+    read-only."""
+    from scipy.special import roots_jacobi
+    return _read_only(roots_jacobi(n, 0.0, nu))
+
+
 def _gauss_cell(fun, a, b, nodes, weights):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     s = mid + half * nodes
@@ -125,6 +151,7 @@ def _image_weights(w, p: float, L: int, start: int = 0) -> np.ndarray:
     zeta(p + j, L + 1).  start = 1 drops the j = 0 term, whose integral
     vanishes against a mean-zero integrand.
     """
+    from scipy.special import zeta as hurwitz_zeta
     w = np.asarray(w, dtype=float)
     images = np.arange(1.0, L + 1.0)[:, None]
     out = np.sum((images + w) ** (-p), axis=0)
@@ -148,7 +175,7 @@ def _periodized_singular_integral(G, p: float, L: int, n_quad: int,
         q += 1
     total = _jacobi_endpoint_integral(lambda s: G(s) / s ** q, 0.0,
                                       _SING_HALF_WIDTH, q - p, max(24, n_quad // 2))
-    xg, wg = leggauss(n_quad)
+    xg, wg = _gauss_legendre(n_quad)
     total += _gauss_cell(lambda t: G(t) * t ** (-p), _SING_HALF_WIDTH, 0.5, xg, wg)
     sig = 0.5 * xg
     images = _image_weights(sig, p, L, start=1 if mean_zero else 0)
@@ -159,7 +186,7 @@ def _jacobi_endpoint_integral(fun_phi, a: float, b: float, nu: float, n: int) ->
     """integral_a^b phi(t) (t - a)^nu dt with smooth phi, by Gauss-Jacobi."""
     if b <= a:
         return 0.0
-    xi, wi = roots_jacobi(n, 0.0, nu)
+    xi, wi = _gauss_jacobi(n, nu)
     t = a + (b - a) * (xi + 1.0) / 2.0
     return ((b - a) / 2.0) ** (nu + 1.0) * float(np.dot(wi, fun_phi(t)))
 
@@ -338,7 +365,7 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
     alpha = params.alpha
     L = params.kernel_truncation
     nq = params.quadrature_points
-    xg, wg = leggauss(nq)
+    xg, wg = _gauss_legendre(nq)
     c_u = params.c_velocity
     rho_x = float(evaluate_trig(rho, [x])[0])
 

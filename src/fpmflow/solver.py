@@ -56,6 +56,7 @@ the step-size range and the FFT calls for the run's metadata.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -133,6 +134,7 @@ class RunResult:
     final_state: SimulationState
     stop_reason: str  # t_end | under_resolved | max_steps | nan
     telemetry: dict  # steps, binding step limits, dt range, FFT calls (see integrate)
+    wall_split: dict  # seconds spent stepping and in observers
 
 
 class _Workspace:
@@ -299,8 +301,10 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
     the accepted steps, the rejected ones, how many accepted steps each
     limit bound (transport, dissipative, error, snapshot, t_end, fixed),
     the dt range (None before the first step), and the numpy FFT calls:
-    the first rfft and two per rates call.
+    the first rfft and two per rates call; its wall_split holds the
+    seconds spent here ("stepping") and 0 for "observers".
     """
+    start = time.perf_counter()
     y_hat, t, steps, dt_last = np.fft.rfft(y0), 0.0, 0, 0.0
     # the density's k = 0 coefficient is never updated, so the mean and the
     # linear rates are fixed for the run
@@ -398,7 +402,8 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
     return RunResult(states, [], final, stop_reason, {
         "steps": steps, "rejected": rejected, "step_limits": limits,
         "dt_min": dt_min if steps else None, "dt_max": dt_max if steps else None,
-        "fft_calls": 1 + 2 * rate_calls})
+        "fft_calls": 1 + 2 * rate_calls},
+        {"stepping": time.perf_counter() - start, "observers": 0.0})
 
 
 def run(rho0: DensityField, config: SolverConfig,
@@ -406,11 +411,14 @@ def run(rho0: DensityField, config: SolverConfig,
     """Integrate the continuity flow to t_end, stopping early on
     under-resolution, step budget, or non-finite values.  Each observer runs
     on every snapshot, and records holds their return values snapshot by
-    snapshot, in observer order.
+    snapshot, in observer order, and wall_split["observers"] the seconds
+    they took.
     """
     if rho0.grid.n != config.n_points:
         raise ValueError("initial data grid does not match the configuration")
     ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
     result = integrate(rho0.values, ws.continuity_rates, ws, config)
+    start = time.perf_counter()
     result.records = [obs(s) for s in result.states for obs in observers]
+    result.wall_split["observers"] = time.perf_counter() - start
     return result

@@ -3,11 +3,16 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpmflow
 from fpmflow.characteristics import advect_path, check_mass_transport
 from fpmflow.cli import RUN_KEYS, ConfigError, load_config, main
 from fpmflow.grid import make_grid
@@ -16,10 +21,19 @@ from fpmflow.output import write_csv
 from fpmflow.solver import SolverConfig, run
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "configuration.md"
+SRC = Path(fpmflow.__file__).resolve().parents[1]  # the fpmflow these tests import
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_python(*args, cwd):
+    """Run a fresh interpreter that imports the same fpmflow; check=True."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], cwd=cwd, check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def _no_constant(name):
@@ -123,6 +137,10 @@ class TestConfigFile:
          "rho_max must be finite, got inf"),
         (("constants", "--alpha", "1", "--m", "nan"), "positive and finite"),
         (("constants", "--alpha", "1", "--rho-max", "inf"), "positive and finite"),
+        # both starts format to path_0.0500.csv; the second would replace the first
+        (("characteristics", "--n", "64", "--t-end", "0.001",
+          "--x-start", "0.05,0.050001"),
+         "starts 0.05 and 0.050001 would both write path_0.0500.csv"),
     ])
     def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
         # rejected flag values exit 1 with a message and write nothing
@@ -201,6 +219,10 @@ class TestSimulate:
         run = meta["run"]  # step telemetry of solver.integrate
         assert run["steps"] == meta["steps"] == sum(run["step_limits"].values()) > 0
         assert 0.0 < run["dt_min"] <= run["dt_max"]
+        split = meta["wall_split"]  # seconds stepping, in observers, writing
+        assert set(split) == {"stepping", "observers", "output"}
+        assert min(split.values()) > 0.0
+        assert split["stepping"] + split["observers"] <= meta["wall_time"]
 
     def test_timeseries_header(self, tmp_path):
         out = tmp_path / "o"
@@ -360,6 +382,8 @@ class TestAlignCommand:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["steps"] == meta["run"]["steps"] > 0
         assert meta["run"]["step_limits"]["snapshot"] + meta["run"]["step_limits"]["t_end"] >= 3
+        assert meta["wall_split"]["observers"] == 0.0  # the system has none
+        assert meta["wall_split"]["stepping"] > 0.0 and meta["wall_split"]["output"] > 0.0
 
     def test_bad_value_writes_nothing(self, tmp_path):
         out = tmp_path / "o"
@@ -444,3 +468,62 @@ class TestSweep:
         assert all(len(row) == 8 for row in rows)
         assert rows[2][1] == "error"
         assert rows[2][7] == "ConfigError: alpha must lie in (0, 2), got 7.0"
+
+
+def _artifacts(out: Path) -> dict:
+    """File name -> contents; metadata.json parsed, without its timings."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "metadata.json":
+            meta = json.loads(path.read_text())
+            del meta["wall_time"], meta["wall_split"]
+            files[path.name] = meta
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+class TestProcess:
+    def test_cold_start_skips_scipy(self, tmp_path):
+        # the run commands never load scipy, and numpy.fft is loaded at
+        # import, not inside the first run; constants and reduce load scipy
+        # when they need it
+        script = textwrap.dedent("""
+            import sys
+            import fpmflow.cli as cli
+            assert "numpy.fft" in sys.modules
+            assert "scipy" not in sys.modules
+            run = ["--n", "64", "--t-end", "0.01"]
+            for i, argv in enumerate((
+                    ["simulate", *run],
+                    ["verify", "--preset", "positive-control", *run, "--no-plots"],
+                    ["align", *run, "--no-plots"],
+                    ["characteristics", *run, "--x-start", "0.1,0.3"],
+                    ["sweep", "--axis", "alpha", "--values", "0.5,1.5", *run])):
+                assert cli.main(argv + ["--out", f"o{i}"]) == 0, argv
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, loaded
+            assert cli.main(["constants", "--alpha", "1"]) == 0
+            assert cli.main(["reduce", "--n", "64", "--out", ""]) == 0
+            assert "scipy" in sys.modules
+        """)
+        run_python("-c", script, cwd=tmp_path)
+        assert (tmp_path / "o0" / "rho_snapshots.svg").exists()
+        assert len(list((tmp_path / "o3").glob("path_*.csv"))) == 2
+
+    def test_parser_reuse_leaks_nothing(self, tmp_path, capsys):
+        # main reuses one parser: a run with --no-plots, then one without,
+        # and a config error, then a good run, write what fresh processes do
+        run = ("simulate", "--n", "64", "--t-end", "0.01")
+        calls = ((*run, "--no-plots"), run, (*run, "--alpha", "3.0"), run)
+        codes = [run_cli(*argv, "--out", str(tmp_path / f"same{i}"))
+                 for i, argv in enumerate(calls)]
+        assert codes == [0, 0, 1, 0]
+        assert capsys.readouterr().err.startswith("config error: alpha must lie")
+        assert not (tmp_path / "same2").exists()
+        for i in (0, 1, 3):
+            run_python("-m", "fpmflow.cli", *calls[i], "--out", f"fresh{i}",
+                       cwd=tmp_path)
+            same = _artifacts(tmp_path / f"same{i}")
+            assert same == _artifacts(tmp_path / f"fresh{i}")
+            assert ("rho_snapshots.svg" in same) == (i > 0)

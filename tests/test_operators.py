@@ -8,7 +8,8 @@ import pytest
 
 from fpmflow.grid import DensityField, make_grid
 from fpmflow.initial_data import gen_cccf, gen_smooth_monotone, gen_vacuum_plateau
-from fpmflow.operators import (OperatorParams, calibrate_c_alpha, compute_A,
+from fpmflow.operators import (OperatorParams, _gauss_jacobi, _gauss_legendre,
+                               calibrate_c_alpha, compute_A,
                                compute_C, compute_delta, decompose_velocity,
                                fractional_laplacian_kernel,
                                fractional_laplacian_spectral, kernel_sum_S,
@@ -77,6 +78,23 @@ class TestCalibration:
             calibrate_c_alpha(2.0)
         with pytest.raises(ValueError):
             OperatorParams(alpha=0.0, c_alpha=1.0)
+
+
+class TestQuadratureRules:
+    @pytest.mark.parametrize("rule, args", [(_gauss_legendre, (16,)),
+                                            (_gauss_jacobi, (16, 0.5))])
+    def test_cached_read_only(self, rule, args):
+        # one rule per size (and exponent), shared by every caller, so no
+        # caller may write to it
+        nodes, weights = rule(*args)
+        assert rule(*args)[0] is nodes
+        for a in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        # the rule integrates (1 + t)^nu * t^2 over [-1, 1] exactly
+        nu = args[1] if len(args) > 1 else 0.0
+        exact = 2.0 ** (nu + 1) * (4 / (nu + 3) - 4 / (nu + 2) + 1 / (nu + 1))
+        assert abs(float(weights @ nodes ** 2) - exact) < 1e-14
 
 
 class TestSpectralRoutes:
