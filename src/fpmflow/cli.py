@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 import time
 from dataclasses import asdict, fields
@@ -215,7 +216,9 @@ _INVARIANT_TOLS = dict(mass_drift=1e-11, rho_min=1e-8, rho_max=1e-8,
 
 def check_invariants(records, constants, tail_threshold,
                      monotone_data: bool = True) -> dict:
-    """Per-invariant margins over the resolved window of a record series.
+    """Per-invariant margins over the resolved window of a record series,
+    and for each failed check the first record that broke it (its t, its
+    value and the bound it broke).
 
     The sign and monotonicity estimates only apply to even monotone data;
     for other data they are reported informationally but not enforced.
@@ -226,29 +229,38 @@ def check_invariants(records, constants, tail_threshold,
     m0 = resolved[0].mass
     rho_max0 = constants.rho_max
     tol = _INVARIANT_TOLS
-    enhanced = max(r.enhanced_margin for r in resolved)  # -inf: nowhere applicable (null, passes)
-    margins = {
-        "mass_drift": max(abs(r.mass - m0) for r in resolved),
-        "rho_min": min(r.rho_min for r in resolved),
-        "rho_max": max(r.rho_max for r in resolved),
-        "zeta_min_over_c1": min(r.zeta_min_half / max(r.c1_norm, 1e-300)
-                                for r in resolved),
-        "u_max_on_delta": max(r.u_max_on_delta for r in resolved),
-        "enhanced_margin": enhanced if enhanced > -math.inf else None,
+    series = {  # invariant: (margin name, per-record value, is an upper bound, bound)
+        "mass_drift": ("mass_drift", lambda r: abs(r.mass - m0), True, tol["mass_drift"]),
+        "rho_min": ("rho_min", lambda r: r.rho_min, False, -tol["rho_min"] * rho_max0),
+        "rho_max": ("rho_max", lambda r: r.rho_max, True, rho_max0 * (1 + tol["rho_max"])),
+        "monotonicity": ("zeta_min_over_c1",
+                         lambda r: r.zeta_min_half / max(r.c1_norm, 1e-300), False,
+                         -tol["monotonicity"]),
+        "velocity_sign": ("u_max_on_delta", lambda r: r.u_max_on_delta, True,
+                          tol["velocity_sign"]),
+        "enhanced_margin": ("enhanced_margin", lambda r: r.enhanced_margin, True,
+                            tol["enhanced_margin"]),
     }
-    checks = {
-        "mass_drift": margins["mass_drift"] <= tol["mass_drift"],
-        "rho_min": margins["rho_min"] >= -tol["rho_min"] * rho_max0,
-        "rho_max": margins["rho_max"] <= rho_max0 * (1 + tol["rho_max"]),
-    }
+    enforced = ("mass_drift", "rho_min", "rho_max")
     if monotone_data:
-        checks.update({
-            "monotonicity": margins["zeta_min_over_c1"] >= -tol["monotonicity"],
-            "velocity_sign": margins["u_max_on_delta"] <= tol["velocity_sign"],
-            "enhanced_margin": enhanced <= tol["enhanced_margin"],
-        })
+        enforced += ("monotonicity", "velocity_sign", "enhanced_margin")
+    margins, checks, first_violation = {}, {}, {}
+    for name, (key, value, upper, bound) in series.items():
+        values = [value(r) for r in resolved]
+        margins[key] = (max if upper else min)(values)
+        if name not in enforced:
+            continue
+        holds = operator.le if upper else operator.ge
+        checks[name] = holds(margins[key], bound)
+        if not checks[name]:
+            i = next(i for i, v in enumerate(values) if not holds(v, bound))
+            first_violation[name] = {"t": resolved[i].t, "value": values[i],
+                                     "tolerance": bound}
+    if margins["enhanced_margin"] == -math.inf:  # nowhere applicable (null, passes)
+        margins["enhanced_margin"] = None
     return {"resolved_records": len(resolved), "checks": checks,
-            "margins": margins, "all_ok": all(checks.values())}
+            "margins": margins, "first_violation": first_violation,
+            "all_ok": all(checks.values())}
 
 
 def cmd_verify(args) -> int:

@@ -191,6 +191,8 @@ def verify_enhanced_bound_derivation(rho: DensityField, params: OperatorParams,
     III carries the velocity normalization so it compares against the
     decomposition's II1 directly.
     """
+    if not 0.0 <= x <= 0.5:
+        raise ValueError("decomposition point must lie in [0, 1/2]")
     alpha = params.alpha
     delta = compute_delta(alpha)
     rho_x = float(evaluate_trig(rho, [x])[0])

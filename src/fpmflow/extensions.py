@@ -36,22 +36,35 @@ __all__ = [
 ]
 
 
-def _u_tendency(ws: _Workspace, rho: np.ndarray, u: np.ndarray, g: np.ndarray):
-    """Transform of -u g - Lambda^a(rho u), the u tendency when
-    g = d_x u - Lambda^a rho and the alignment force when g = -Lambda^a rho,
-    and the masked transform of rho u, from one batched rfft."""
-    rho_u_hat, w_hat = ws.mask * np.fft.rfft(np.stack((rho * u, u * g)))
-    return -(w_hat + ws.lap_sym * rho_u_hat), rho_u_hat
+def _tendencies(ws: _Workspace, f: np.ndarray) -> np.ndarray:
+    """Rewrite in place the transforms f = (P, W) of (rho u, u g) into
+    (flux_sym P, -mask (W + lap_sym P)): the density tendency, and the u
+    tendency when g = d_x u - Lambda^a rho or the alignment force when
+    g = -Lambda^a rho."""
+    f[1] *= ws.neg_mask
+    f[1] += ws.neg_lap_mask * f[0]
+    f[0] *= ws.flux_sym
+    return f
+
+
+def _products_hat(rho: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Transforms of (rho u, u g) from one batched rfft."""
+    prod = np.empty((2, len(u)))
+    np.multiply(rho, u, out=prod[0])
+    np.multiply(u, g, out=prod[1])
+    return np.fft.rfft(prod)
 
 
 def _alignment_rates(ws: _Workspace, y_hat: np.ndarray):
     """Tendency transforms of the stacked (rho, u) state and the physical
     rows (rho, u, G) from one batched irfft."""
-    rho_hat, u_hat = y_hat
-    y = np.fft.irfft(np.stack((rho_hat, u_hat, ws.deriv_sym * u_hat
-                               - ws.lap_sym * rho_hat)), ws.grid.n)
-    du_hat, rho_u_hat = _u_tendency(ws, y[0], y[1], y[2])
-    return np.stack((ws.flux_sym * rho_u_hat, du_hat)), y
+    spec = np.empty((3, y_hat.shape[1]), dtype=complex)
+    spec[:2] = y_hat
+    np.multiply(ws.deriv_sym, y_hat[1], out=spec[2])
+    spec[2] -= ws.lap_sym * y_hat[0]
+    y = np.fft.irfft(spec, ws.grid.n)
+    del spec  # not held while the products are transformed (peak memory)
+    return _tendencies(ws, _products_hat(*y)), y
 
 
 def alignment_force(rho: DensityField, u: DensityField, alpha: float,
@@ -66,7 +79,7 @@ def alignment_force(rho: DensityField, u: DensityField, alpha: float,
         raise ValueError("fields must share a grid")
     ws = _Workspace(rho.grid, alpha, dealias_fraction)
     minus_lap_rho = apply_multiplier(rho, -ws.lap_sym).values
-    force_hat = _u_tendency(ws, rho.values, u.values, minus_lap_rho)[0]
+    force_hat = _tendencies(ws, _products_hat(rho.values, u.values, minus_lap_rho))[1]
     return DensityField(rho.grid, np.fft.irfft(force_hat, rho.grid.n))
 
 

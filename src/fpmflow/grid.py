@@ -4,14 +4,23 @@ The torus is [-1/2, 1/2) with nodes x_j = -1/2 + j/n.  Fields are expanded in
 the modes e^{2 pi i k x}, so a Fourier multiplier m(k) acts on the integer
 wavenumber k.  Real fields are stored as sample vectors; the half-spectrum
 coefficients c_k (k = 0 .. n/2) are cached per field, and `trig_sum` evaluates
-any such row off the grid.  Every multiplier outside the time stepper goes
-through `apply_multiplier`, which takes a half-spectrum symbol, works on the
-plain rfft of the samples as the stepper does, and leaves the imaginary part
-of the Nyquist entry to irfft, which drops it.
+any such row off the grid.  It factors each phase: with k = qB + r,
+B = isqrt(n/2 - 1) + 1 and Q = ceil((n/2) / B),
+
+    sum_k c_k e^{2 pi i k x} = sum_q e^{2 pi i qB x} sum_r c_{qB+r} e^{2 pi i r x},
+
+so a point costs B + Q complex exponentials (46 at n = 1024, 64 at
+n = 2048) instead of n/2 - 1, and the inner sums are one matrix product
+with the coefficients laid out as a zero-padded (Q, B) matrix.  Every
+multiplier outside the time stepper goes through `apply_multiplier`, which
+takes a half-spectrum symbol, works on the plain rfft of the samples as the
+stepper does, and leaves the imaginary part of the Nyquist entry to irfft,
+which drops it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -57,6 +66,16 @@ class PeriodicGrid:
         ph = np.where(self.k_half % 2 == 0, 1.0, -1.0)
         ph.setflags(write=False)
         return ph
+
+    @cached_property
+    def _trig_rows(self) -> tuple[int, np.ndarray]:
+        """trig_sum's block width B = isqrt(n/2 - 1) + 1 and its exponent
+        row: 2 pi i r for r < B, then 2 pi i B q for q < Q = ceil((n/2) / B)."""
+        half = self.n // 2
+        b = math.isqrt(half - 1) + 1
+        row = 2j * np.pi * np.concatenate((np.arange(b), b * np.arange(-(-half // b))))
+        row.setflags(write=False)
+        return b, row
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients c_k of the trig interpolant of `values`."""
@@ -123,17 +142,22 @@ def spectral_derivative(f: DensityField) -> DensityField:
 
 def trig_sum(grid: PeriodicGrid, c: np.ndarray, xs) -> np.ndarray:
     """c_0 + 2 Re sum_{0<k<n/2} c_k e^{2 pi i k x} + c_{n/2} cos(pi n x) of a
-    half-spectrum coefficient row c at arbitrary points; 1-periodic in x."""
+    half-spectrum coefficient row c at arbitrary points; 1-periodic in x.
+    The interior sum runs on factorised phases k = qB + r (module docstring)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    k_mid = grid.k_half[1:-1]
+    b, row = grid._trig_rows
+    cqr = np.zeros((len(row) - b) * b, dtype=complex)  # C[q, r] = c_{qB+r}, zero-padded
+    cqr[1:grid.n // 2] = c[1:-1]
     out = np.empty(len(xs))
     block = 2048  # points per phase matrix
     for lo in range(0, len(xs), block):
         xb = xs[lo:lo + block]
-        phases = np.exp(2j * np.pi * np.outer(xb, k_mid))
+        phases = np.exp(xb[:, None] * row)  # e^{2 pi i r x}, then e^{2 pi i qB x}
+        inner = phases[:, :b] @ cqr.reshape(-1, b).T
+        inner *= phases[:, b:]
         out[lo:lo + block] = (
             c[0].real
-            + 2.0 * (phases @ c[1:-1]).real
+            + 2.0 * inner.real.sum(axis=1)
             + c[-1].real * np.cos(np.pi * grid.n * xb)
         )
     return out

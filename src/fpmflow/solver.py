@@ -58,6 +58,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -163,6 +164,16 @@ class _Workspace:
         self.l1_weights = np.where(
             (grid.k_half > 0) & (grid.k_half < n // 2), 2.0, 1.0)
 
+    # the alignment system's u tendency is neg_mask W + neg_lap_mask P; built
+    # on first use, so the continuity flow does not hold them
+    @cached_property
+    def neg_mask(self) -> np.ndarray:
+        return -self.mask.astype(float)
+
+    @cached_property
+    def neg_lap_mask(self) -> np.ndarray:
+        return self.neg_mask * self.lap_sym
+
     def continuity_rates(self, rho_hat: np.ndarray):
         """Transform of the dealiased flux divergence -d_x(rho u), which is
         exactly mass neutral, and the rows (rho, u)."""
@@ -238,6 +249,8 @@ def _lawson_heun(y_hat: np.ndarray, n0: np.ndarray, rates: Callable, dt: float,
     e1 = np.exp((dt / 3.0) * lam)
     e2 = e1 * e1
     factors = (e1, e2, e2 * e1)
+    if shear is not None:
+        sheared = np.empty_like(y_hat[1])  # the flow's one scratch row
 
     def flow(y, stage, out=None):  # exact flow over stage dt / 3, into out or in place
         if shear is None:
@@ -245,9 +258,9 @@ def _lawson_heun(y_hat: np.ndarray, n0: np.ndarray, rates: Callable, dt: float,
         if out is not None:
             np.copyto(out, y)
             y = out
-        y[0] -= shear * y[1]
+        y[0] -= np.multiply(shear, y[1], out=sheared)
         y[1] *= factors[stage - 1]
-        y[0] += shear * y[1]
+        y[0] += np.multiply(shear, y[1], out=sheared)
         return y
 
     y1 = np.multiply(n0, dt / 3.0, out=err)

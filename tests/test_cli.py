@@ -14,7 +14,8 @@ import pytest
 
 import fpmflow
 from fpmflow.characteristics import advect_path, check_mass_transport
-from fpmflow.cli import RUN_KEYS, ConfigError, load_config, main
+from fpmflow.cli import RUN_KEYS, ConfigError, check_invariants, load_config, main
+from fpmflow.diagnostics import DiagnosticsRecord, EstimateConstants
 from fpmflow.grid import make_grid
 from fpmflow.initial_data import InitialDataSpec, make_initial_data
 from fpmflow.output import write_csv
@@ -310,6 +311,54 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["checks"]["velocity_sign"]
         assert report["checks"]["monotonicity"]
+
+
+def _records(count, **bad):
+    """count passing cccf-like records; record 3 takes the fields in bad."""
+    good = dict(mass=1.0, rho_min=0.0, rho_max=2.0, zeta_min_half=0.0, c1_norm=1.0,
+                u_max_on_delta=0.0, enhanced_margin=-0.1, tail_fraction=0.0, dt=1e-3)
+    return [DiagnosticsRecord(t=0.01 * i, **{**good, **(bad if i == 3 else {})})
+            for i in range(count)]
+
+
+class TestFirstViolation:
+    constants = EstimateConstants(alpha=1.0, m=1.0, rho_max=2.0, delta=1 / 6, A=0.125)
+
+    def test_empty_when_all_ok(self):
+        report = check_invariants(_records(6), self.constants, 1e-8)
+        assert report["all_ok"] and report["first_violation"] == {}
+
+    @pytest.mark.parametrize("invariant, bad, value, tolerance", [
+        ("mass_drift", dict(mass=1.0 + 1e-9), 1e-9, 1e-11),
+        ("rho_min", dict(rho_min=-1e-3), -1e-3, -2e-8),
+        ("rho_max", dict(rho_max=2.5), 2.5, 2.0 * (1 + 1e-8)),
+        ("monotonicity", dict(zeta_min_half=-0.5), -0.5, -1e-6),
+        ("velocity_sign", dict(u_max_on_delta=0.2), 0.2, 1e-8),
+        ("enhanced_margin", dict(enhanced_margin=0.3), 0.3, 1e-6),
+    ])
+    def test_names_the_bad_record(self, invariant, bad, value, tolerance):
+        records = _records(6, **bad)
+        report = check_invariants(records, self.constants, 1e-8)
+        assert not report["all_ok"]
+        assert [k for k, ok in report["checks"].items() if not ok] == [invariant]
+        first = report["first_violation"]
+        assert list(first) == [invariant]
+        assert first[invariant]["t"] == records[3].t
+        assert first[invariant]["value"] == pytest.approx(value, rel=1e-6)
+        assert first[invariant]["tolerance"] == pytest.approx(tolerance, rel=1e-12)
+
+    def test_first_of_several(self):
+        records = _records(6, u_max_on_delta=0.2)
+        records[5] = dataclasses.replace(records[5], u_max_on_delta=0.4)
+        first = check_invariants(records, self.constants, 1e-8)["first_violation"]
+        assert first["velocity_sign"]["t"] == records[3].t
+        assert first["velocity_sign"]["value"] == 0.2
+
+    def test_unenforced_estimate_is_not_a_violation(self):
+        records = _records(6, u_max_on_delta=0.2)
+        report = check_invariants(records, self.constants, 1e-8, monotone_data=False)
+        assert report["all_ok"] and report["first_violation"] == {}
+        assert report["margins"]["u_max_on_delta"] == 0.2
 
 
 class TestConstants:

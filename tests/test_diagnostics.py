@@ -131,6 +131,13 @@ class TestEnhancedBoundLinks:
                                                   m=1.0, rho_max=2.0)
         assert not report.applicable
 
+    def test_rejects_point_left_of_zero(self):
+        # checked before any kernel sum, so (y + x)^-alpha never sees y + x < 0
+        rho = gen_cccf(make_grid(256))
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1/2\]"):
+            verify_enhanced_bound_derivation(rho, make_params(0.5), -0.05,
+                                             m=1.0, rho_max=2.0)
+
     def test_vacuum_point_passes(self, params_one):
         rho = gen_vacuum_plateau(make_grid(512), 0.1, 0.15, 2.0)
         report = verify_enhanced_bound_derivation(rho, params_one, 0.05,

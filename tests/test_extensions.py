@@ -10,15 +10,33 @@ from fpmflow.initial_data import gen_cccf
 from fpmflow.operators import (fractional_laplacian_spectral, make_params,
                                velocity_spectral)
 from fpmflow.operators import _periodized_singular_integral
-from fpmflow.extensions import (alignment_force, c_prime, run_alignment,
-                                slab_check_2d, slab_velocity_2d,
+from fpmflow.extensions import (_alignment_rates, alignment_force, c_prime,
+                                run_alignment, slab_check_2d, slab_velocity_2d,
                                 spectral_gap_2d)
-from fpmflow.solver import SolverConfig, run
+from fpmflow.solver import SolverConfig, _Workspace, run
 
 
 @pytest.fixture(scope="module")
 def grid():
     return make_grid(256)
+
+
+class TestAlignmentRates:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_matches_stacked_formula(self, alpha):
+        ws = _Workspace(make_grid(64), alpha, 2.0 / 3.0)
+        rng = np.random.default_rng(4)
+        y_hat = np.fft.rfft(rng.normal(size=(2, 64)))
+        rho_hat, u_hat = y_hat
+        # the rates written with one np.stack per transform
+        y = np.fft.irfft(np.stack((rho_hat, u_hat, ws.deriv_sym * u_hat
+                                   - ws.lap_sym * rho_hat)), 64)
+        rho_u_hat, w_hat = ws.mask * np.fft.rfft(np.stack((y[0] * y[1], y[1] * y[2])))
+        tendency = np.stack((ws.flux_sym * rho_u_hat, -(w_hat + ws.lap_sym * rho_u_hat)))
+        got_tendency, got_y = _alignment_rates(ws, y_hat)
+        assert np.array_equal(got_y, y)
+        assert np.array_equal(got_tendency, tendency)
+        assert not np.shares_memory(_alignment_rates(ws, y_hat)[1], got_y)  # fresh rows
 
 
 class TestAlignmentForce:

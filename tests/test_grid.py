@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpmflow.grid import (DensityField, antiderivative_at, apply_multiplier,
-                          evaluate_trig, make_grid, spectral_derivative)
+                          evaluate_trig, make_grid, spectral_derivative, trig_sum)
 
 
 class TestMakeGrid:
@@ -163,6 +163,71 @@ class TestTrigInterpolate:
         grid = make_grid(64)
         f = DensityField(grid, np.sin(2 * np.pi * grid.nodes))
         assert abs(evaluate_trig(f, [0.7])[0] - evaluate_trig(f, [-0.3])[0]) < 1e-12
+
+
+def _direct_sum(c, xs, n):
+    """c_0 + 2 Re sum_{0<k<n/2} c_k e^{2 pi i k x} + c_{n/2} cos(pi n x) term
+    by term, each phase k x reduced mod 1 in exact integer arithmetic (x is
+    num / den with den a power of 2), so the phases carry no argument error."""
+    out = []
+    for x in np.atleast_1d(xs):
+        num, den = float(x).as_integer_ratio()
+        frac = np.array([k * num % den / den for k in range(n // 2 + 1)])
+        phases = np.exp(2j * np.pi * frac)
+        out.append(c[0].real + 2.0 * (phases[1:-1] @ c[1:-1]).real
+                   + c[-1].real * phases[-1].real)
+    return np.array(out)
+
+
+def _white_noise_row(n, seed):
+    grid = make_grid(n)
+    values = np.random.default_rng(seed).normal(size=n)
+    return grid, grid.coefficients(values), values
+
+
+class TestTrigSum:
+    # n/2 = 4, 9, 1024, 4096 are squares, 32 and 512 are not, 5 and 7 are prime
+    @pytest.mark.parametrize("n", [8, 10, 14, 18, 64, 1024, 2048, 8192])
+    def test_against_direct_sum(self, n):
+        grid, c, _ = _white_noise_row(n, n)
+        inside = np.random.default_rng(n + 1).uniform(-0.5, 0.5, 8)
+        xs = np.concatenate((inside, [3.7, -3.7, -12.3, 0.5, -0.5]))
+        err = np.abs(trig_sum(grid, c, xs) - _direct_sum(c, xs, n))
+        assert err.max() <= 1e-12 * np.abs(c).sum()
+
+    @pytest.mark.parametrize("n", [8, 18, 1024, 8192])
+    def test_exact_at_nodes(self, n):
+        grid, c, values = _white_noise_row(n, 3)
+        err = np.abs(trig_sum(grid, c, grid.nodes) - values)
+        assert err.max() <= 1e-12 * np.abs(c).sum()
+
+    @pytest.mark.parametrize("count", [2048, 2049])
+    def test_block_boundary(self, count):
+        grid, c, _ = _white_noise_row(64, 5)
+        xs = np.random.default_rng(count).uniform(-0.5, 0.5, count)
+        out = trig_sum(grid, c, xs)
+        assert out.shape == (count,)
+        picks = [0, 2046, 2047, count - 1]
+        err = np.abs(out[picks] - _direct_sum(c, xs[picks], 64))
+        assert err.max() <= 1e-12 * np.abs(c).sum()
+
+    def test_scalar_point(self):
+        grid, c, _ = _white_noise_row(64, 7)
+        out = trig_sum(grid, c, 0.3)
+        assert out.shape == (1,)
+        assert out[0] == trig_sum(grid, c, [0.3])[0]
+
+    def test_nyquist_only_row(self):
+        grid = make_grid(16)
+        c = np.zeros(9, dtype=complex)
+        c[-1] = 0.7
+        xs = np.linspace(-0.5, 0.5, 37)
+        assert np.max(np.abs(trig_sum(grid, c, xs) - 0.7 * np.cos(16 * np.pi * xs))) < 1e-14
+
+    @pytest.mark.parametrize("n, count", [(1024, 46), (2048, 64)])
+    def test_exponents_per_point(self, n, count):
+        # B + Q factorised phases per point, against n/2 - 1 direct ones
+        assert len(make_grid(n)._trig_rows[1]) == count
 
 
 class TestAntiderivative:
