@@ -9,8 +9,8 @@ from .grid import (DensityField, PeriodicGrid, apply_multiplier, make_grid,
 from .initial_data import (InitialDataSpec, gen_cccf, gen_positive_control,
                            gen_smooth_monotone, gen_vacuum_plateau,
                            make_initial_data, validate_hypotheses)
-from .operators import (OperatorParams, calibrate_c_alpha, compute_A, compute_C,
-                        compute_delta, decompose_velocity,
+from .operators import (OperatorParams, compute_A, compute_C, compute_delta,
+                        decompose_velocity,
                         fractional_laplacian_kernel, fractional_laplacian_spectral,
                         kernel_sum_S, make_params, velocity_kernel,
                         velocity_spectral)
@@ -21,7 +21,7 @@ __all__ = [
     "spectral_derivative",
     "InitialDataSpec", "gen_cccf", "gen_positive_control", "gen_smooth_monotone",
     "gen_vacuum_plateau", "make_initial_data", "validate_hypotheses",
-    "OperatorParams", "calibrate_c_alpha", "compute_A", "compute_C",
+    "OperatorParams", "compute_A", "compute_C",
     "compute_delta", "decompose_velocity", "fractional_laplacian_kernel",
     "fractional_laplacian_spectral", "kernel_sum_S", "make_params",
     "velocity_kernel", "velocity_spectral",

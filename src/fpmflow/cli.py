@@ -1,6 +1,6 @@
 """Command-line front end: run experiments, verify estimate invariants,
 track characteristics, run the alignment system, check the slab reduction,
-print calibrated constants, and sweep parameters.
+print the derived constants, and sweep parameters.
 
 Configs are flat key = value files (TOML-compatible scalars); command-line
 flags override file values.  Exit codes: 0 success, 1 malformed config or
@@ -8,8 +8,7 @@ flag value, 2 invariant failure in verify mode, 3 stopped under-resolved when
 the run was required to reach t_end.
 
 The argument parser is built once, at import, and every `main` call reuses
-it.  Importing this module does not load scipy: only `constants`, `reduce`
-and the kernel-route library functions do (see `operators`).
+it.
 """
 
 from __future__ import annotations
@@ -356,8 +355,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_constants(args) -> int:
     try:
-        params = make_params(args.alpha, kernel_truncation=args.images,
-                             quadrature_points=args.quadrature_points)
+        params = make_params(args.alpha, kernel_truncation=args.images)
         payload = {
             "alpha": args.alpha,
             "c_alpha": params.c_alpha,
@@ -431,13 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     runs["sweep"].add_argument("--values", type=str, required=True,
                                help="comma-separated values")
 
-    p = sub.add_parser("constants", help="print calibrated constants as JSON")
+    p = sub.add_parser("constants", help="print the derived constants as JSON")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--rho-max", type=float, default=2.0, dest="rho_max")
     p.add_argument("--images", type=int, default=64)
-    p.add_argument("--quadrature-points", type=int, default=64,
-                   dest="quadrature_points")
     p.set_defaults(func=cmd_constants)
     return parser
 

@@ -12,18 +12,17 @@ Each operator has two routes:
   carry the summed image weights sum_l (l + w)^(-p) -- images 1 .. L exactly,
   the remainder by a moment expansion in Hurwitz zeta functions.
 
-The kernel normalization c_alpha is calibrated so the symmetric kernel
-reproduces the multiplier (2 pi)^alpha on cos(2 pi x).  The odd velocity
-kernel then carries normalization c_alpha / alpha: integrating the defining
-identity by parts converts the symmetric-kernel constant into the odd-kernel
-one with exactly that factor.  Both routes are pinned by tests against the
-multiplier path; the constants coincide only at alpha = 1.
+The symmetric kernel's normalization c_alpha is the closed form C(1, alpha/2)
+of Di Nezza, Palatucci & Valdinoci (Bull. Sci. Math. 2012).  The odd velocity
+kernel carries c_alpha / alpha: integrating the defining identity by parts
+converts one constant into the other with exactly that factor.  Both routes
+are pinned by tests against the multiplier path.
 
-Only the kernel route loads scipy (``scipy.special`` for the Gauss-Jacobi
-rules and the Hurwitz zeta function): ``make_params``, the kernel operators,
-``decompose_velocity`` and the callers of ``_jacobi_endpoint_integral``.  The
-spectral route, and so the time stepper, never does.  Quadrature rules are
-built once per size (and Jacobi exponent) and shared read-only.
+Gauss-Jacobi nodes are the Jacobi matrix's eigenvalues (Golub & Welsch, Math.
+Comp. 1969) after one Newton step on the three-term recurrence, with weights
+from P_n' at the nodes, not the eigenvectors (Hale & Townsend, SIAM J. Sci.
+Comput. 2013).  Hurwitz zeta is summed by Euler-Maclaurin (DLMF 25.11).  Rules
+are built on first use, once per size (and Jacobi exponent), shared read-only.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "OperatorParams",
     "VelocityDecomposition",
     "make_params",
-    "calibrate_c_alpha",
     "fractional_laplacian_spectral",
     "fractional_laplacian_kernel",
     "velocity_spectral",
@@ -62,14 +60,22 @@ class OperatorParams:
     """Kernel-quadrature configuration for one value of alpha."""
 
     alpha: float
-    c_alpha: float
     kernel_truncation: int = 64
     quadrature_points: int = 64
 
     def __post_init__(self):
-        _check_quadrature(self.alpha, self.kernel_truncation, self.quadrature_points)
-        if self.c_alpha <= 0.0:
-            raise ValueError("c_alpha must be positive")
+        _check_alpha(self.alpha)
+        if self.kernel_truncation < 8:
+            raise ValueError("kernel truncation must be at least 8 images")
+        if self.quadrature_points < 8:
+            raise ValueError("need at least 8 quadrature points per cell")
+
+    @property
+    def c_alpha(self) -> float:
+        """Symmetric-kernel normalization C(1, alpha/2) in closed form."""
+        a = self.alpha
+        return a * 2.0 ** (a - 1.0) * math.gamma(0.5 + 0.5 * a) / (
+            math.sqrt(math.pi) * math.gamma(1.0 - 0.5 * a))
 
     @property
     def c_velocity(self) -> float:
@@ -101,14 +107,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
 
 
-def _check_quadrature(alpha: float, kernel_truncation: int, quadrature_points: int):
-    _check_alpha(alpha)
-    if kernel_truncation < 8:
-        raise ValueError("kernel truncation must be at least 8 images")
-    if quadrature_points < 8:
-        raise ValueError("need at least 8 quadrature points per cell")
-
-
 def _read_only(rule):
     for a in rule:
         a.setflags(write=False)
@@ -121,12 +119,36 @@ def _gauss_legendre(n: int):
     return _read_only(leggauss(n))
 
 
+def _jacobi_ratio(n: int, nu: float, y):
+    """R_n = P_n^(0,nu)(t) / P_n^(0,nu)(-1) and dR_n/dt at t = y - 1, by the
+    recurrence on R_k - R_(k-1): being O(y), they keep nodes near t = -1 to full
+    relative precision, which the plain recurrence loses for nu < 0."""
+    g = (nu + 2.0) / (2.0 * (nu + 1.0))
+    d, dd = -g * y, np.full_like(y, -g)
+    r, dr = 1.0 + d, dd
+    for k in range(2, n + 1):
+        c = 2.0 * k + nu
+        b = (k - 1.0) ** 2 * c / ((k + nu) ** 2 * (c - 2.0))
+        g = (c - 1.0) * c / (2.0 * (k + nu) ** 2)
+        d, dd = b * d - g * y * r, b * dd - g * (r + y * dr)
+        r, dr = r + d, dr + dd
+    return r, dr
+
+
 @lru_cache(maxsize=32)
 def _gauss_jacobi(n: int, nu: float):
     """n-point Gauss-Jacobi nodes and weights for (1 + t)^nu on [-1, 1],
-    read-only."""
-    from scipy.special import roots_jacobi
-    return _read_only(roots_jacobi(n, 0.0, nu))
+    read-only; the weights are 2^(nu+1) / ((1 - t^2) P_n'(t)^2)."""
+    k = np.arange(1, n)
+    c = 2.0 * k + nu
+    jacobi = np.diag(np.r_[nu / (nu + 2.0), nu * nu / (c * (c + 2.0))])
+    jacobi[k, k - 1] = 2.0 * k * (k + nu) / (c * np.sqrt(c * c - 1.0))
+    y = 1.0 + np.linalg.eigvalsh(jacobi)
+    r, dr = _jacobi_ratio(n, nu, y)
+    y -= r / dr
+    # P_n' = R_n' P_n(-1), and |P_n(-1)| = binomial(n + nu, n)
+    dp = _jacobi_ratio(n, nu, y)[1] * np.prod(1.0 + nu / np.arange(1.0, n + 1.0))
+    return _read_only((y - 1.0, 2.0 ** (nu + 1.0) / ((2.0 - y) * y * dp * dp)))
 
 
 def _gauss_cell(fun, a, b, nodes, weights):
@@ -135,11 +157,17 @@ def _gauss_cell(fun, a, b, nodes, weights):
     return half * float(np.dot(weights, fun(s)))
 
 
-def _binom_neg(p: float, j: int) -> float:
-    # binomial(-p, j) for real p > 0
-    out = 1.0
-    for i in range(j):
-        out *= -(p + i) / (i + 1)
+def _hurwitz_zeta(s: float, a: int) -> float:
+    """Hurwitz zeta(s, a) for s > 1 and a >= 9; the Bernoulli terms at
+    N = a + 8 are B_2j / (2j)! s (s+1) .. (s+2j-2) N^(1-s-2j), j = 1 .. 7."""
+    N = a + 8.0
+    out = sum((a + k) ** -s for k in range(8))
+    out += N ** (1.0 - s) / (s - 1.0) + 0.5 * N ** -s
+    term = s * N ** (-s - 1.0)
+    for j, b in enumerate((1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                           -691 / 1307674368000, 1 / 74724249600)):
+        out += b * term
+        term *= (s + 2 * j + 1) * (s + 2 * j + 2) / (N * N)
     return out
 
 
@@ -151,12 +179,14 @@ def _image_weights(w, p: float, L: int, start: int = 0) -> np.ndarray:
     zeta(p + j, L + 1).  start = 1 drops the j = 0 term, whose integral
     vanishes against a mean-zero integrand.
     """
-    from scipy.special import zeta as hurwitz_zeta
     w = np.asarray(w, dtype=float)
     images = np.arange(1.0, L + 1.0)[:, None]
     out = np.sum((images + w) ** (-p), axis=0)
-    for j in range(start, _TAIL_MOMENTS):
-        out += _binom_neg(p, j) * float(hurwitz_zeta(p + j, L + 1)) * w ** j
+    binom = 1.0  # binomial(-p, j)
+    for j in range(_TAIL_MOMENTS):
+        if j >= start:
+            out += binom * _hurwitz_zeta(p + j, L + 1) * w ** j
+        binom *= -(p + j) / (j + 1)
     return out
 
 
@@ -228,41 +258,10 @@ def compute_A(alpha: float, m: float, rho_max: float) -> float:
     return alpha * m / (4.0 * rho_max)
 
 
-def calibrate_c_alpha(alpha: float, kernel_truncation: int = 64,
-                      quadrature_points: int = 64) -> float:
-    """Pin the kernel normalization to the Fourier symbol (2 pi |k|)^alpha.
-
-    Runs the raw (c = 1) periodized kernel quadrature on cos(2 pi x) at x = 0,
-    where the exact answer is (2 pi)^alpha, and returns the ratio.  A halved
-    truncation must reproduce the value to 1e-6 or the quadrature is broken.
-    """
-    _check_quadrature(alpha, kernel_truncation, quadrature_points)
-
-    def G(s):
-        return 2.0 - 2.0 * np.cos(2.0 * np.pi * s)
-
-    def raw(L):
-        return _periodized_singular_integral(G, 1.0 + alpha, L, quadrature_points)
-
-    full = raw(kernel_truncation)
-    half = raw(max(8, kernel_truncation // 2))
-    c_full = (2.0 * np.pi) ** alpha / full
-    c_half = (2.0 * np.pi) ** alpha / half
-    if abs(c_full - c_half) > 1e-6 * abs(c_full):
-        raise ArithmeticError(
-            f"kernel calibration did not converge under truncation refinement "
-            f"({c_half} vs {c_full})")
-    return c_full
-
-
 def make_params(alpha: float, kernel_truncation: int = 64,
                 quadrature_points: int = 64) -> OperatorParams:
-    """Calibrated operator parameters for one alpha."""
-    c = calibrate_c_alpha(alpha, kernel_truncation=kernel_truncation,
-                          quadrature_points=quadrature_points)
-    return OperatorParams(alpha=alpha, c_alpha=c,
-                          kernel_truncation=kernel_truncation,
-                          quadrature_points=quadrature_points)
+    """Kernel-quadrature parameters for one alpha."""
+    return OperatorParams(alpha, kernel_truncation, quadrature_points)
 
 
 def kernel_tail_bound(params: OperatorParams, scale: float) -> float:

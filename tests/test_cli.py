@@ -364,8 +364,7 @@ class TestFirstViolation:
 class TestConstants:
     def test_json_payload(self, capsys):
         assert run_cli("constants", "--alpha", "1.0", "--m", "1",
-                       "--rho-max", "2", "--images", "16",
-                       "--quadrature-points", "32") == 0
+                       "--rho-max", "2", "--images", "16") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["C"] == 12.0
         assert abs(payload["delta"] - 1.0 / 6.0) < 1e-12
@@ -534,14 +533,12 @@ def _artifacts(out: Path) -> dict:
 
 class TestProcess:
     def test_cold_start_skips_scipy(self, tmp_path):
-        # the run commands never load scipy, and numpy.fft is loaded at
-        # import, not inside the first run; constants and reduce load scipy
-        # when they need it
+        # no command loads scipy, and numpy.fft is loaded at import, not
+        # inside the first run
         script = textwrap.dedent("""
             import sys
             import fpmflow.cli as cli
             assert "numpy.fft" in sys.modules
-            assert "scipy" not in sys.modules
             run = ["--n", "64", "--t-end", "0.01"]
             for i, argv in enumerate((
                     ["simulate", *run],
@@ -550,11 +547,10 @@ class TestProcess:
                     ["characteristics", *run, "--x-start", "0.1,0.3"],
                     ["sweep", "--axis", "alpha", "--values", "0.5,1.5", *run])):
                 assert cli.main(argv + ["--out", f"o{i}"]) == 0, argv
-            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-            assert not loaded, loaded
             assert cli.main(["constants", "--alpha", "1"]) == 0
             assert cli.main(["reduce", "--n", "64", "--out", ""]) == 0
-            assert "scipy" in sys.modules
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, loaded
         """)
         run_python("-c", script, cwd=tmp_path)
         assert (tmp_path / "o0" / "rho_snapshots.svg").exists()

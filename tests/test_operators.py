@@ -9,7 +9,7 @@ import pytest
 from fpmflow.grid import DensityField, make_grid
 from fpmflow.initial_data import gen_cccf, gen_smooth_monotone, gen_vacuum_plateau
 from fpmflow.operators import (OperatorParams, _gauss_jacobi, _gauss_legendre,
-                               calibrate_c_alpha, compute_A,
+                               _hurwitz_zeta, compute_A,
                                compute_C, compute_delta, decompose_velocity,
                                fractional_laplacian_kernel,
                                fractional_laplacian_spectral, kernel_sum_S,
@@ -38,9 +38,16 @@ class TestCalibration:
         assert abs(params_by_alpha[1.0].c_alpha - 1.0 / math.pi) < 1e-8
 
     def test_truncation_stability(self):
-        c16 = calibrate_c_alpha(0.5, kernel_truncation=16)
-        c64 = calibrate_c_alpha(0.5, kernel_truncation=64)
-        assert abs(c16 - c64) < 1e-6 * c64
+        # with the closed-form c_alpha, the kernel route reproduces the symbol
+        # (2 pi)^alpha on cos(2 pi x) at x = 0 whatever the image truncation
+        # (1.3e-9 off at alpha = 1.9 here; on 128 or 256 points the rounding of
+        # the folded difference near s = 0 makes that 5.1e-9)
+        grid = make_grid(64)
+        f = DensityField(grid, np.cos(2 * np.pi * grid.nodes))
+        for alpha in ALPHAS:
+            for L in (16, 64):
+                got = fractional_laplacian_kernel(f, make_params(alpha, L), 0.0)
+                assert got == pytest.approx((2 * np.pi) ** alpha, rel=2e-9, abs=0)
 
     @pytest.mark.parametrize("quantity", ("velocity", "laplacian", "II1", "II2"))
     def test_kernel_values_truncation_stability(self, quantity, params_by_alpha,
@@ -64,20 +71,19 @@ class TestCalibration:
     def test_closed_form_cross_check(self, alpha, params_by_alpha):
         # c = alpha / (2 int_0^inf sin(w) w^-alpha dw), by parts from the
         # symmetric-kernel normalization
-        from scipy.special import gamma
         if alpha == 1.0:
             s = math.pi / 2.0
         elif alpha < 1.0:
-            s = gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0)
+            s = math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0)
         else:
-            s = gamma(2.0 - alpha) * math.cos(math.pi * alpha / 2.0) / (1.0 - alpha)
-        assert abs(params_by_alpha[alpha].c_alpha - alpha / (2 * s)) < 2e-6
+            s = math.gamma(2.0 - alpha) * math.cos(math.pi * alpha / 2.0) / (1.0 - alpha)
+        assert abs(params_by_alpha[alpha].c_alpha - alpha / (2 * s)) < 1e-13
 
     def test_rejects_alpha_out_of_range(self):
         with pytest.raises(ValueError):
-            calibrate_c_alpha(2.0)
+            make_params(2.0)
         with pytest.raises(ValueError):
-            OperatorParams(alpha=0.0, c_alpha=1.0)
+            OperatorParams(alpha=0.0)
 
 
 class TestQuadratureRules:
@@ -95,6 +101,30 @@ class TestQuadratureRules:
         nu = args[1] if len(args) > 1 else 0.0
         exact = 2.0 ** (nu + 1) * (4 / (nu + 3) - 4 / (nu + 2) + 1 / (nu + 1))
         assert abs(float(weights @ nodes ** 2) - exact) < 1e-14
+
+    @pytest.mark.parametrize("n, nu", [(24, -0.9), (64, -0.9), (64, 0.5), (48, 0.7)])
+    def test_gauss_jacobi_exact_to_degree_2n_minus_1(self, n, nu):
+        # int_{-1}^{1} (1 + t)^nu ((1 + t)/2)^j dt = 2^(nu+1) / (nu + 1 + j)
+        nodes, weights = _gauss_jacobi(n, nu)
+        for j in range(2 * n):
+            got = float(weights @ ((1.0 + nodes) / 2.0) ** j)
+            assert got == pytest.approx(2.0 ** (nu + 1) / (nu + 1 + j), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", (8, 16, 48, 64))
+    def test_gauss_jacobi_at_nu_zero_is_legendre(self, n):
+        for got, legendre in zip(_gauss_jacobi(n, 0.0), _gauss_legendre(n)):
+            assert np.max(np.abs(got - legendre)) < 1e-14
+
+    def test_hurwitz_zeta_value(self):
+        exact = math.pi ** 2 / 6 - math.fsum(k ** -2.0 for k in range(1, 9))
+        assert _hurwitz_zeta(2.0, 9) == pytest.approx(exact, rel=1e-15, abs=0)
+
+    def test_hurwitz_zeta_shift(self):
+        # zeta(s, a) = a^-s + zeta(s, a + 1) over the range the image tails use
+        for s in np.linspace(1.05, 9.0, 41):
+            for a in range(9, 130):
+                want = a ** -s + _hurwitz_zeta(s, a + 1)
+                assert _hurwitz_zeta(s, a) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 class TestSpectralRoutes:
@@ -202,9 +232,9 @@ class TestDecomposition:
         assert dec.total == 0.0
 
     # I(1/2) on cccf (n = 256) from the general quadrature path
-    I_AT_HALF = {0.3: -0.5503037873501243, 0.5: -0.6030996335693917,
-                 1.0: -0.7759291740995724, 1.5: -0.8608154493388225,
-                 1.9: -0.3627110380846281}
+    I_AT_HALF = {0.3: -0.5503037873501248, 0.5: -0.6030996335694029,
+                 1.0: -0.7759291740995765, 1.5: -0.8608154493380099,
+                 1.9: -0.3627110377655136}
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_at_half_zero(self, alpha, params_by_alpha, cccf):
