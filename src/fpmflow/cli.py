@@ -156,11 +156,23 @@ def _inputs(settings):
         raise ConfigError(str(exc)) from exc
 
 
-def _execute(settings):
+def _execute(settings, kept=None, keep_states=True):
+    """Run the settings with the estimate observer; a list kept receives, as
+    they are made, the (index, snapshot) pairs that _write_artifacts writes."""
     rho0, config = _inputs(settings)
     constants = constants_for(settings["alpha"], rho0)
+    observe = make_observer(constants)
+
+    def keep(state):  # every SNAPSHOT_STRIDE-th snapshot and the latest
+        i = kept[-1][0] + 1 if kept else 0
+        if kept and kept[-1][0] % SNAPSHOT_STRIDE:
+            kept.pop()
+        kept.append((i, state))
+        return observe(state)
+
     t0 = time.perf_counter()
-    result = run(rho0, config, observers=(make_observer(constants),))
+    result = run(rho0, config, observers=(observe if kept is None else keep,),
+                 keep_states=keep_states)
     wall = time.perf_counter() - t0
     return rho0, config, constants, result, wall
 
@@ -178,18 +190,18 @@ def _finish(settings, out_dir, result, wall, output_s, **extra) -> int:
     return 3 if settings["require_t_end"] and result.stop_reason == "under_resolved" else 0
 
 
-def _write_artifacts(settings, args, result, wall) -> int:
+def _write_artifacts(settings, args, result, wall, kept) -> int:
+    """Write the artifacts of a run and the kept snapshots (see _execute)."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     write_timeseries(out_dir / "timeseries.csv", result.records)
-    for i, state in enumerate(result.states):
-        if i % SNAPSHOT_STRIDE == 0 or i == len(result.states) - 1:
-            write_snapshot(out_dir / f"snapshot_{i:04d}.csv", state)
+    for i, state in kept:
+        write_snapshot(out_dir / f"snapshot_{i:04d}.csv", state)
     if not args.no_plots:
-        xs = result.states[0].rho.grid.nodes
-        picks = result.states[:: max(1, len(result.states) // 6)]
-        line_chart([(xs, s.rho.values, f"t={s.t:.4g}") for s in picks],
+        xs = kept[0][1].rho.grid.nodes
+        picks = kept[:: max(1, len(kept) // 6)]
+        line_chart([(xs, s.rho.values, f"t={s.t:.4g}") for _, s in picks],
                    out_dir / "rho_snapshots.svg", title="density snapshots",
                    xlabel="x", ylabel="rho")
         ts = [r.t for r in result.records]
@@ -201,8 +213,9 @@ def _write_artifacts(settings, args, result, wall) -> int:
 
 def cmd_simulate(args) -> int:
     settings = _settings(args)
-    rho0, config, constants, result, wall = _execute(settings)
-    code = _write_artifacts(settings, args, result, wall)
+    kept = []
+    rho0, config, constants, result, wall = _execute(settings, kept, keep_states=False)
+    code = _write_artifacts(settings, args, result, wall, kept)
     print(f"stop_reason={result.stop_reason} t={result.final_state.t:.6g} "
           f"steps={result.final_state.step_count} artifacts in {args.out}")
     return code
@@ -264,14 +277,15 @@ def check_invariants(records, constants, tail_threshold,
 
 def cmd_verify(args) -> int:
     settings = _settings(args)
-    rho0, config, constants, result, wall = _execute(settings)
+    kept = []
+    rho0, config, constants, result, wall = _execute(settings, kept, keep_states=False)
     hyp = validate_hypotheses(rho0)
     report = check_invariants(result.records, constants, config.tail_threshold,
                               monotone_data=hyp.h1 and hyp.h3)
     report["hypotheses"] = {"h1": hyp.h1, "h2": hyp.h2, "h3": hyp.h3}
     report["stop_reason"] = result.stop_reason
     report["verdict"] = classify_run(result.records) if len(result.records) >= 10 else None
-    code = _write_artifacts(settings, args, result, wall)
+    code = _write_artifacts(settings, args, result, wall, kept)
     print(dumps(report))
     return code if report["all_ok"] else 2
 
@@ -321,21 +335,22 @@ def cmd_align(args) -> int:
     rho0, config = _inputs(settings)
     out_dir.mkdir(parents=True, exist_ok=True)
     u0 = velocity_spectral(rho0, config.alpha)
-    t0 = time.perf_counter()
-    result = run_alignment(rho0, u0, config)
-    wall = time.perf_counter() - t0
-    rows = []
-    for s in result.states:
+
+    def row(s):  # one alignment_timeseries.csv row per snapshot
         g_norm = float(np.max(np.abs(s.G.values)))
         dux = float(np.max(np.abs(spectral_derivative(s.u).values)))
-        rows.append((s.t, float(s.rho.values.min()), float(s.rho.values.max()),
-                     g_norm, g_norm / max(dux, 1e-300)))
-    rows = np.array(rows)
+        return (s.t, float(s.rho.values.min()), float(s.rho.values.max()),
+                g_norm, g_norm / max(dux, 1e-300))
+
+    t0 = time.perf_counter()
+    result = run_alignment(rho0, u0, config, observers=(row,), keep_states=False)
+    wall = time.perf_counter() - t0
+    rows = np.array(result.records)
     t0 = time.perf_counter()
     write_csv(out_dir / "alignment_timeseries.csv",
               ("t", "rho_min", "rho_max", "g_norm", "g_over_dux"), rows)
     code = _finish(settings, out_dir, result, wall, time.perf_counter() - t0)
-    print(f"stop_reason={result.stop_reason} records={len(result.states)} "
+    print(f"stop_reason={result.stop_reason} records={len(rows)} "
           f"max g_norm={rows[:, 3].max():.3e}")
     return code
 
@@ -383,7 +398,7 @@ def cmd_sweep(args) -> int:
         row_settings = dict(settings)
         try:
             row_settings[axis] = _typed(axis, value)
-            rho0, config, constants, result, wall = _execute(row_settings)
+            rho0, config, constants, result, wall = _execute(row_settings, keep_states=False)
             if len(result.records) >= 10:
                 verdict = classify_run(result.records)
             else:

@@ -83,12 +83,12 @@ def alignment_force(rho: DensityField, u: DensityField, alpha: float,
     return DensityField(rho.grid, np.fft.irfft(force_hat, rho.grid.n))
 
 
-def run_alignment(rho0: DensityField, u0: DensityField,
-                  config: SolverConfig) -> RunResult:
+def run_alignment(rho0: DensityField, u0: DensityField, config: SolverConfig,
+                  observers: tuple = (), keep_states: bool = True) -> RunResult:
     """Evolve the coupled (rho, u) system with the main solver's Heun RK3
     driver, dealiasing and stop rules; the tail check covers both fields.
-    Returns integrate's RunResult: its states carry G, and records is
-    empty.
+    Returns integrate's RunResult: its states carry G, and the observers
+    and keep_states act as in `solver.run`.
 
     Linearised about (m, 0), with m the mean density, the rates per mode
     are upper-triangular: u_hat relaxes at lambda = -m (2 pi k)^a on the
@@ -102,7 +102,7 @@ def run_alignment(rho0: DensityField, u0: DensityField,
         raise ValueError("initial data grids do not match the configuration")
     ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
     return integrate(np.stack((rho0.values, u0.values)), partial(_alignment_rates, ws),
-                     ws, config, shear=ws.shear)
+                     ws, config, ws.shear, observers, keep_states)
 
 
 # --------------------------------------------------------------------------

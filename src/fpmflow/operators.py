@@ -311,12 +311,16 @@ def fractional_laplacian_kernel(f: DensityField, params: OperatorParams,
     """Principal-value quadrature of c_alpha int (f(x) - f(y)) |x-y|^(-1-alpha) dy.
 
     The cell around y = x is folded to the even difference
-    2 f(x) - f(x+s) - f(x-s), which vanishes to second order.
+    2 f(x) - f(x+s) - f(x-s) = 4 sum_k c_k e^{2 pi i k x} sin^2(pi k s),
+    which vanishes to second order; summed over k, it loses no digits to
+    the cancellation of the point values near s = 0.
     """
-    fx = float(evaluate_trig(f, [x])[0])
+    k = f.grid.k_half[1:]
+    a = 8.0 * np.real(f.coefficients[1:] * np.exp(2j * np.pi * k * x))
+    a[-1] *= 0.5  # the Nyquist term has no conjugate partner
 
     def G(s):
-        return 2.0 * fx - evaluate_trig(f, x + s) - evaluate_trig(f, x - s)
+        return np.sin(np.pi * np.multiply.outer(s, k)) ** 2 @ a
 
     raw = _periodized_singular_integral(
         G, 1.0 + params.alpha, params.kernel_truncation, params.quadrature_points)

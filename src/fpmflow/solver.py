@@ -47,10 +47,11 @@ the top third of the retained band over the total l1 mass, which makes the
 threshold commensurate with amplitude-level error bounds.
 
 One driver, `integrate`, steps every system: this flow and the alignment
-system of `extensions`.  It records each snapshot as a SimulationState
-(rho, u, and G for the alignment system) and returns a RunResult that
-counts the accepted and rejected steps, the limit that bound each step,
-the step-size range and the FFT calls for the run's metadata.
+system of `extensions`.  It builds each snapshot as a SimulationState
+(rho, u, and G for the alignment system), hands it to the observers at
+once, keeps it only if asked, and returns a RunResult that counts the
+accepted and rejected steps, the limit that bound each step, the
+step-size range and the FFT calls for the run's metadata.
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ class SimulationState:
 
 @dataclass
 class RunResult:
-    """What `integrate` returns for either system; `run` fills records."""
+    """What `integrate` returns for either system."""
 
-    states: list  # snapshot SimulationStates
+    states: list  # snapshot SimulationStates, or [] unless kept
     records: list  # each observer's return value per snapshot, in order
     final_state: SimulationState
     stop_reason: str  # t_end | under_resolved | max_steps | nan
@@ -288,7 +289,8 @@ def _lawson_heun(y_hat: np.ndarray, n0: np.ndarray, rates: Callable, dt: float,
 
 @np.errstate(over="ignore", invalid="ignore")  # the error estimate catches non-finite stages
 def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
-              config: SolverConfig, shear: Optional[np.ndarray] = None) -> RunResult:
+              config: SolverConfig, shear: Optional[np.ndarray] = None,
+              observers: tuple[Callable, ...] = (), keep_states: bool = True) -> RunResult:
     """Step the transforms y_hat = rfft(y0) with Heun RK3 from t = 0.
 
     y0 holds one field per row, density first.  rates(y_hat) returns
@@ -306,16 +308,18 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
     whose estimate exceeds the tolerance, or whose stages go non-finite, is
     retried shorter, never below the floor.  With no tolerance (vacuum) the
     step is the floor, and dt_fixed takes every step at dt_fixed; neither
-    forms an estimate.  The state recorded at each snapshot time is built
-    from the stage-1 rows.  Stops on t_end, under-resolution of any row,
-    the step budget of accepted steps, or a non-finite step at the floor;
-    on the last the final state is the last finite one and is not
-    recorded.  Returns a RunResult with empty records; its telemetry holds
-    the accepted steps, the rejected ones, how many accepted steps each
-    limit bound (transport, dissipative, error, snapshot, t_end, fixed),
-    the dt range (None before the first step), and the numpy FFT calls:
-    the first rfft and two per rates call; its wall_split holds the
-    seconds spent here ("stepping") and 0 for "observers".
+    forms an estimate.  The snapshot at each snapshot time is built from the
+    stage-1 rows, and every observer runs on it at once.  Stops on t_end,
+    under-resolution of any row, the step budget of accepted steps, or a
+    non-finite step at the floor; on the last the final state is the last
+    finite one and is not a snapshot.  Returns a RunResult: records holds
+    the observers' return values snapshot by snapshot, in observer order,
+    and states every snapshot if keep_states, else nothing; its telemetry
+    holds the accepted steps, the rejected ones, how many accepted steps
+    each limit bound (transport, dissipative, error, snapshot, t_end,
+    fixed), the dt range (None before the first step), and the numpy FFT
+    calls: the first rfft and two per rates call; wall_split splits the
+    seconds here into "observers" and "stepping".
     """
     start = time.perf_counter()
     y_hat, t, steps, dt_last = np.fft.rfft(y0), 0.0, 0, 0.0
@@ -334,11 +338,22 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
         return SimulationState(t, steps, dt_last, tail > config.tail_threshold, tail,
                                *(DensityField(ws.grid, row) for row in y))
 
+    def snapshot(s):
+        nonlocal observer_s, snap_t
+        begin = time.perf_counter()
+        with np.errstate(over="warn", invalid="warn"):  # numpy's default, not the stepper's
+            records.extend(obs(s) for obs in observers)
+        observer_s += time.perf_counter() - begin
+        if keep_states:
+            states.append(s)
+        snap_t = s.t
+
     rtol = _RTOL * (config.cfl / 0.4) ** 3
     err = np.empty_like(y_hat)  # every step's stage 1 and error estimate
     wanted = 0.0  # the controller's next step; the first step is the floor
     next_snap = 0.0
-    states = []
+    snap_t = -math.inf  # the last snapshot's time
+    states, records, observer_s = [], [], 0.0
     limits = dict.fromkeys(
         ("transport", "dissipative", "error", "snapshot", "t_end", "fixed"), 0)
     rejected = 0
@@ -350,7 +365,7 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
             stop_reason = "under_resolved"
             break
         if t >= next_snap - 1e-13 * max(1.0, t):
-            states.append(state())
+            snapshot(state())
             next_snap += config.snapshot_dt
         if t >= config.t_end - 1e-13 * config.t_end:
             stop_reason = "t_end"
@@ -410,28 +425,24 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
             wanted = dt * ratio
 
     final = state()
-    if stop_reason != "nan" and (not states or states[-1].t < t - 1e-13):
-        states.append(final)
-    return RunResult(states, [], final, stop_reason, {
+    if stop_reason != "nan" and snap_t < t - 1e-13:
+        snapshot(final)
+    return RunResult(states, records, final, stop_reason, {
         "steps": steps, "rejected": rejected, "step_limits": limits,
         "dt_min": dt_min if steps else None, "dt_max": dt_max if steps else None,
         "fft_calls": 1 + 2 * rate_calls},
-        {"stepping": time.perf_counter() - start, "observers": 0.0})
+        {"stepping": time.perf_counter() - start - observer_s, "observers": observer_s})
 
 
 def run(rho0: DensityField, config: SolverConfig,
-        observers: tuple[Callable, ...] = ()) -> RunResult:
+        observers: tuple[Callable, ...] = (), keep_states: bool = True) -> RunResult:
     """Integrate the continuity flow to t_end, stopping early on
-    under-resolution, step budget, or non-finite values.  Each observer runs
-    on every snapshot, and records holds their return values snapshot by
-    snapshot, in observer order, and wall_split["observers"] the seconds
-    they took.
+    under-resolution, step budget, or non-finite values.  The observers run
+    on each snapshot as it is made (see integrate); states holds every
+    snapshot unless keep_states is False.
     """
     if rho0.grid.n != config.n_points:
         raise ValueError("initial data grid does not match the configuration")
     ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
-    result = integrate(rho0.values, ws.continuity_rates, ws, config)
-    start = time.perf_counter()
-    result.records = [obs(s) for s in result.states for obs in observers]
-    result.wall_split["observers"] = time.perf_counter() - start
-    return result
+    return integrate(rho0.values, ws.continuity_rates, ws, config,
+                     observers=observers, keep_states=keep_states)

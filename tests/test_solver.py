@@ -307,6 +307,13 @@ class TestRun:
         assert res.stop_reason == "nan"
         assert np.all(np.isfinite(res.final_state.rho.values))
 
+    def test_observers_keep_numpy_warnings(self, grid):
+        # observers run inside the stepping loop, but not under its silenced
+        # overflow and invalid-value warnings
+        cfg = SolverConfig(alpha=1.0, n_points=256, t_end=0.01)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            run(gen_cccf(grid), cfg, observers=(lambda s: np.float64(1e300) * 1e300,))
+
     def test_symmetry_preserved(self, grid):
         cfg = SolverConfig(alpha=0.5, n_points=256, t_end=0.2,
                            snapshot_interval=0.05)
@@ -394,6 +401,38 @@ class TestStopRules:
             assert np.allclose(times[:-1], 0.01 * np.arange(len(times) - 1),
                                rtol=0, atol=1e-12)
             assert times[-2] < final.t
+
+    @pytest.mark.parametrize("stop", STOPS)
+    @pytest.mark.parametrize("system", ("run", "run_alignment"))
+    def test_observers_run_as_snapshots_are_made(self, system, stop):
+        # the inline records equal a post-run pass over the states, which
+        # are all kept by default; without them the run ends the same
+        gen, overrides = STOPS[stop]
+        grid = make_grid(128)
+        rho0 = gen(grid)
+        cfg = SolverConfig(alpha=1.0, n_points=128,
+                           **{"snapshot_interval": 0.01, **overrides})
+        observers = (lambda s: (s.t, s.step_count), lambda s: float(s.rho.values.sum()))
+        results = []
+        for keep in ({}, {"keep_states": False}):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if system == "run":
+                    results.append(run(rho0, cfg, observers, **keep))
+                else:
+                    results.append(run_alignment(rho0, velocity_spectral(rho0, 1.0), cfg,
+                                                 observers, **keep))
+        kept, streamed = results
+        assert kept.records == [obs(s) for s in kept.states for obs in observers]
+        assert len(kept.records) == 2 * len(kept.states)
+        assert streamed.states == []
+        assert streamed.records == kept.records
+        assert streamed.stop_reason == kept.stop_reason == stop
+        assert streamed.telemetry == kept.telemetry
+        a, b = kept.final_state, streamed.final_state
+        assert (a.t, a.step_count, a.dt_last, a.tail_fraction) == \
+            (b.t, b.step_count, b.dt_last, b.tail_fraction)
+        assert np.array_equal(a.rho.values, b.rho.values)
+        assert np.array_equal(a.u.values, b.u.values)
 
 
 # dt, t_end and snapshot interval are powers of two, so fixed-step times add
