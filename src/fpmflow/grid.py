@@ -11,11 +11,12 @@ B = isqrt(n/2 - 1) + 1 and Q = ceil((n/2) / B),
 
 so a point costs B + Q complex exponentials (46 at n = 1024, 64 at
 n = 2048) instead of n/2 - 1, and the inner sums are one matrix product
-with the coefficients laid out as a zero-padded (Q, B) matrix.  Every
-multiplier outside the time stepper goes through `apply_multiplier`, which
-takes a half-spectrum symbol, works on the plain rfft of the samples as the
-stepper does, and leaves the imaginary part of the Nyquist entry to irfft,
-which drops it.
+with the coefficients laid out as a zero-padded (Q, B) matrix:
+`trig_layout` builds that layout once per row, and `trig_eval` evaluates
+it at one point or at a block of points.  Every multiplier outside the time
+stepper goes through `apply_multiplier`, which takes a half-spectrum symbol,
+works on the plain rfft of the samples as the stepper does, and leaves the
+imaginary part of the Nyquist entry to irfft, which drops it.
 """
 
 from __future__ import annotations
@@ -140,27 +141,51 @@ def spectral_derivative(f: DensityField) -> DensityField:
     return apply_multiplier(f, derivative_symbol(f.grid))
 
 
+def trig_layout(grid: PeriodicGrid, c: np.ndarray):
+    """trig_sum's layout of a half-spectrum row c: (C, c_0, c_{n/2}), where
+    C[r, q] = c_{qB+r} is the zero-padded (B, Q) matrix of the factorised
+    phases (module docstring).  Built once, it serves any number of
+    `trig_eval` calls.  It copies c entry by entry, so for a float f the
+    layout of a + f d is, entry by entry, that of a plus f times that of d,
+    in the same bits up to the sign of a zero c_0 or c_{n/2}."""
+    b, row = grid._trig_rows
+    cqr = np.zeros((len(row) - b) * b, dtype=complex)
+    cqr[1:grid.n // 2] = c[1:-1]
+    return cqr.reshape(-1, b).T, c[0].real, c[-1].real
+
+
+def trig_eval(grid: PeriodicGrid, layout, x):
+    """The trig sum of one row's `trig_layout` at x: one point as a float (a
+    float comes back, without the set-up of an array of points) or a 1-D
+    array of at most TRIG_BLOCK points.  The one kernel behind `trig_sum`,
+    `evaluate_trig` and `antiderivative_at`; a float gives the bits of the
+    same point alone in an array."""
+    cqr, c0, cn = layout
+    b, row = grid._trig_rows
+    phases = np.exp(np.multiply.outer(x, row))  # e^{2 pi i r x}, then e^{2 pi i qB x}
+    inner = phases[..., :b] @ cqr
+    inner *= phases[..., b:]
+    return c0 + 2.0 * inner.real.sum(axis=-1) + cn * np.cos(np.pi * grid.n * x)
+
+
+TRIG_BLOCK = 2048  # points per phase matrix
+
+
+def _in_blocks(kernel, xs) -> np.ndarray:
+    """kernel over the points xs (any shape), TRIG_BLOCK points at a time."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    out = np.empty(len(xs))
+    for lo in range(0, len(xs), TRIG_BLOCK):
+        out[lo:lo + TRIG_BLOCK] = kernel(xs[lo:lo + TRIG_BLOCK])
+    return out
+
+
 def trig_sum(grid: PeriodicGrid, c: np.ndarray, xs) -> np.ndarray:
     """c_0 + 2 Re sum_{0<k<n/2} c_k e^{2 pi i k x} + c_{n/2} cos(pi n x) of a
     half-spectrum coefficient row c at arbitrary points; 1-periodic in x.
     The interior sum runs on factorised phases k = qB + r (module docstring)."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    b, row = grid._trig_rows
-    cqr = np.zeros((len(row) - b) * b, dtype=complex)  # C[q, r] = c_{qB+r}, zero-padded
-    cqr[1:grid.n // 2] = c[1:-1]
-    out = np.empty(len(xs))
-    block = 2048  # points per phase matrix
-    for lo in range(0, len(xs), block):
-        xb = xs[lo:lo + block]
-        phases = np.exp(xb[:, None] * row)  # e^{2 pi i r x}, then e^{2 pi i qB x}
-        inner = phases[:, :b] @ cqr.reshape(-1, b).T
-        inner *= phases[:, b:]
-        out[lo:lo + block] = (
-            c[0].real
-            + 2.0 * inner.real.sum(axis=1)
-            + c[-1].real * np.cos(np.pi * grid.n * xb)
-        )
-    return out
+    layout = trig_layout(grid, c)
+    return _in_blocks(lambda xb: trig_eval(grid, layout, xb), xs)
 
 
 def evaluate_trig(f: DensityField, xs) -> np.ndarray:
@@ -171,6 +196,26 @@ def evaluate_trig(f: DensityField, xs) -> np.ndarray:
     return trig_sum(f.grid, f.coefficients, xs)
 
 
+def antiderivative_layout(f: DensityField):
+    """What `antiderivative_eval` needs of f, built once: the `trig_layout`
+    of the periodic part's row c_k / (2 pi i k), its trig sum at 0, c_0 and
+    c_{n/2}."""
+    c = f.coefficients
+    a = np.zeros_like(c)
+    a[1:-1] = c[1:-1] / (2j * np.pi * f.grid.k_half[1:-1])
+    layout = trig_layout(f.grid, a)
+    return layout, trig_eval(f.grid, layout, 0.0), c[0].real, c[-1].real
+
+
+def antiderivative_eval(grid: PeriodicGrid, parts, x):
+    """`antiderivative_at` of the field whose `antiderivative_layout` is
+    parts, at x as `trig_eval` takes it."""
+    layout, at_zero, c0, cn = parts
+    n = grid.n
+    periodic = trig_eval(grid, layout, x) - at_zero
+    return c0 * x + periodic + cn * np.sin(np.pi * n * x) / (np.pi * n)
+
+
 def antiderivative_at(f: DensityField, xs) -> np.ndarray:
     """Antiderivative F(x) = mean * x + (periodic part), with F(0) = 0.
 
@@ -178,10 +223,5 @@ def antiderivative_at(f: DensityField, xs) -> np.ndarray:
     int_a^b f = F(b) - F(a) on unwrapped coordinates.  The periodic part is
     the trig sum of c_k / (2 pi i k) less its value at 0, plus a Nyquist sine.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    c = f.coefficients
-    n = f.grid.n
-    a = np.zeros_like(c)
-    a[1:-1] = c[1:-1] / (2j * np.pi * f.grid.k_half[1:-1])
-    periodic = trig_sum(f.grid, a, xs) - trig_sum(f.grid, a, [0.0])[0]
-    return c[0].real * xs + periodic + c[-1].real * np.sin(np.pi * n * xs) / (np.pi * n)
+    parts = antiderivative_layout(f)
+    return _in_blocks(lambda xb: antiderivative_eval(f.grid, parts, xb), xs)

@@ -91,7 +91,7 @@ def line_chart(series, path, title="", xlabel="", ylabel="", logy=False) -> None
                 f'text-anchor="middle">{v:.4g}</text>')
         for v in _ticks(y_lo, y_hi):
             yp = _MT + (1.0 - (v - y_lo) / (y_hi - y_lo)) * ph
-            label = f"1e{v:.0f}" if logy else f"{v:.4g}"
+            label = f"{10.0 ** v:.3g}" if logy else f"{v:.4g}"  # v is log10 y on a log axis
             put(f'<line x1="{_ML}" y1="{yp:.1f}" x2="{_W - _MR}" '
                 f'y2="{yp:.1f}" stroke="#ddd"/>')
             put(f'<text x="{_ML - 6}" y="{yp + 4:.1f}" '

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fpmflow.grid import DensityField, antiderivative_at, make_grid
-from fpmflow.initial_data import gen_cccf, gen_positive_control
-from fpmflow.characteristics import (advect_path, check_decay_bound,
+from fpmflow.grid import DensityField, antiderivative_at, evaluate_trig, make_grid, trig_sum
+from fpmflow.initial_data import gen_cccf, gen_positive_control, gen_vacuum_plateau
+from fpmflow.characteristics import (advect_path, advect_paths, check_decay_bound,
                                      check_mass_transport, mass_profile)
 from fpmflow.solver import SolverConfig, run
 
@@ -72,6 +72,84 @@ class TestAdvectPath:
     def test_needs_two_snapshots(self, cccf_run):
         with pytest.raises(ValueError):
             advect_path(cccf_run.states[:1], 0.1)
+
+
+@pytest.fixture(scope="module")
+def plateau_run():
+    # the plateau's transitions need n = 1024 to start resolved; the run
+    # stops under-resolved near t = 0.0076
+    grid = make_grid(1024)
+    cfg = SolverConfig(alpha=1.0, n_points=1024, t_end=0.05,
+                       snapshot_interval=5e-4)
+    res = run(gen_vacuum_plateau(grid), cfg)
+    assert len(res.states) >= 10
+    return res
+
+
+def _advect_stage_by_stage(states, x_start):
+    """Path advection as one trig_sum call per RK4 stage, the loop that
+    advect_paths replaced; the reference for its bits."""
+    times = np.array([s.t for s in states])
+    grid = states[0].u.grid
+    fracs = np.arange(9) / 8
+    positions = np.empty(len(times))
+    positions[0] = pos = x_start
+    for i in range(len(times) - 1):
+        h = (times[i + 1] - times[i]) / 4
+        ca = states[i].u.coefficients
+        rows = ca + np.outer(fracs, states[i + 1].u.coefficients - ca)
+
+        def u_at(row, x):
+            return float(trig_sum(grid, rows[row], [x])[0])
+
+        for j in range(0, 8, 2):
+            k1 = u_at(j, pos)
+            k2 = u_at(j + 1, pos + 0.5 * h * k1)
+            k3 = u_at(j + 1, pos + 0.5 * h * k2)
+            k4 = u_at(j + 2, pos + h * k3)
+            pos = pos + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        positions[i + 1] = pos
+    rho_along = [float(evaluate_trig(s.rho, [p])[0]) for s, p in zip(states, positions)]
+    mass_along = [mass_profile(s.rho, p) for s, p in zip(states, positions)]
+    return positions, np.array(rho_along), np.array(mass_along)
+
+
+def _same(path_a, path_b) -> bool:
+    return all(np.array_equal(getattr(path_a, k), getattr(path_b, k))
+               for k in ("times", "positions", "rho_along", "mass_along"))
+
+
+class TestAdvectPaths:
+    @pytest.mark.parametrize("x_start", [0.0, 0.03, 0.12, 0.2, 0.45, -0.1])
+    def test_matches_stage_by_stage_loop_exactly(self, plateau_run, x_start):
+        path = advect_path(plateau_run.states, x_start)
+        positions, rho_along, mass_along = _advect_stage_by_stage(plateau_run.states, x_start)
+        assert np.all(path.positions == positions)
+        assert np.all(path.rho_along == rho_along)
+        assert np.all(path.mass_along == mass_along)
+
+    def test_many_starts_match_separate_calls(self, plateau_run):
+        starts = [0.05, 0.2, 0.0, 0.3, 0.05]
+        paths = advect_paths(plateau_run.states, starts)
+        assert [p.x_start for p in paths] == starts
+        for x, path in zip(starts, paths):
+            assert _same(path, advect_paths(plateau_run.states, [x])[0])
+            assert _same(path, advect_path(plateau_run.states, x))
+
+    def test_float_start_is_a_one_start_list(self, plateau_run):
+        (path,) = advect_paths(plateau_run.states, 0.1)
+        assert path.x_start == 0.1
+        assert _same(path, advect_paths(plateau_run.states, [0.1])[0])
+
+    @pytest.mark.parametrize("starts", [0.1, [0.1, 0.2]])
+    def test_needs_two_snapshots(self, plateau_run, starts):
+        with pytest.raises(ValueError, match="two snapshots"):
+            advect_paths(plateau_run.states[:1], starts)
+
+    def test_mass_at_origin_stays_exactly_zero(self, plateau_run):
+        for s in plateau_run.states:
+            assert mass_profile(s.rho, 0.0) == 0.0
+        assert advect_paths(plateau_run.states, [0.0, 0.1])[0].mass_along[0] == 0.0
 
 
 class TestMassTransport:

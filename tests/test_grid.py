@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from fpmflow.grid import (DensityField, antiderivative_at, apply_multiplier,
-                          evaluate_trig, make_grid, spectral_derivative, trig_sum)
+from fpmflow.grid import (TRIG_BLOCK, DensityField, antiderivative_at, antiderivative_eval,
+                          antiderivative_layout, apply_multiplier, evaluate_trig,
+                          make_grid, spectral_derivative, trig_eval, trig_layout,
+                          trig_sum)
 
 
 class TestMakeGrid:
@@ -248,3 +250,82 @@ class TestAntiderivative:
         assert np.max(np.abs(evaluate_trig(f, xs) - (1.0 - np.cos(2 * np.pi * xs)))) < 1e-12
         exact = xs - np.sin(2 * np.pi * xs) / (2 * np.pi)
         assert np.max(np.abs(antiderivative_at(f, xs) - exact)) < 1e-12
+
+
+def _trig_sum_one_pass(grid, c, xs):
+    """trig_sum as one function that lays out c and evaluates it, block by
+    block: the reference for the layout-plus-kernel split."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    b, row = grid._trig_rows
+    cqr = np.zeros((len(row) - b) * b, dtype=complex)
+    cqr[1:grid.n // 2] = c[1:-1]
+    out = np.empty(len(xs))
+    for lo in range(0, len(xs), 2048):
+        xb = xs[lo:lo + 2048]
+        phases = np.exp(xb[:, None] * row)
+        inner = phases[:, :b] @ cqr.reshape(-1, b).T
+        inner *= phases[:, b:]
+        out[lo:lo + 2048] = (c[0].real + 2.0 * inner.real.sum(axis=1)
+                             + c[-1].real * np.cos(np.pi * grid.n * xb))
+    return out
+
+
+def _antiderivative_one_pass(f, xs):
+    """antiderivative_at as one function, on `_trig_sum_one_pass`."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    c, n = f.coefficients, f.grid.n
+    a = np.zeros_like(c)
+    a[1:-1] = c[1:-1] / (2j * np.pi * f.grid.k_half[1:-1])
+    periodic = _trig_sum_one_pass(f.grid, a, xs) - _trig_sum_one_pass(f.grid, a, [0.0])[0]
+    return c[0].real * xs + periodic + c[-1].real * np.sin(np.pi * n * xs) / (np.pi * n)
+
+
+class TestTrigLayout:
+    """The layout-plus-kernel route gives trig_sum's bits, point sets of any
+    size and one-point float calls alike."""
+
+    @pytest.mark.parametrize("n", [8, 1024, 2048])
+    def test_matches_one_pass_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        grid = make_grid(n)
+        rows = rng.normal(size=(3, n // 2 + 1)) + 1j * rng.normal(size=(3, n // 2 + 1))
+        xs = rng.uniform(-2.0, 2.0, TRIG_BLOCK + 3)  # a full block and three more
+        edge = xs[TRIG_BLOCK - 2:TRIG_BLOCK + 2]  # last two of a block, first two of the next
+        for c in rows:
+            expected = _trig_sum_one_pass(grid, c, xs)
+            assert trig_sum(grid, c, xs).tobytes() == expected.tobytes()
+            layout = trig_layout(grid, c)
+            blocks = [trig_eval(grid, layout, xs[:TRIG_BLOCK]),
+                      trig_eval(grid, layout, xs[TRIG_BLOCK:])]
+            assert np.concatenate(blocks).tobytes() == expected.tobytes()
+            for x in edge.tolist():
+                alone = _trig_sum_one_pass(grid, c, [x])
+                assert trig_eval(grid, layout, x) == alone[0]
+                assert trig_sum(grid, c, [x]).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 1024, 2048])
+    def test_interpolated_layouts_match_interpolated_rows(self, n):
+        # the layout of ca + f (cb - ca) built from the layouts of ca and
+        # cb - ca, as path advection builds its stage layouts
+        rng = np.random.default_rng(n + 1)
+        grid = make_grid(n)
+        ca, cb = rng.normal(size=(2, n // 2 + 1)) + 1j * rng.normal(size=(2, n // 2 + 1))
+        (a0, a1, a2), (d0, d1, d2) = trig_layout(grid, ca), trig_layout(grid, cb - ca)
+        xs = rng.uniform(-0.5, 0.5, 16).tolist()
+        for f in (0.0, 0.125, 0.5, 0.875, 1.0):
+            layout = (a0 + f * d0, a1 + f * d1, a2 + f * d2)
+            row = ca + np.outer([f], cb - ca)[0]
+            assert [trig_eval(grid, layout, x) for x in xs] == [
+                _trig_sum_one_pass(grid, row, [x])[0] for x in xs]
+
+    @pytest.mark.parametrize("n", [8, 1024])
+    def test_antiderivative_matches_one_pass_bit_for_bit(self, n):
+        grid, _, values = _white_noise_row(n, 11)
+        f = DensityField(grid, values)
+        xs = np.random.default_rng(12).uniform(-1.0, 1.0, TRIG_BLOCK + 3)
+        expected = _antiderivative_one_pass(f, xs)
+        assert antiderivative_at(f, xs).tobytes() == expected.tobytes()
+        parts = antiderivative_layout(f)
+        for x in xs[:8].tolist() + [0.0]:
+            assert antiderivative_eval(grid, parts, x) == _antiderivative_one_pass(f, [x])[0]
+        assert antiderivative_eval(grid, parts, 0.0) == 0.0

@@ -12,7 +12,8 @@ from fpmflow.svgplot import line_chart
 inf, nan = math.inf, math.nan
 
 # Two small charts and their text as written by the point-by-point
-# implementation that the block writer replaced; the bytes must not change.
+# implementation that the block writer replaced; the bytes must not change,
+# except that a log axis labels each gridline with its value 10^v.
 LINEAR = [([0.0, 0.5, 1.0, 1.5, 2.0, 2.5], [1.0, nan, -0.5, inf, 2.0, 0.25], "a"),
           ([nan, 0.25, 0.75, -inf, 3.0], [0.0, -1.25, 0.5, 1.0, 1.5], "b"),
           ([0.0, 1.0], [nan, -inf], "")]
@@ -73,17 +74,17 @@ LOG_SVG = """\
 <line x1="700.0" y1="36" x2="700.0" y2="392" stroke="#ddd"/>
 <text x="700.0" y="408" text-anchor="middle">4</text>
 <line x1="70" y1="392.0" x2="700" y2="392.0" stroke="#ddd"/>
-<text x="64" y="396.0" text-anchor="end">1e-3</text>
+<text x="64" y="396.0" text-anchor="end">0.001</text>
 <line x1="70" y1="320.8" x2="700" y2="320.8" stroke="#ddd"/>
-<text x="64" y="324.8" text-anchor="end">1e-2</text>
+<text x="64" y="324.8" text-anchor="end">0.01</text>
 <line x1="70" y1="249.6" x2="700" y2="249.6" stroke="#ddd"/>
-<text x="64" y="253.6" text-anchor="end">1e-1</text>
+<text x="64" y="253.6" text-anchor="end">0.1</text>
 <line x1="70" y1="178.4" x2="700" y2="178.4" stroke="#ddd"/>
-<text x="64" y="182.4" text-anchor="end">1e0</text>
+<text x="64" y="182.4" text-anchor="end">1</text>
 <line x1="70" y1="107.2" x2="700" y2="107.2" stroke="#ddd"/>
-<text x="64" y="111.2" text-anchor="end">1e1</text>
+<text x="64" y="111.2" text-anchor="end">10</text>
 <line x1="70" y1="36.0" x2="700" y2="36.0" stroke="#ddd"/>
-<text x="64" y="40.0" text-anchor="end">1e2</text>
+<text x="64" y="40.0" text-anchor="end">100</text>
 <rect x="70" y="36" width="630" height="356" fill="none" stroke="#333"/>
 <polyline points="70.00,392.00 385.00,107.20 700.00,199.83" fill="none" stroke="#1f77b4" stroke-width="1.5"/>
 <line x1="580" y1="48" x2="604" y2="48" stroke="#1f77b4" stroke-width="2"/>
@@ -166,6 +167,17 @@ def test_empty_chart_draws_default_frame(series, logy, tmp_path):
     assert re.findall(r'<line x1="70" y1="([^"]*)"', text) == [
         "392.0", "320.8", "249.6", "178.4", "107.2", "36.0"]
     assert ('<text x="610" y="52">c1</text>' in text) == bool(series)
+
+
+@pytest.mark.parametrize("ys", ([2.0, 8.0], [12.0, 45.0, 20.0], [1.5e-7, 9.0e-7]),
+                         ids=("2-8", "12-45", "1.5e-7-9e-7"))
+def test_log_labels_inside_one_decade_are_distinct(ys, tmp_path):
+    # ticks a fraction of a decade apart once shared a label, "1e0" or "1e1"
+    text = chart(tmp_path, [(list(range(len(ys))), ys, "c1")], logy=True)
+    labels = re.findall(r'text-anchor="end">([^<]*)</text>', text)
+    assert len(labels) >= 3
+    assert len(set(labels)) == len(labels)
+    assert min(ys) <= float(labels[0]) and float(labels[-1]) <= max(ys)
 
 
 def test_peak_memory_is_bounded(tmp_path):
