@@ -1,7 +1,6 @@
 """Characteristic paths dX/dt = u(X, t) over a run's snapshot series, the
-cumulative mass profile, mass transport between paths, and the exponential
-decay bound check.  A path carries the mass of [0, X(t)] along with it, so
-the mass between two paths is read from the paths themselves.
+mass transported between two of them (each path carries the mass of
+[0, X(t)]), and the exponential decay bound check.
 """
 
 from __future__ import annotations
@@ -11,14 +10,14 @@ from typing import Optional
 
 import numpy as np
 
-# evaluate_trig is not called here; the benchmark's tracer patches it by this name
-from .grid import (DensityField, antiderivative_at, antiderivative_eval,  # noqa: F401
+# evaluate_trig and antiderivative_at are not called here; the benchmark's
+# tracer patches them by these names
+from .grid import (antiderivative_at, antiderivative_eval,  # noqa: F401
                    antiderivative_layout, evaluate_trig, trig_eval, trig_layout)
 
 __all__ = [
     "CharacteristicPath",
     "DecayBoundReport",
-    "mass_profile",
     "advect_path",
     "advect_paths",
     "check_mass_transport",
@@ -33,11 +32,6 @@ class CharacteristicPath:
     positions: np.ndarray
     rho_along: np.ndarray  # density sampled on the path at snapshot times
     mass_along: np.ndarray  # mass of [0, X(t)] at snapshot times
-
-
-def mass_profile(rho: DensityField, x: float) -> float:
-    """Cumulative mass int_0^x rho dy by spectral antiderivative."""
-    return float(antiderivative_at(rho, [x])[0])
 
 
 def advect_paths(states, starts) -> list[CharacteristicPath]:

@@ -4,8 +4,8 @@ print the derived constants, and sweep parameters.
 
 Configs are flat key = value files (TOML-compatible scalars); command-line
 flags override file values.  Exit codes: 0 success, 1 malformed config or
-flag value, 2 invariant failure in verify mode, 3 stopped under-resolved when
-the run was required to reach t_end.
+flag value or an --out that cannot be made, 2 invariant failure in verify
+mode, 3 stopped under-resolved when the run was required to reach t_end.
 
 The argument parser is built once, at import, and every `main` call reuses
 it.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import operator
+import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -27,14 +28,14 @@ from .characteristics import advect_paths, check_decay_bound, check_mass_transpo
 from .diagnostics import classify_run, constants_for, make_observer
 from .extensions import run_alignment, slab_check_2d
 from .grid import make_grid, spectral_derivative
-from .initial_data import InitialDataSpec, make_initial_data, validate_hypotheses
+from .initial_data import KINDS, InitialDataSpec, make_initial_data, validate_hypotheses
 from .operators import (compute_A, compute_C, compute_delta, kernel_tail_bound,
                         make_params, velocity_spectral)
 from .output import dumps, write_csv, write_metadata, write_snapshot, write_timeseries
 from .solver import SolverConfig, run
 from .svgplot import line_chart
 
-PRESETS = ("cccf", "vacuum-plateau", "positive-control", "smooth-monotone")
+PRESETS = tuple(kind.replace("_", "-") for kind in KINDS)
 SNAPSHOT_STRIDE = 10  # write every 10th snapshot CSV, and the last
 
 
@@ -156,11 +157,27 @@ def _inputs(settings):
         raise ConfigError(str(exc)) from exc
 
 
-def _execute(settings, kept=None, keep_states=True):
-    """Run the settings with the estimate observer; a list kept receives, as
-    they are made, the (index, snapshot) pairs that _write_artifacts writes."""
+def _out_dir(args) -> Path:
+    """The --out directory, made before the first step; a config error if it cannot be."""
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
+    return out_dir
+
+
+def _prepare(args):
+    """A run command's settings, initial data, solver config and --out, checked in order."""
+    settings = _settings(args)
     rho0, config = _inputs(settings)
-    constants = constants_for(settings["alpha"], rho0)
+    return settings, rho0, config, _out_dir(args)
+
+
+def _execute(rho0, config, kept=None, keep_states=True):
+    """Run rho0 with the estimate observer; a list kept receives, as they
+    are made, the (index, snapshot) pairs that _write_artifacts writes."""
+    constants = constants_for(config.alpha, rho0)
     observe = make_observer(constants)
 
     def keep(state):  # every SNAPSHOT_STRIDE-th snapshot and the latest
@@ -174,7 +191,7 @@ def _execute(settings, kept=None, keep_states=True):
     result = run(rho0, config, observers=(observe if kept is None else keep,),
                  keep_states=keep_states)
     wall = time.perf_counter() - t0
-    return rho0, config, constants, result, wall
+    return constants, result, wall
 
 
 def _finish(settings, out_dir, result, wall, output_s, **extra) -> int:
@@ -190,10 +207,8 @@ def _finish(settings, out_dir, result, wall, output_s, **extra) -> int:
     return 3 if settings["require_t_end"] and result.stop_reason == "under_resolved" else 0
 
 
-def _write_artifacts(settings, args, result, wall, kept) -> int:
+def _write_artifacts(settings, args, out_dir, result, wall, kept) -> int:
     """Write the artifacts of a run and the kept snapshots (see _execute)."""
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     write_timeseries(out_dir / "timeseries.csv", result.records)
     for i, state in kept:
@@ -212,10 +227,10 @@ def _write_artifacts(settings, args, result, wall, kept) -> int:
 
 
 def cmd_simulate(args) -> int:
-    settings = _settings(args)
+    settings, rho0, config, out_dir = _prepare(args)
     kept = []
-    rho0, config, constants, result, wall = _execute(settings, kept, keep_states=False)
-    code = _write_artifacts(settings, args, result, wall, kept)
+    _, result, wall = _execute(rho0, config, kept, keep_states=False)
+    code = _write_artifacts(settings, args, out_dir, result, wall, kept)
     print(f"stop_reason={result.stop_reason} t={result.final_state.t:.6g} "
           f"steps={result.final_state.step_count} artifacts in {args.out}")
     return code
@@ -275,30 +290,35 @@ def check_invariants(records, constants, tail_threshold,
             "all_ok": all(checks.values())}
 
 
-def cmd_verify(args) -> int:
-    settings = _settings(args)
-    kept = []
-    rho0, config, constants, result, wall = _execute(settings, kept, keep_states=False)
+def _certify(rho0, constants, config, result) -> dict:
+    """verify's report, which sweep's rows read too: monotone checks on H1 and H3 data only."""
     hyp = validate_hypotheses(rho0)
     report = check_invariants(result.records, constants, config.tail_threshold,
                               monotone_data=hyp.h1 and hyp.h3)
     report["hypotheses"] = {"h1": hyp.h1, "h2": hyp.h2, "h3": hyp.h3}
     report["stop_reason"] = result.stop_reason
     report["verdict"] = classify_run(result.records) if len(result.records) >= 10 else None
-    code = _write_artifacts(settings, args, result, wall, kept)
+    return report
+
+
+def cmd_verify(args) -> int:
+    settings, rho0, config, out_dir = _prepare(args)
+    kept = []
+    constants, result, wall = _execute(rho0, config, kept, keep_states=False)
+    report = _certify(rho0, constants, config, result)
+    code = _write_artifacts(settings, args, out_dir, result, wall, kept)
     print(dumps(report))
     return code if report["all_ok"] else 2
 
 
 def cmd_characteristics(args) -> int:
-    settings = _settings(args)
-    out_dir = Path(args.out)
     try:
         starts = [float(s) for s in args.x_start.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--x-start: {exc}") from exc
-    if not all(map(math.isfinite, starts)):
-        raise ConfigError(f"--x-start: start points must be finite, got {args.x_start!r}")
+    if not all(-0.5 <= xs <= 0.5 for xs in starts):  # on the torus, so finite
+        need = "lie in [-1/2, 1/2]" if all(map(math.isfinite, starts)) else "be finite"
+        raise ConfigError(f"--x-start: start points must {need}, got {args.x_start!r}")
     names = {}  # path file name -> start, in start order
     for xs in starts:
         name = f"path_{xs:+.4f}.csv".replace("+", "")
@@ -306,12 +326,12 @@ def cmd_characteristics(args) -> int:
             raise ConfigError(f"--x-start: starts {names[name]!r} and {xs!r} "
                               f"would both write {name}")
         names[name] = xs
-    rho0, config, constants, result, wall = _execute(settings)
+    settings, rho0, config, out_dir = _prepare(args)
+    constants, result, wall = _execute(rho0, config)
     if len(result.states) < 2:
         raise ConfigError(
             f"run stopped {result.stop_reason} at t = {result.final_state.t:.6g} "
             f"with {len(result.states)} snapshot(s); paths need at least two")
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = advect_paths(result.states, starts)
     t0 = time.perf_counter()
     for name, path in zip(names, paths):
@@ -330,10 +350,7 @@ def cmd_characteristics(args) -> int:
 
 
 def cmd_align(args) -> int:
-    settings = _settings(args)
-    out_dir = Path(args.out)
-    rho0, config = _inputs(settings)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    settings, rho0, config, out_dir = _prepare(args)
     u0 = velocity_spectral(rho0, config.alpha)
 
     def row(s):  # one alignment_timeseries.csv row per snapshot
@@ -356,13 +373,10 @@ def cmd_align(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    settings = _settings(args)
-    rho0, _ = _inputs(settings)
+    settings, rho0, _, out_dir = _prepare(args)
     report = slab_check_2d(rho0, settings["alpha"])
     payload = {"alpha": settings["alpha"], "n": settings["n_points"], **asdict(report)}
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if args.out:  # an empty --out writes no report
         write_metadata(out_dir / "slab_report.json", payload)
     print(dumps(payload))
     return 0
@@ -389,26 +403,21 @@ def cmd_constants(args) -> int:
 
 def cmd_sweep(args) -> int:
     settings = _settings(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     axis = args.axis
     values = [_parse_scalar(v) for v in args.values.split(",")] if args.values else []
     rows = []
     for value in values:
-        row_settings = dict(settings)
         try:
-            row_settings[axis] = _typed(axis, value)
-            rho0, config, constants, result, wall = _execute(row_settings, keep_states=False)
-            if len(result.records) >= 10:
-                verdict = classify_run(result.records)
-            else:
-                verdict = {"verdict": "inconclusive", "growth_factor": math.nan}
-            inv = check_invariants(result.records, constants, config.tail_threshold)
+            rho0, config = _inputs({**settings, axis: _typed(axis, value)})
+            constants, result, _ = _execute(rho0, config, keep_states=False)
+            report = _certify(rho0, constants, config, result)
+            verdict = report["verdict"] or dict(verdict="inconclusive", growth_factor=math.nan)
+            margins = report.get("margins", {})
             rows.append((str(value), verdict["verdict"], verdict["growth_factor"],
                          result.stop_reason, result.final_state.t,
-                         inv["margins"]["rho_min"] if inv.get("margins") else math.nan,
-                         inv["margins"]["u_max_on_delta"] if inv.get("margins") else math.nan,
-                         "" if inv["all_ok"] else "invariant_failure"))
+                         *(margins.get(k, math.nan) for k in ("rho_min", "u_max_on_delta")),
+                         "" if report["all_ok"] else "invariant_failure"))
         except Exception as exc:  # keep sweeping, record the failure
             rows.append((str(value), "error", math.nan, "error", math.nan,
                          math.nan, math.nan, f"{type(exc).__name__}: {exc}"))
@@ -458,9 +467,12 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    new_out = getattr(args, "out", "") and not os.path.exists(args.out)
     try:
         return args.func(args)
     except ConfigError as exc:
+        if new_out and os.path.isdir(args.out) and not os.listdir(args.out):
+            os.rmdir(args.out)  # a run refused after its --out was made leaves none behind
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

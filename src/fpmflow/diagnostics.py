@@ -11,8 +11,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import DensityField, evaluate_trig, spectral_derivative
-from .operators import (OperatorParams, _gauss_legendre, _jacobi_endpoint_integral,
-                        compute_A, compute_delta, decompose_velocity)
+from .operators import (_QUADRATURE_POINTS, OperatorParams, _gauss_legendre,
+                        _jacobi_endpoint_integral, compute_A, compute_delta,
+                        decompose_velocity)
 from .solver import SimulationState
 
 __all__ = [
@@ -26,10 +27,6 @@ __all__ = [
     "verify_enhanced_bound_derivation",
     "classify_run",
 ]
-
-RECORD_FIELDS = ("t", "mass", "rho_min", "rho_max", "zeta_min_half", "c1_norm",
-                 "u_max_on_delta", "enhanced_margin", "tail_fraction", "dt")
-
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -45,7 +42,10 @@ class DiagnosticsRecord:
     dt: float
 
     def as_row(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return tuple(getattr(self, name) for name in RECORD_FIELDS)
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def make_observer(constants: EstimateConstants):
 # --------------------------------------------------------------------------
 # layer-density minimization (bathtub) oracle pair
 
-def _check_bathtub_inputs(xs, fs, M, lam, tol=1e-10):
+def _check_bathtub_inputs(xs, fs, M, lam):
     xs = np.asarray(xs, dtype=float)
     fs = np.asarray(fs, dtype=float)
     if xs.ndim != 1 or xs.shape != fs.shape or len(xs) < 2:
@@ -116,10 +116,10 @@ def _check_bathtub_inputs(xs, fs, M, lam, tol=1e-10):
         raise ValueError("sample abscissae must be strictly increasing")
     if M <= 0.0 or lam <= 0.0:
         raise ValueError("layer bound and budget must be positive")
-    scale = max(float(np.max(np.abs(fs))), 1.0)
-    if np.any(np.diff(fs) > tol * scale):
+    tol = 1e-10 * max(float(np.max(np.abs(fs))), 1.0)
+    if np.any(np.diff(fs) > tol):
         raise ValueError("samples must be monotone nonincreasing")
-    if np.any(fs < -tol * scale):
+    if np.any(fs < -tol):
         raise ValueError("samples must be positive")
     if lam >= M * (xs[-1] - xs[0]):
         raise ValueError("budget exceeds the maximal layer mass")
@@ -180,9 +180,8 @@ class EnhancedBoundReport:
                 and self.mass_lower_ok and self.III_ok and self.II1_ok)
 
 
-def verify_enhanced_bound_derivation(rho: DensityField, params: OperatorParams,
-                                     x: float, m: float, rho_max: float,
-                                     tol: float = 1e-8) -> EnhancedBoundReport:
+def verify_enhanced_bound_derivation(rho: DensityField, params: OperatorParams, x: float,
+                                     m: float, rho_max: float) -> EnhancedBoundReport:
     """Check each link of the enhanced velocity bound at one point:
     the weight h(x, y) = (y-x)^-a - (y+x)^-a is positive and nonincreasing
     on (x, 1/2]; the excess mass int_x^1/2 (rho - rho(x)) is at least m/4;
@@ -193,6 +192,7 @@ def verify_enhanced_bound_derivation(rho: DensityField, params: OperatorParams,
     """
     if not 0.0 <= x <= 0.5:
         raise ValueError("decomposition point must lie in [0, 1/2]")
+    tol = 1e-8
     alpha = params.alpha
     delta = compute_delta(alpha)
     rho_x = float(evaluate_trig(rho, [x])[0])
@@ -205,7 +205,7 @@ def verify_enhanced_bound_derivation(rho: DensityField, params: OperatorParams,
     h_positive = bool(np.all(h >= -tol))
     h_decreasing = bool(np.all(np.diff(h) <= tol * max(float(h.max()), 1.0)))
 
-    xg, wg = _gauss_legendre(params.quadrature_points)
+    xg, wg = _gauss_legendre(_QUADRATURE_POINTS)
     mid, half = 0.5 * (x + 0.5), 0.5 * (0.5 - x)
     yq = mid + half * xg
     rho_q = evaluate_trig(rho, yq)
@@ -216,8 +216,7 @@ def verify_enhanced_bound_derivation(rho: DensityField, params: OperatorParams,
     def phi(y):
         return (evaluate_trig(rho, y) - rho_x) / (y - x)
 
-    III = _jacobi_endpoint_integral(phi, x, 0.5, 1.0 - alpha,
-                                    params.quadrature_points)
+    III = _jacobi_endpoint_integral(phi, x, 0.5, 1.0 - alpha, _QUADRATURE_POINTS)
     III -= half * float(np.dot(wg, (rho_q - rho_x) * (yq + x) ** (-alpha)))
     III *= params.c_velocity
     A = compute_A(alpha, m, rho_max)

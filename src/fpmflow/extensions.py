@@ -102,7 +102,7 @@ def run_alignment(rho0: DensityField, u0: DensityField, config: SolverConfig,
         raise ValueError("initial data grids do not match the configuration")
     ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
     return integrate(np.stack((rho0.values, u0.values)), partial(_alignment_rates, ws),
-                     ws, config, ws.shear, observers, keep_states)
+                     ws, config, observers, keep_states)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from .grid import DensityField, PeriodicGrid, spectral_derivative
 from .operators import _gauss_legendre
 
 __all__ = [
+    "KINDS",
     "InitialDataSpec",
     "HypothesisReport",
     "gen_cccf",
@@ -25,19 +26,21 @@ __all__ = [
 ]
 
 
+KINDS = ("cccf", "vacuum_plateau", "positive_control", "smooth_monotone")  # --preset order
+
+
 @dataclass(frozen=True)
 class InitialDataSpec:
     """Named initial-data selection for runs and config files."""
 
-    kind: str  # cccf | vacuum_plateau | smooth_monotone | positive_control
+    kind: str  # one of KINDS
     rho_max: float = 2.0
     x0: float = 0.15
     transition_width: float = 0.1
     offset: float = 1.5
 
     def __post_init__(self):
-        if self.kind not in ("cccf", "vacuum_plateau", "smooth_monotone",
-                             "positive_control"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown initial data kind {self.kind!r}")
         if not self.rho_max > 0.0:
             raise ValueError("rho_max must be positive")
@@ -129,30 +132,29 @@ def make_initial_data(grid: PeriodicGrid, spec: InitialDataSpec) -> DensityField
     return gen_positive_control(grid, spec.offset)
 
 
-def validate_hypotheses(rho0: DensityField, tol: float = 1e-10) -> HypothesisReport:
-    """Check evenness, bounds, and vanishing-at-origin monotonicity on [0, 1/2].
+def validate_hypotheses(rho0: DensityField) -> HypothesisReport:
+    """Check evenness, bounds, and vanishing-at-origin monotonicity on [0, 1/2],
+    each to 1e-10 of the field's scale.
 
     The report carries failures rather than raising; x0 is the first node in
-    [0, 1/2] where the density exceeds the detection threshold.
+    [0, 1/2] where the density exceeds that tolerance.
     """
     v = rho0.values
     grid = rho0.grid
     rho_max_obs = float(v.max())
-    scale = max(rho_max_obs, 1.0)
+    tol = 1e-10 * max(rho_max_obs, 1.0)
 
     mirrored = np.roll(v[::-1], 1)
-    h1 = bool(np.max(np.abs(v - mirrored)) <= tol * scale)
-    h2 = bool(v.min() >= -tol * scale)
+    h1 = bool(np.max(np.abs(v - mirrored)) <= tol)
+    h2 = bool(v.min() >= -tol)
 
     i0 = grid.node_index(0.0)
     zeta = spectral_derivative(rho0).values
     right = grid.nodes >= 0.0
-    zeta_scale = max(float(np.max(np.abs(zeta))), 1.0)
-    h3 = bool(abs(v[i0]) <= tol * scale
-              and zeta[right].min() >= -tol * zeta_scale)
+    zeta_tol = 1e-10 * max(float(np.max(np.abs(zeta))), 1.0)
+    h3 = bool(abs(v[i0]) <= tol and zeta[right].min() >= -zeta_tol)
 
-    threshold = tol * scale
-    idx = np.nonzero(right & (v > threshold))[0]
+    idx = np.nonzero(right & (v > tol))[0]
     x0 = float(grid.nodes[idx[0]]) if len(idx) else 0.5
 
     return HypothesisReport(h1=h1, h2=h2, h3=h3, m=rho0.mean,

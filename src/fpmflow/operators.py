@@ -61,14 +61,11 @@ class OperatorParams:
 
     alpha: float
     kernel_truncation: int = 64
-    quadrature_points: int = 64
 
     def __post_init__(self):
         _check_alpha(self.alpha)
         if self.kernel_truncation < 8:
             raise ValueError("kernel truncation must be at least 8 images")
-        if self.quadrature_points < 8:
-            raise ValueError("need at least 8 quadrature points per cell")
 
     @property
     def c_alpha(self) -> float:
@@ -97,6 +94,7 @@ class VelocityDecomposition:
 # --------------------------------------------------------------------------
 # quadrature helpers
 
+_QUADRATURE_POINTS = 64  # Gauss points per quadrature cell
 _SING_HALF_WIDTH = 0.25  # half width of the symmetric singular cell
 _TAIL_MOMENTS = 6  # terms of the image-tail expansion
 
@@ -190,8 +188,7 @@ def _image_weights(w, p: float, L: int, start: int = 0) -> np.ndarray:
     return out
 
 
-def _periodized_singular_integral(G, p: float, L: int, n_quad: int,
-                                  mean_zero: bool = False) -> float:
+def _periodized_singular_integral(G, p: float, L: int, mean_zero: bool = False) -> float:
     """integral_0^infty G(s) s^(-p) ds for smooth 1-periodic G vanishing at 0.
 
     G must vanish to order q at s = 0 with q - p > -1 (q = 1 for the odd
@@ -204,8 +201,8 @@ def _periodized_singular_integral(G, p: float, L: int, n_quad: int,
     if q - p <= -1.0 + 1e-14:
         q += 1
     total = _jacobi_endpoint_integral(lambda s: G(s) / s ** q, 0.0,
-                                      _SING_HALF_WIDTH, q - p, max(24, n_quad // 2))
-    xg, wg = _gauss_legendre(n_quad)
+                                      _SING_HALF_WIDTH, q - p, _QUADRATURE_POINTS // 2)
+    xg, wg = _gauss_legendre(_QUADRATURE_POINTS)
     total += _gauss_cell(lambda t: G(t) * t ** (-p), _SING_HALF_WIDTH, 0.5, xg, wg)
     sig = 0.5 * xg
     images = _image_weights(sig, p, L, start=1 if mean_zero else 0)
@@ -258,10 +255,9 @@ def compute_A(alpha: float, m: float, rho_max: float) -> float:
     return alpha * m / (4.0 * rho_max)
 
 
-def make_params(alpha: float, kernel_truncation: int = 64,
-                quadrature_points: int = 64) -> OperatorParams:
+def make_params(alpha: float, kernel_truncation: int = 64) -> OperatorParams:
     """Kernel-quadrature parameters for one alpha."""
-    return OperatorParams(alpha, kernel_truncation, quadrature_points)
+    return OperatorParams(alpha, kernel_truncation)
 
 
 def kernel_tail_bound(params: OperatorParams, scale: float) -> float:
@@ -322,8 +318,7 @@ def fractional_laplacian_kernel(f: DensityField, params: OperatorParams,
     def G(s):
         return np.sin(np.pi * np.multiply.outer(s, k)) ** 2 @ a
 
-    raw = _periodized_singular_integral(
-        G, 1.0 + params.alpha, params.kernel_truncation, params.quadrature_points)
+    raw = _periodized_singular_integral(G, 1.0 + params.alpha, params.kernel_truncation)
     return params.c_alpha * raw
 
 
@@ -339,9 +334,8 @@ def velocity_kernel(rho: DensityField, params: OperatorParams, x: float) -> floa
     def G(s):
         return evaluate_trig(rho, x - s) - evaluate_trig(rho, x + s)
 
-    raw = _periodized_singular_integral(
-        G, params.alpha, params.kernel_truncation, params.quadrature_points,
-        mean_zero=True)
+    raw = _periodized_singular_integral(G, params.alpha, params.kernel_truncation,
+                                        mean_zero=True)
     return params.c_velocity * raw
 
 
@@ -367,8 +361,7 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
         raise ValueError("decomposition point must lie in [0, 1/2]")
     alpha = params.alpha
     L = params.kernel_truncation
-    nq = params.quadrature_points
-    xg, wg = _gauss_legendre(nq)
+    xg, wg = _gauss_legendre(_QUADRATURE_POINTS)
     c_u = params.c_velocity
     rho_x = float(evaluate_trig(rho, [x])[0])
 
@@ -380,7 +373,7 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
     def phi_near(s):
         return (evaluate_trig(rho, x - s) - rho_x) / s
 
-    I_val = c_u * _jacobi_endpoint_integral(phi_near, 0.0, x, 1.0 - alpha, nq)
+    I_val = c_u * _jacobi_endpoint_integral(phi_near, 0.0, x, 1.0 - alpha, _QUADRATURE_POINTS)
     I_val += c_u * _gauss_cell(
         lambda s: (evaluate_trig(rho, x - s) - rho_x) * (2.0 * x - s) ** (-alpha),
         0.0, x, xg, wg)
@@ -392,7 +385,7 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
     def phi_far(y):
         return -(evaluate_trig(rho, y) - rho_x) / (y - x)
 
-    II1 = _jacobi_endpoint_integral(phi_far, x, 1.0 - x, 1.0 - alpha, nq)
+    II1 = _jacobi_endpoint_integral(phi_far, x, 1.0 - x, 1.0 - alpha, _QUADRATURE_POINTS)
     II1 += _integrate_steep_left(
         lambda y: (evaluate_trig(rho, y) - rho_x) * (x + y) ** (-alpha),
         x, 1.0 - x, scale=max(x, 1e-3), nodes=xg, weights=wg)

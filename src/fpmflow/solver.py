@@ -98,7 +98,7 @@ class SolverConfig:
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
         if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError("dealias fraction must lie in (0, 1]")
+            raise ValueError("dealias_fraction must lie in (0, 1]")
         if not 0.0 < self.t_end < np.inf:
             raise ValueError("t_end must be finite and positive")
         if not self.tail_threshold > 0.0:
@@ -288,8 +288,7 @@ def _lawson_heun(y_hat: np.ndarray, n0: np.ndarray, rates: Callable, dt: float,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the error estimate catches non-finite stages
-def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
-              config: SolverConfig, shear: Optional[np.ndarray] = None,
+def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverConfig,
               observers: tuple[Callable, ...] = (), keep_states: bool = True) -> RunResult:
     """Step the transforms y_hat = rfft(y0) with Heun RK3 from t = 0.
 
@@ -298,9 +297,9 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
     of the stage, (rho, u) or (rho, u, G), u being the transport velocity
     and each row a field of the SimulationState in that order.  The tendency
     linearised about the mean density m is integrated exactly (Lawson form):
-    a single field relaxes at the rates m ws.lin; given shear, y0 is the
-    pair (rho, u), u relaxes at those rates and feeds rho at shear times
-    them (see _lawson_heun).  The dissipative floor is measured from m.
+    a single field relaxes at the rates m ws.lin; in the pair (rho, u) of the
+    alignment system, u relaxes at those rates and feeds rho at ws.shear
+    times them (see _lawson_heun).  The dissipative floor is measured from m.
 
     Each step is proposed by the error controller (see the module
     docstring), raised to the floor, capped by the transport limit, and
@@ -327,6 +326,7 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace,
     # linear rates are fixed for the run
     mean = float(np.atleast_2d(y_hat)[0, 0].real) / ws.grid.n
     lam = mean * ws.lin
+    shear = ws.shear if y0.ndim == 2 else None
     rate_calls = 0
 
     def counted_rates(y_hat):
@@ -444,5 +444,4 @@ def run(rho0: DensityField, config: SolverConfig,
     if rho0.grid.n != config.n_points:
         raise ValueError("initial data grid does not match the configuration")
     ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
-    return integrate(rho0.values, ws.continuity_rates, ws, config,
-                     observers=observers, keep_states=keep_states)
+    return integrate(rho0.values, ws.continuity_rates, ws, config, observers, keep_states)

@@ -6,7 +6,7 @@ import pytest
 from fpmflow.grid import DensityField, antiderivative_at, evaluate_trig, make_grid, trig_sum
 from fpmflow.initial_data import gen_cccf, gen_positive_control, gen_vacuum_plateau
 from fpmflow.characteristics import (advect_path, advect_paths, check_decay_bound,
-                                     check_mass_transport, mass_profile)
+                                     check_mass_transport)
 from fpmflow.solver import SolverConfig, run
 
 
@@ -29,16 +29,16 @@ def control_run():
 class TestMassProfile:
     def test_cccf_half(self):
         rho = gen_cccf(make_grid(256))
-        assert abs(mass_profile(rho, 0.5) - 0.5) < 1e-12
+        assert abs(antiderivative_at(rho, [0.5])[0] - 0.5) < 1e-12
 
     def test_zero_at_origin(self):
         rho = gen_cccf(make_grid(256))
-        assert mass_profile(rho, 0.0) == 0.0
+        assert antiderivative_at(rho, [0.0])[0] == 0.0
 
     def test_monotone_for_nonnegative_density(self):
         rho = gen_cccf(make_grid(256))
         xs = np.linspace(0.0, 0.5, 40)
-        vals = [mass_profile(rho, x) for x in xs]
+        vals = [antiderivative_at(rho, [x])[0] for x in xs]
         assert np.all(np.diff(vals) >= -1e-14)
 
 
@@ -67,7 +67,7 @@ class TestAdvectPath:
     def test_mass0_attached(self, cccf_run):
         path = advect_path(cccf_run.states, 0.2)
         rho0 = cccf_run.states[0].rho
-        assert abs(path.mass_along[0] - mass_profile(rho0, 0.2)) < 1e-14
+        assert abs(path.mass_along[0] - antiderivative_at(rho0, [0.2])[0]) < 1e-14
 
     def test_needs_two_snapshots(self, cccf_run):
         with pytest.raises(ValueError):
@@ -110,7 +110,7 @@ def _advect_stage_by_stage(states, x_start):
             pos = pos + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         positions[i + 1] = pos
     rho_along = [float(evaluate_trig(s.rho, [p])[0]) for s, p in zip(states, positions)]
-    mass_along = [mass_profile(s.rho, p) for s, p in zip(states, positions)]
+    mass_along = [antiderivative_at(s.rho, [p])[0] for s, p in zip(states, positions)]
     return positions, np.array(rho_along), np.array(mass_along)
 
 
@@ -148,7 +148,7 @@ class TestAdvectPaths:
 
     def test_mass_at_origin_stays_exactly_zero(self, plateau_run):
         for s in plateau_run.states:
-            assert mass_profile(s.rho, 0.0) == 0.0
+            assert antiderivative_at(s.rho, [0.0])[0] == 0.0
         assert advect_paths(plateau_run.states, [0.0, 0.1])[0].mass_along[0] == 0.0
 
 
@@ -156,6 +156,14 @@ class TestMassTransport:
     def test_identical_paths_zero_drift(self, cccf_run):
         p = advect_path(cccf_run.states, 0.2)
         assert check_mass_transport(p, p, cccf_run.states) == 0.0
+
+    def test_rejects_other_time_grid(self, cccf_run):
+        p1, p2 = advect_paths(cccf_run.states, [0.05, 0.2])
+        with pytest.raises(ValueError, match="share their time grid"):
+            check_mass_transport(p1, p2, cccf_run.states[1:])
+        short = advect_path(cccf_run.states[:3], 0.2)
+        with pytest.raises(ValueError, match="share their time grid"):
+            check_mass_transport(p1, short, cccf_run.states)
 
     def test_cccf_drift_small(self, cccf_run):
         p1 = advect_path(cccf_run.states, 0.05)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,13 +15,14 @@ import numpy as np
 import pytest
 
 import fpmflow
+from fpmflow import cli
 from fpmflow.characteristics import advect_path, check_mass_transport
 from fpmflow.cli import RUN_KEYS, ConfigError, check_invariants, load_config, main
 from fpmflow.diagnostics import (DiagnosticsRecord, EstimateConstants, constants_for,
                                  make_observer)
 from fpmflow.extensions import run_alignment
 from fpmflow.grid import make_grid, spectral_derivative
-from fpmflow.initial_data import InitialDataSpec, make_initial_data
+from fpmflow.initial_data import KINDS, InitialDataSpec, make_initial_data
 from fpmflow.operators import velocity_spectral
 from fpmflow.output import write_csv, write_snapshot, write_timeseries
 from fpmflow.solver import SolverConfig, run
@@ -92,7 +94,8 @@ class TestConfigFile:
                      'preset = "cccf"\nx0 = 0.45', 'preset = "cccf"\nwidth = 0',
                      'preset = "cccf"\noffset = nan', 'preset = "cccf"\nx0 = nan',
                      "t_end = nan", "t_end = inf", "rho_max = inf",
-                     "tail_threshold = inf", "snapshot_interval = inf"):
+                     "tail_threshold = inf", "snapshot_interval = inf",
+                     "alpha =", "= 0.5"):
             cfg.write_text("t_end = 0.001\n" + text + "\n")
             code = run_cli("simulate", "--config", str(cfg), "--no-plots",
                            "--out", str(tmp_path / "o"))
@@ -146,6 +149,12 @@ class TestConfigFile:
         (("characteristics", "--n", "64", "--t-end", "0.001",
           "--x-start", "0.05,0.050001"),
          "starts 0.05 and 0.050001 would both write path_0.0500.csv"),
+        # a start off the torus would make a file name of any length, and the
+        # decay check reads the start as the distance from the vacuum point
+        (("characteristics", "--n", "64", "--t-end", "0.001", "--x-start", "1e300,0.2"),
+         "start points must lie in [-1/2, 1/2], got '1e300,0.2'"),
+        (("characteristics", "--n", "64", "--t-end", "0.001", "--x-start", "0.2,-0.5001"),
+         "start points must lie in [-1/2, 1/2], got '0.2,-0.5001'"),
     ])
     def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
         # rejected flag values exit 1 with a message and write nothing
@@ -401,6 +410,14 @@ class TestVerify:
         assert report["margins"]["enhanced_margin"] is None
         assert report["all_ok"]
 
+    def test_no_resolved_record_fails(self, tmp_path, capsys):
+        # below every record's tail fraction nothing is certified: exit 2
+        code = run_cli("verify", "--preset", "cccf", "--n", "128", "--t-end", "0.01",
+                       "--tail-threshold", "1e-30", "--no-plots", "--out", str(tmp_path / "o"))
+        assert code == 2
+        report = strict_stdout(capsys)
+        assert report["resolved_records"] == 0 and report["all_ok"] is False
+
     def test_cccf_window_passes(self, tmp_path, capsys):
         code = run_cli("verify", "--preset", "cccf", "--alpha", "1.0",
                        "--n", "512", "--t-end", "0.08",
@@ -515,6 +532,14 @@ class TestCharacteristicsCommand:
         assert drift == check_mass_transport(*outer, states)
 
 
+    def test_starts_on_the_torus_ends(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("characteristics", "--n", "64", "--t-end", "0.01",
+                       "--x-start=-0.5,0.5", "--out", str(out)) == 0
+        assert sorted(p.name for p in out.glob("path_*.csv")) == [
+            "path_-0.5000.csv", "path_0.5000.csv"]
+
+
 class TestAlignCommand:
     def test_g_column(self, tmp_path):
         out = tmp_path / "o"
@@ -615,6 +640,75 @@ class TestSweep:
         assert all(len(row) == 8 for row in rows)
         assert rows[2][1] == "error"
         assert rows[2][7] == "ConfigError: alpha must lie in (0, 2), got 7.0"
+
+
+class TestSweepAppliesVerifysRule:
+    """A sweep row is the verify report of the same run: its note says
+    invariant_failure exactly when verify exits 2, and its margins are
+    verify's (NaN where verify resolves no record)."""
+
+    @pytest.mark.parametrize("preset, alpha, t_end, tail", [
+        ("cccf", "1.0", "0.05", "1e-8"),
+        ("cccf", "1.0", "0.05", "1e-30"),
+        ("positive-control", "1.0", "0.05", "1e-8"),
+        # monotonicity fails on these positive data late in the run; verify
+        # does not enforce it there (H3 fails), and neither does sweep
+        ("positive-control", "1.9", "0.5", "1e-8"),
+        ("positive-control", "1.0", "0.05", "1e-30"),
+    ])
+    def test_row_matches_verify(self, preset, alpha, t_end, tail, tmp_path, capsys):
+        run = ("--preset", preset, "--n", "128", "--t-end", t_end, "--tail-threshold", tail)
+        code = run_cli("verify", *run, "--alpha", alpha, "--no-plots",
+                       "--out", str(tmp_path / "v"))
+        report = strict_stdout(capsys)
+        assert run_cli("sweep", *run, "--axis", "alpha", "--values", alpha,
+                       "--out", str(tmp_path / "s")) == 0
+        with open(tmp_path / "s" / "sweep.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert code in (0, 2)
+        assert (row["note"] == "invariant_failure") == (code == 2)
+        margins = report.get("margins", {})
+        for key in ("rho_min", "u_max_on_delta"):
+            np.testing.assert_equal(float(row[key]), margins.get(key, math.nan))
+
+
+class TestPresets:
+    def test_choices_are_the_initial_data_kinds(self, capsys):
+        # the kinds in InitialDataSpec's spelling, in the order --help shows
+        presets = dict((key, kind) for key, _, kind, _ in RUN_KEYS)["preset"]
+        assert presets == tuple(kind.replace("_", "-") for kind in KINDS)
+        assert presets == ("cccf", "vacuum-plateau", "positive-control", "smooth-monotone")
+        with pytest.raises(SystemExit):
+            run_cli("simulate", "--preset", "bogus")
+        err = capsys.readouterr().err
+        places = [err.index(preset) for preset in presets]
+        assert places == sorted(places)
+
+
+class TestUnusableOut:
+    """An --out that cannot be made is a config error before the first step."""
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "characteristics",
+                                         "align", "reduce", "sweep"])
+    @pytest.mark.parametrize("under_file", [True, False], ids=("under_a_file", "a_file"))
+    def test_exit_one_before_the_run(self, command, under_file, tmp_path, capsys,
+                                     monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "x" if under_file else blocker
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for name in ("run", "run_alignment", "slab_check_2d"):
+            monkeypatch.setattr(cli, name, no_run)
+        extra = ("--axis", "alpha", "--values", "0.5,1.0") if command == "sweep" else ()
+        assert run_cli(command, "--n", "64", "--t-end", "0.01", *extra,
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --out: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert blocker.read_text() == "kept"
 
 
 def _artifacts(out: Path) -> dict:

@@ -114,6 +114,19 @@ class TestBathtub:
         with pytest.raises(ValueError, match="nonincreasing"):
             bathtub_min(xs, fs, 1.0, 0.5)
 
+    @pytest.mark.parametrize("oracle", [bathtub_min, bathtub_brute])
+    @pytest.mark.parametrize("xs, fs, M, lam, message", [
+        ([0.0, 1.0], [1.0, 0.5, 0.2], 1.0, 0.5, "matching 1d sample arrays"),
+        ([0.0], [1.0], 1.0, 0.5, "matching 1d sample arrays"),
+        ([0.0, 0.5, 0.5, 1.0], [1.0, 0.8, 0.6, 0.4], 1.0, 0.5, "strictly increasing"),
+        ([0.0, 0.5, 1.0], [1.0, 0.8, 0.6], 0.0, 0.5, "budget must be positive"),
+        ([0.0, 0.5, 1.0], [1.0, 0.8, 0.6], 1.0, -0.5, "budget must be positive"),
+        ([0.0, 0.5, 1.0], [0.0, -0.5, -1.0], 1.0, 0.5, "samples must be positive"),
+    ])
+    def test_rejects_bad_inputs(self, oracle, xs, fs, M, lam, message):
+        with pytest.raises(ValueError, match=message):
+            oracle(xs, fs, M, lam)
+
 
 class TestEnhancedBoundLinks:
     def test_cccf_all_links(self, params_one):

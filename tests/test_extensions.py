@@ -40,6 +40,10 @@ class TestAlignmentRates:
 
 
 class TestAlignmentForce:
+    def test_rejects_fields_on_other_grids(self, grid):
+        with pytest.raises(ValueError, match="share a grid"):
+            alignment_force(gen_cccf(grid), gen_cccf(make_grid(128)), 1.0)
+
     def test_constant_velocity_no_force(self, grid):
         rho = gen_cccf(grid)
         u = DensityField(grid, np.full(grid.n, 0.7))
@@ -77,8 +81,7 @@ class TestAlignmentForce:
                         + (evaluate_trig(u, x - s) - ux) * evaluate_trig(rho, x - s))
 
             raw = _periodized_singular_integral(G, 1.0 + alpha,
-                                                params.kernel_truncation,
-                                                params.quadrature_points)
+                                                params.kernel_truncation)
             return params.c_alpha * raw
 
         for x in (-0.3, 0.0, 0.17, 0.42):
@@ -87,6 +90,12 @@ class TestAlignmentForce:
 
 
 class TestAlignmentRun:
+    @pytest.mark.parametrize("n_rho, n_u", [(128, 64), (64, 128), (128, 128)])
+    def test_rejects_grids_other_than_the_config(self, n_rho, n_u):
+        cfg = SolverConfig(alpha=1.0, n_points=64, t_end=0.01)
+        rho0, u0 = gen_cccf(make_grid(n_rho)), gen_cccf(make_grid(n_u))
+        with pytest.raises(ValueError, match="do not match the configuration"):
+            run_alignment(rho0, u0, cfg)
     def test_g_zero_preserved_and_matches_main_solver(self):
         n, alpha, t_end = 512, 1.0, 0.06
         grid = make_grid(n)

@@ -79,6 +79,11 @@ class TestTransforms:
         with pytest.raises(ValueError, match="finite"):
             DensityField(grid, np.array([1.0, np.nan] + [0.0] * 6))
 
+    @pytest.mark.parametrize("shape", [(7,), (9,), (2, 8)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="does not match grid size 8"):
+            DensityField(make_grid(8), np.zeros(shape))
+
 
 class TestSpectralDerivative:
     def test_sin(self):

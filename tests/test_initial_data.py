@@ -139,3 +139,8 @@ class TestSpec:
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             InitialDataSpec(kind="vacuum_plateau", x0=0.45, transition_width=0.1)
+
+    @pytest.mark.parametrize("rho_max", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_rho_max(self, rho_max):
+        with pytest.raises(ValueError, match="rho_max must be positive"):
+            InitialDataSpec(kind="smooth_monotone", rho_max=rho_max)

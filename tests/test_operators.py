@@ -237,6 +237,11 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="even"):
             decompose_velocity(rho, params_by_alpha[1.0], 0.1)
 
+    @pytest.mark.parametrize("x", [-0.1, 0.5000001, 0.7])
+    def test_rejects_point_outside_half_period(self, x, params_by_alpha, cccf):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1/2\]"):
+            decompose_velocity(cccf, params_by_alpha[1.0], x)
+
     def test_at_origin_zero(self, params_by_alpha, cccf):
         dec = decompose_velocity(cccf, params_by_alpha[0.5], 0.0)
         assert dec.total == 0.0

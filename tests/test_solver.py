@@ -64,7 +64,8 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("snapshot_interval", 0.0), ("snapshot_interval", -1.0),
         ("max_steps", -5), ("dt_fixed", 0.0), ("dt_fixed", -1e-3),
-        ("tail_threshold", 0.0), ("t_end", np.nan), ("t_end", np.inf)])
+        ("tail_threshold", 0.0), ("t_end", np.nan), ("t_end", np.inf),
+        ("cfl", 0.0), ("cfl", 1.5), ("dealias_fraction", 0.0), ("dealias_fraction", 1.5)])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{"alpha": 1.0, "n_points": 256, "t_end": 1.0, field: value})
