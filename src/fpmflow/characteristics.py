@@ -33,6 +33,10 @@ class CharacteristicPath:
     rho_along: np.ndarray  # density sampled on the path at snapshot times
     mass_along: np.ndarray  # mass of [0, X(t)] at snapshot times
 
+    def decay_envelope(self, A: float) -> np.ndarray:
+        """The decay bound |x_start| e^{-A t} on |X(t)|, at the path's times."""
+        return abs(self.x_start) * np.exp(-A * self.times)
+
 
 def advect_paths(states, starts) -> list[CharacteristicPath]:
     """Integrate the path from each start (a float or a sequence of them)
@@ -113,28 +117,29 @@ def check_mass_transport(path1: CharacteristicPath, path2: CharacteristicPath,
 class DecayBoundReport:
     applicable: bool
     holds: bool
-    margin: Optional[float]  # min over checked times of eps e^{-At} - X(t)
+    margin: Optional[float]  # min over checked t > 0 of (bound - |X|) / bound
     t_checked: Optional[float]  # last time the smallness hypothesis held
 
 
 def check_decay_bound(path: CharacteristicPath, A: float, m: float,
                       tol: float = 1e-3,
                       delta: float | None = None) -> DecayBoundReport:
-    """Verify X(t) <= x_start e^{-A t} (1 + tol) while rho(X(t), t) <= m/2.
+    """Verify |X(t)| <= |x_start| e^{-A t} (1 + tol) while rho(X(t), t) <= m/2;
+    |X| is the path's distance from the vacuum point 0.
 
     Times after the first smallness violation are not checked; if the
     hypothesis fails from the start, or the path starts outside the
-    smallness radius delta, the report is marked not applicable and has no
-    margin or checked time.
+    smallness radius delta, the report is not applicable and has no margin
+    or checked time.  The margin is None when no checked t > 0 has a bound.
     """
-    eps = path.x_start
     small = path.rho_along <= m / 2.0 + 1e-12
-    if not small[0] or (delta is not None and eps > delta + 1e-12):
+    if not small[0] or (delta is not None and abs(path.x_start) > delta + 1e-12):
         return DecayBoundReport(False, False, None, None)
     n_ok = int(np.argmin(small)) if not np.all(small) else len(small)
     times = path.times[:n_ok]
-    pos = path.positions[:n_ok]
-    bound = eps * np.exp(-A * times)
-    margin = float(np.min(bound - pos))
-    holds = bool(np.all(pos <= bound * (1.0 + tol) + 1e-15))
+    dist = np.abs(path.positions[:n_ok])
+    bound = path.decay_envelope(A)[:n_ok]
+    later = (times > 0) & (bound > 0)
+    margin = float(np.min((bound - dist)[later] / bound[later])) if later.any() else None
+    holds = bool(np.all(dist <= bound * (1.0 + tol) + 1e-15))
     return DecayBoundReport(True, holds, margin, float(times[-1]))

@@ -3,9 +3,9 @@ track characteristics, run the alignment system, check the slab reduction,
 print the derived constants, and sweep parameters.
 
 Configs are flat key = value files (TOML-compatible scalars); command-line
-flags override file values.  Exit codes: 0 success, 1 malformed config or
-flag value or an --out that cannot be made, 2 invariant failure in verify
-mode, 3 stopped under-resolved when the run was required to reach t_end.
+flags override file values.  Exit codes: 0 success, 1 a usage error, a bad
+config or flag value or an --out that cannot be made, 2 invariant failure in
+verify mode, 3 stopped under-resolved when the run was required to reach t_end.
 
 The argument parser is built once, at import, and every `main` call reuses
 it.
@@ -29,8 +29,7 @@ from .diagnostics import classify_run, constants_for, make_observer
 from .extensions import run_alignment, slab_check_2d
 from .grid import make_grid, spectral_derivative
 from .initial_data import KINDS, InitialDataSpec, make_initial_data, validate_hypotheses
-from .operators import (compute_A, compute_C, compute_delta, kernel_tail_bound,
-                        make_params, velocity_spectral)
+from .operators import compute_A, compute_C, compute_delta, make_params, velocity_spectral
 from .output import dumps, write_csv, write_metadata, write_snapshot, write_timeseries
 from .solver import SolverConfig, run
 from .svgplot import line_chart
@@ -41,6 +40,13 @@ SNAPSHOT_STRIDE = 10  # write every 10th snapshot CSV, and the last
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and so its sub-parsers, whose usage errors are config errors."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def load_config(path) -> dict:
@@ -335,8 +341,8 @@ def cmd_characteristics(args) -> int:
     paths = advect_paths(result.states, starts)
     t0 = time.perf_counter()
     for name, path in zip(names, paths):
-        bound = path.x_start * np.exp(-constants.A * path.times)
-        rows = np.column_stack((path.times, path.positions, path.mass_along, bound))
+        rows = np.column_stack((path.times, path.positions, path.mass_along,
+                                path.decay_envelope(constants.A)))
         write_csv(out_dir / name, ("t", "X", "mass_along", "decay_bound"), rows)
     output_s = time.perf_counter() - t0
     reports = [check_decay_bound(p, constants.A, constants.m,
@@ -384,7 +390,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_constants(args) -> int:
     try:
-        params = make_params(args.alpha, kernel_truncation=args.images)
+        params = make_params(args.alpha)
         payload = {
             "alpha": args.alpha,
             "c_alpha": params.c_alpha,
@@ -392,8 +398,6 @@ def cmd_constants(args) -> int:
             "C": compute_C(args.alpha),
             "delta": compute_delta(args.alpha),
             "A": compute_A(args.alpha, args.m, args.rho_max),
-            "image_truncation": params.kernel_truncation,
-            "truncation_tail_bound": kernel_tail_bound(params, args.rho_max),
         }
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -430,7 +434,7 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fpmflow",
         description="pseudo-spectral runs and estimate verification for the "
                     "1D nonlocal continuity flow")
@@ -457,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--rho-max", type=float, default=2.0, dest="rho_max")
-    p.add_argument("--images", type=int, default=64)
     p.set_defaults(func=cmd_constants)
     return parser
 
@@ -466,9 +469,10 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    new_out = getattr(args, "out", "") and not os.path.exists(args.out)
+    new_out = False
     try:
+        args = _PARSER.parse_args(argv)
+        new_out = getattr(args, "out", "") and not os.path.exists(args.out)
         return args.func(args)
     except ConfigError as exc:
         if new_out and os.path.isdir(args.out) and not os.listdir(args.out):

@@ -162,7 +162,8 @@ def trig_eval(grid: PeriodicGrid, layout, x):
     same point alone in an array."""
     cqr, c0, cn = layout
     b, row = grid._trig_rows
-    phases = np.exp(np.multiply.outer(x, row))  # e^{2 pi i r x}, then e^{2 pi i qB x}
+    phases = np.multiply.outer(x, row)  # e^{2 pi i r x}, then e^{2 pi i qB x}
+    np.exp(phases, out=phases)  # in place: one phase matrix, not two
     inner = phases[..., :b] @ cqr
     inner *= phases[..., b:]
     return c0 + 2.0 * inner.real.sum(axis=-1) + cn * np.cos(np.pi * grid.n * x)

@@ -9,8 +9,8 @@ Each operator has two routes:
   with the singular cell folded symmetrically and integrated by Gauss-Jacobi
   rules.  The periodic images share one rule (``_image_weights``): the
   1-periodic integrand is evaluated once on one period's Gauss nodes, which
-  carry the summed image weights sum_l (l + w)^(-p) -- images 1 .. L exactly,
-  the remainder by a moment expansion in Hurwitz zeta functions.
+  carry the summed image weights sum_l (l + w)^(-p): images 1 .. _IMAGES
+  exactly and all the rest by a moment expansion in Hurwitz zeta functions.
 
 The symmetric kernel's normalization c_alpha is the closed form C(1, alpha/2)
 of Di Nezza, Palatucci & Valdinoci (Bull. Sci. Math. 2012).  The odd velocity
@@ -46,7 +46,6 @@ __all__ = [
     "velocity_kernel",
     "decompose_velocity",
     "kernel_sum_S",
-    "kernel_tail_bound",
     "compute_C",
     "compute_delta",
     "compute_A",
@@ -60,12 +59,9 @@ class OperatorParams:
     """Kernel-quadrature configuration for one value of alpha."""
 
     alpha: float
-    kernel_truncation: int = 64
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.kernel_truncation < 8:
-            raise ValueError("kernel truncation must be at least 8 images")
 
     @property
     def c_alpha(self) -> float:
@@ -97,6 +93,7 @@ class VelocityDecomposition:
 _QUADRATURE_POINTS = 64  # Gauss points per quadrature cell
 _SING_HALF_WIDTH = 0.25  # half width of the symmetric singular cell
 _TAIL_MOMENTS = 6  # terms of the image-tail expansion
+_IMAGES = 64  # images summed exactly before the tail expansion takes over
 
 
 def _check_alpha(alpha: float) -> None:
@@ -169,26 +166,26 @@ def _hurwitz_zeta(s: float, a: int) -> float:
     return out
 
 
-def _image_weights(w, p: float, L: int, start: int = 0) -> np.ndarray:
+def _image_weights(w, p: float, start: int = 0) -> np.ndarray:
     """sum_{l >= 1} (l + w)^(-p) at each node offset w, |w| <= 1.
 
-    Images 1 .. L are summed exactly; the remainder expands (l + w)^(-p)
-    about each integer l > L, so its j-th term is binomial(-p, j) w^j
-    zeta(p + j, L + 1).  start = 1 drops the j = 0 term, whose integral
-    vanishes against a mean-zero integrand.
+    Images 1 .. L = _IMAGES are summed exactly; the remainder expands
+    (l + w)^(-p) about each integer l > L, so its j-th term is
+    binomial(-p, j) w^j zeta(p + j, L + 1).  start = 1 drops the j = 0 term,
+    whose integral vanishes against a mean-zero integrand.
     """
     w = np.asarray(w, dtype=float)
-    images = np.arange(1.0, L + 1.0)[:, None]
+    images = np.arange(1.0, _IMAGES + 1.0)[:, None]
     out = np.sum((images + w) ** (-p), axis=0)
     binom = 1.0  # binomial(-p, j)
     for j in range(_TAIL_MOMENTS):
         if j >= start:
-            out += binom * _hurwitz_zeta(p + j, L + 1) * w ** j
+            out += binom * _hurwitz_zeta(p + j, _IMAGES + 1) * w ** j
         binom *= -(p + j) / (j + 1)
     return out
 
 
-def _periodized_singular_integral(G, p: float, L: int, mean_zero: bool = False) -> float:
+def _periodized_singular_integral(G, p: float, mean_zero: bool = False) -> float:
     """integral_0^infty G(s) s^(-p) ds for smooth 1-periodic G vanishing at 0.
 
     G must vanish to order q at s = 0 with q - p > -1 (q = 1 for the odd
@@ -205,7 +202,7 @@ def _periodized_singular_integral(G, p: float, L: int, mean_zero: bool = False) 
     xg, wg = _gauss_legendre(_QUADRATURE_POINTS)
     total += _gauss_cell(lambda t: G(t) * t ** (-p), _SING_HALF_WIDTH, 0.5, xg, wg)
     sig = 0.5 * xg
-    images = _image_weights(sig, p, L, start=1 if mean_zero else 0)
+    images = _image_weights(sig, p, start=1 if mean_zero else 0)
     return total + float(np.dot(0.5 * wg * images, G(sig)))
 
 
@@ -255,15 +252,9 @@ def compute_A(alpha: float, m: float, rho_max: float) -> float:
     return alpha * m / (4.0 * rho_max)
 
 
-def make_params(alpha: float, kernel_truncation: int = 64) -> OperatorParams:
+def make_params(alpha: float) -> OperatorParams:
     """Kernel-quadrature parameters for one alpha."""
-    return OperatorParams(alpha, kernel_truncation)
-
-
-def kernel_tail_bound(params: OperatorParams, scale: float) -> float:
-    """Analytic bound on the discarded images: scale * int_L^infty z^(-1-alpha) dz."""
-    L = params.kernel_truncation
-    return params.c_alpha * scale * L ** (-params.alpha) / params.alpha
+    return OperatorParams(alpha)
 
 
 # --------------------------------------------------------------------------
@@ -318,7 +309,7 @@ def fractional_laplacian_kernel(f: DensityField, params: OperatorParams,
     def G(s):
         return np.sin(np.pi * np.multiply.outer(s, k)) ** 2 @ a
 
-    raw = _periodized_singular_integral(G, 1.0 + params.alpha, params.kernel_truncation)
+    raw = _periodized_singular_integral(G, 1.0 + params.alpha)
     return params.c_alpha * raw
 
 
@@ -334,8 +325,7 @@ def velocity_kernel(rho: DensityField, params: OperatorParams, x: float) -> floa
     def G(s):
         return evaluate_trig(rho, x - s) - evaluate_trig(rho, x + s)
 
-    raw = _periodized_singular_integral(G, params.alpha, params.kernel_truncation,
-                                        mean_zero=True)
+    raw = _periodized_singular_integral(G, params.alpha, mean_zero=True)
     return params.c_velocity * raw
 
 
@@ -360,7 +350,6 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
     if not 0.0 <= x <= 0.5:
         raise ValueError("decomposition point must lie in [0, 1/2]")
     alpha = params.alpha
-    L = params.kernel_truncation
     xg, wg = _gauss_legendre(_QUADRATURE_POINTS)
     c_u = params.c_velocity
     rho_x = float(evaluate_trig(rho, [x])[0])
@@ -394,8 +383,8 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
     # onto w = y - l with kernel sum_l (l+w+x)^-a - (l+w-x)^-a; the j = 0
     # tail terms cancel in the difference
     def far(w):
-        kernel = (_image_weights(w + x, alpha, L, start=1)
-                  - _image_weights(w - x, alpha, L, start=1))
+        kernel = (_image_weights(w + x, alpha, start=1)
+                  - _image_weights(w - x, alpha, start=1))
         return (evaluate_trig(rho, w) - rho_x) * kernel
 
     II1 = c_u * (II1 + _gauss_cell(far, x, 1.0 - x, xg, wg))

@@ -120,7 +120,7 @@ ALPHAS_DUALITY = (0.3, 0.5, 1.0, 1.5, 1.9)
 def test_criterion_1_operator_duality(alpha):
     grid = make_grid(256)
     rho = gen_cccf(grid)
-    params = make_params(alpha, kernel_truncation=64)
+    params = make_params(alpha)
     lap = fractional_laplacian_spectral(rho, alpha)
     vel = velocity_spectral(rho, alpha)
     xs = grid.nodes[:: grid.n // 16]

@@ -5,8 +5,8 @@ import pytest
 
 from fpmflow.grid import DensityField, antiderivative_at, evaluate_trig, make_grid, trig_sum
 from fpmflow.initial_data import gen_cccf, gen_positive_control, gen_vacuum_plateau
-from fpmflow.characteristics import (advect_path, advect_paths, check_decay_bound,
-                                     check_mass_transport)
+from fpmflow.characteristics import (CharacteristicPath, advect_path, advect_paths,
+                                     check_decay_bound, check_mass_transport)
 from fpmflow.solver import SolverConfig, run
 
 
@@ -222,6 +222,39 @@ class TestDecayBound:
         path = advect_path(cccf_run.states, 0.25)
         report = check_decay_bound(path, A=0.125, m=1.0, delta=1.0 / 6.0)
         assert not report.applicable
+        # rho <= m/2 at +-0.15, but |start| lies outside delta = 0.1
+        for xs in (0.15, -0.15):
+            path = advect_path(cccf_run.states, xs)
+            assert not check_decay_bound(path, A=0.125, m=1.0, delta=0.1).applicable
+
+    def test_mirrored_start(self, cccf_run):
+        # cccf is even, so the path from -eps mirrors the path from eps, and
+        # the check reads both by their distance from the vacuum point 0
+        plus, minus = advect_paths(cccf_run.states, [0.05, -0.05])
+        assert np.max(np.abs(minus.positions + plus.positions)) <= 1e-15
+        reports = [check_decay_bound(p, A=0.125, m=1.0, delta=1.0 / 6.0)
+                   for p in (plus, minus)]
+        assert reports[0] == reports[1]
+        assert reports[0].applicable and reports[0].holds
+        assert np.array_equal(minus.decay_envelope(0.125), plus.decay_envelope(0.125))
+
+    def test_margin_is_the_least_relative_room_after_t0(self):
+        # the bound is met with equality at t = 0, so t = 0 is left out
+        times = np.array([0.0, 1.0, 2.0])
+        bound = 0.1 * np.exp(-0.5 * times)
+        small = np.zeros(3)
+
+        def report(x_start, positions):
+            path = CharacteristicPath(x_start, times, np.asarray(positions),
+                                      small, small)
+            return check_decay_bound(path, A=0.5, m=1.0)
+
+        assert report(0.1, [0.1, 0.5 * bound[1], 0.75 * bound[2]]).margin == pytest.approx(0.25)
+        assert report(-0.1, [-0.1, -0.5 * bound[1], -bound[2]]).margin == pytest.approx(0.0)
+        failed = report(0.1, [0.1, 1.5 * bound[1], bound[2]])
+        assert not failed.holds and failed.margin == pytest.approx(-0.5)
+        # the origin is a fixed point with a zero bound: no room to report
+        assert report(0.0, [0.0, 0.0, 0.0]).margin is None
 
 
 class TestMassConcentration:

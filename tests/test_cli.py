@@ -132,7 +132,8 @@ class TestConfigFile:
         (("constants", "--alpha", "2.5"), "alpha must lie in (0, 2)"),
         (("constants", "--alpha", "1", "--m", "3", "--rho-max", "2"),
          "cannot exceed the density bound"),
-        (("constants", "--alpha", "1", "--images", "4"), "at least 8 images"),
+        # the image count is a constant of the kernel route, not a flag
+        (("constants", "--alpha", "1", "--images", "4"), "unrecognized arguments: --images 4"),
         # vacuum-plateau data at n = 64 stop under-resolved at t = 0, so no
         # path can be advected through the one snapshot
         (("characteristics", "--preset", "vacuum-plateau", "--n", "64",
@@ -150,20 +151,25 @@ class TestConfigFile:
           "--x-start", "0.05,0.050001"),
          "starts 0.05 and 0.050001 would both write path_0.0500.csv"),
         # a start off the torus would make a file name of any length, and the
-        # decay check reads the start as the distance from the vacuum point
+        # decay check reads |start| as the distance from the vacuum point 0
         (("characteristics", "--n", "64", "--t-end", "0.001", "--x-start", "1e300,0.2"),
          "start points must lie in [-1/2, 1/2], got '1e300,0.2'"),
         (("characteristics", "--n", "64", "--t-end", "0.001", "--x-start", "0.2,-0.5001"),
          "start points must lie in [-1/2, 1/2], got '0.2,-0.5001'"),
+        # usage errors that argparse finds are config errors too
+        (("verify", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
+        # a value that starts with '-' reads as a flag unless written --x-start=...
+        (("characteristics", "--x-start", "-0.05,0.05"),
+         "argument --x-start: expected one argument"),
     ])
     def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
-        # rejected flag values exit 1 with a message and write nothing
+        # rejected flag values exit 1 with a one-line message and write nothing
         out = tmp_path / "o"
         extra = ("--out", str(out)) if argv[0] in ("characteristics", "simulate") else ()
         assert run_cli(*argv, *extra) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ")
-        assert message in captured.err
+        assert message in captured.err and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
 
@@ -173,6 +179,13 @@ class TestConfigFile:
         code = run_cli("simulate", "--config", str(cfg), "--out",
                        str(tmp_path / "o"))
         assert code == 1
+
+    def test_help_exits_zero(self, capsys):
+        # usage errors exit 1 through ConfigError; --help still exits 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fpmflow verify")
 
 
 class TestCsv:
@@ -480,8 +493,9 @@ class TestFirstViolation:
 class TestConstants:
     def test_json_payload(self, capsys):
         assert run_cli("constants", "--alpha", "1.0", "--m", "1",
-                       "--rho-max", "2", "--images", "16") == 0
+                       "--rho-max", "2") == 0
         payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["A", "C", "alpha", "c_alpha", "c_velocity", "delta"]
         assert payload["C"] == 12.0
         assert abs(payload["delta"] - 1.0 / 6.0) < 1e-12
         assert payload["A"] == 0.125
@@ -516,6 +530,21 @@ class TestCharacteristicsCommand:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["run"]["steps"] == meta["steps"] > 0
         assert meta["pair_mass_drift"] == payload["pair_mass_drift"]
+
+    def test_mirrored_starts(self, tmp_path, capsys):
+        # cccf is even: the paths from -0.05 and 0.05 mirror each other, and
+        # the decay check and decay_bound column read both by |start|
+        out = tmp_path / "o"
+        assert run_cli("characteristics", "--preset", "cccf", "--n", "256",
+                       "--t-end", "0.05", "--snapshot-interval", "0.002",
+                       "--x-start=-0.05,0.05", "--out", str(out)) == 0
+        minus, plus = json.loads(capsys.readouterr().out)["decay_reports"]
+        assert minus == plus and plus["holds"] and plus["margin"] > 0
+        cols = [np.loadtxt(out / name, delimiter=",", skiprows=1, unpack=True)
+                for name in ("path_-0.0500.csv", "path_0.0500.csv")]
+        (_, x_minus, _, bound_minus), (_, x_plus, _, bound_plus) = cols
+        assert np.max(np.abs(x_minus + x_plus)) <= 1e-15
+        assert np.array_equal(bound_minus, bound_plus)
 
     def test_pair_drift_uses_outer_starts(self, tmp_path, capsys):
         # with three starts the drift is taken between the first and the last
@@ -678,8 +707,7 @@ class TestPresets:
         presets = dict((key, kind) for key, _, kind, _ in RUN_KEYS)["preset"]
         assert presets == tuple(kind.replace("_", "-") for kind in KINDS)
         assert presets == ("cccf", "vacuum-plateau", "positive-control", "smooth-monotone")
-        with pytest.raises(SystemExit):
-            run_cli("simulate", "--preset", "bogus")
+        assert run_cli("simulate", "--preset", "bogus") == 1
         err = capsys.readouterr().err
         places = [err.index(preset) for preset in presets]
         assert places == sorted(places)

@@ -80,8 +80,7 @@ class TestAlignmentForce:
                 return ((evaluate_trig(u, x + s) - ux) * evaluate_trig(rho, x + s)
                         + (evaluate_trig(u, x - s) - ux) * evaluate_trig(rho, x - s))
 
-            raw = _periodized_singular_integral(G, 1.0 + alpha,
-                                                params.kernel_truncation)
+            raw = _periodized_singular_integral(G, 1.0 + alpha)
             return params.c_alpha * raw
 
         for x in (-0.3, 0.0, 0.17, 0.42):

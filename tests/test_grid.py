@@ -1,5 +1,7 @@
 """Grid construction, transforms, multipliers, interpolation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,20 @@ class TestTrigSum:
         c[-1] = 0.7
         xs = np.linspace(-0.5, 0.5, 37)
         assert np.max(np.abs(trig_sum(grid, c, xs) - 0.7 * np.cos(16 * np.pi * xs))) < 1e-14
+
+    def test_block_holds_one_phase_matrix(self):
+        # a full block of 2048 points at n = 2048 needs 2 MiB of phases and
+        # 1 MiB of inner sums; a second phase matrix would take it past 4 MiB
+        grid, c, _ = _white_noise_row(2048, 11)
+        xs = np.random.default_rng(12).uniform(-0.5, 0.5, TRIG_BLOCK)
+        trig_sum(grid, c, xs[:4])  # builds the grid's cached rows first
+        tracemalloc.start()
+        try:
+            trig_sum(grid, c, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2 ** 20
 
     @pytest.mark.parametrize("n, count", [(1024, 46), (2048, 64)])
     def test_exponents_per_point(self, n, count):

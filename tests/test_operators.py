@@ -1,11 +1,11 @@
 """Nonlocal operators: calibration, dual routes, decomposition, constants."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from fpmflow import operators
 from fpmflow.grid import DensityField, make_grid
 from fpmflow.initial_data import gen_cccf, gen_smooth_monotone, gen_vacuum_plateau
 from fpmflow.operators import (OperatorParams, _gauss_jacobi, _gauss_legendre,
@@ -37,31 +37,47 @@ class TestCalibration:
     def test_alpha_one_is_reciprocal_pi(self, params_by_alpha):
         assert abs(params_by_alpha[1.0].c_alpha - 1.0 / math.pi) < 1e-8
 
-    def test_truncation_stability(self):
+    def test_image_count_read_at_call_time(self, monkeypatch):
+        # the tests that vary the exactly summed images patch _IMAGES, so
+        # the image weights must read it per call: 16 and 64 images give
+        # other bits, but the tail expansion keeps them within 1e-9
+        w = np.linspace(-0.5, 0.5, 9)
+        for p in (0.3, 1.3, 2.9):
+            w64 = operators._image_weights(w, p)
+            monkeypatch.setattr(operators, "_IMAGES", 16)
+            w16 = operators._image_weights(w, p)
+            monkeypatch.undo()
+            assert not np.array_equal(w16, w64)
+            assert np.max(np.abs(w16 - w64)) <= 1e-9 * np.max(np.abs(w64))
+
+    def test_truncation_stability(self, monkeypatch):
         # with the closed-form c_alpha, the kernel route reproduces the symbol
-        # (2 pi)^alpha on cos(2 pi x) at x = 0 whatever the image truncation
-        # (within 1e-11 at every alpha: see test_fold_keeps_its_digits)
+        # (2 pi)^alpha on cos(2 pi x) at x = 0 whatever the number of exactly
+        # summed images (within 1e-11 at every alpha: see
+        # test_fold_keeps_its_digits)
         grid = make_grid(64)
         f = DensityField(grid, np.cos(2 * np.pi * grid.nodes))
         for alpha in ALPHAS:
             for L in (16, 64):
-                got = fractional_laplacian_kernel(f, make_params(alpha, L), 0.0)
+                monkeypatch.setattr(operators, "_IMAGES", L)
+                got = fractional_laplacian_kernel(f, make_params(alpha), 0.0)
                 assert got == pytest.approx((2 * np.pi) ** alpha, rel=2e-9, abs=0)
 
     @pytest.mark.parametrize("n", (16, 32, 64, 128, 256, 512, 1024))
-    def test_fold_keeps_its_digits(self, n):
+    def test_fold_keeps_its_digits(self, n, monkeypatch):
         # the folded difference is summed in coefficient space, so the
         # quadrature error, not rounding near s = 0, sets the gap on any grid
         grid = make_grid(n)
         f = DensityField(grid, np.cos(2 * np.pi * grid.nodes))
         for alpha in ALPHAS:
             for L in (16, 64):
-                got = fractional_laplacian_kernel(f, make_params(alpha, L), 0.0)
+                monkeypatch.setattr(operators, "_IMAGES", L)
+                got = fractional_laplacian_kernel(f, make_params(alpha), 0.0)
                 assert got == pytest.approx((2 * np.pi) ** alpha, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("quantity", ("velocity", "laplacian", "II1", "II2"))
     def test_kernel_values_truncation_stability(self, quantity, params_by_alpha,
-                                                grid, cccf):
+                                                grid, cccf, monkeypatch):
         # at a fixed c_alpha, 16 and 64 exact images must agree: the image-tail
         # expansion covers the rest, so a dropped or misweighted image shows
         evaluate = {
@@ -70,11 +86,16 @@ class TestCalibration:
             "II1": lambda rho, p, x: decompose_velocity(rho, p, x).II1,
             "II2": lambda rho, p, x: decompose_velocity(rho, p, x).II2,
         }[quantity]
+
+        def with_images(L, *args):
+            monkeypatch.setattr(operators, "_IMAGES", L)
+            return evaluate(*args)
+
         for rho in (cccf, gen_vacuum_plateau(grid)):
-            for alpha, p64 in params_by_alpha.items():
-                p16 = dataclasses.replace(p64, kernel_truncation=16)
+            for alpha, params in params_by_alpha.items():
                 for x in (0.05, 0.2, 0.4):
-                    v64, v16 = evaluate(rho, p64, x), evaluate(rho, p16, x)
+                    v64 = with_images(64, rho, params, x)
+                    v16 = with_images(16, rho, params, x)
                     assert abs(v64 - v16) <= 1e-8 * max(abs(v64), 1.0), (alpha, x)
 
     @pytest.mark.parametrize("alpha", ALPHAS)

@@ -482,6 +482,19 @@ class TestExactSymmetries:
         assert np.max(np.abs(b.rho.values - shift(a.rho).values)) <= 1e-14
         assert np.max(np.abs(b.u.values - shift(a.u).values)) <= 1e-14
 
+    def test_reflection(self, system, skewed):
+        # x -> -x maps solutions to solutions with u negated; node -x_j is
+        # node (n - j) mod n
+        rho0, u0 = skewed
+
+        def mirror(f, sign=1.0):
+            return DensityField(f.grid, sign * np.roll(f.values[::-1], 1))
+
+        a = _fixed_step_run(system, rho0, u0).final_state
+        b = _fixed_step_run(system, mirror(rho0), mirror(u0, -1.0)).final_state
+        assert np.max(np.abs(b.rho.values - mirror(a.rho).values)) <= 1e-14
+        assert np.max(np.abs(b.u.values - mirror(a.u, -1.0).values)) <= 1e-14
+
     @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.5))
     def test_dilation(self, system, alpha):
         # rho(2x, 2^alpha t) solves the equation, with velocity
