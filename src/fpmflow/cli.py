@@ -180,24 +180,43 @@ def _prepare(args):
     return settings, rho0, config, _out_dir(args)
 
 
-def _execute(rho0, config, kept=None, keep_states=True):
-    """Run rho0 with the estimate observer; a list kept receives, as they
-    are made, the (index, snapshot) pairs that _write_artifacts writes."""
+def _execute(rho0, config, out_dir=None, charted=None, keep_states=False):
+    """Run rho0 with the estimate observer.  With an out_dir, every
+    SNAPSHOT_STRIDE-th snapshot CSV is written there as the run makes it,
+    and the last snapshot after the run, so at most one unwritten snapshot
+    is held; a list charted receives (t, rho values) of each one written.
+    Returns the constants, the RunResult, the run's wall time and the
+    seconds spent writing snapshots, which wall_split's observers exclude."""
     constants = constants_for(config.alpha, rho0)
     observe = make_observer(constants)
+    seen, unwritten, write_s = 0, None, 0.0  # snapshots seen; the latest, if not written
 
-    def keep(state):  # every SNAPSHOT_STRIDE-th snapshot and the latest
-        i = kept[-1][0] + 1 if kept else 0
-        if kept and kept[-1][0] % SNAPSHOT_STRIDE:
-            kept.pop()
-        kept.append((i, state))
+    def write(i, state):
+        nonlocal write_s
+        begin = time.perf_counter()
+        write_snapshot(out_dir / f"snapshot_{i:04d}.csv", state)
+        if charted is not None:
+            charted.append((state.t, state.rho.values))
+        write_s += time.perf_counter() - begin
+
+    def keep(state):  # every SNAPSHOT_STRIDE-th snapshot now, the last after the run
+        nonlocal seen, unwritten
+        if seen % SNAPSHOT_STRIDE:
+            unwritten = state
+        else:
+            write(seen, state)
+            unwritten = None
+        seen += 1
         return observe(state)
 
     t0 = time.perf_counter()
-    result = run(rho0, config, observers=(observe if kept is None else keep,),
+    result = run(rho0, config, observers=(observe if out_dir is None else keep,),
                  keep_states=keep_states)
     wall = time.perf_counter() - t0
-    return constants, result, wall
+    result.wall_split["observers"] -= write_s
+    if unwritten is not None:
+        write(seen - 1, unwritten)
+    return constants, result, wall, write_s
 
 
 def _finish(settings, out_dir, result, wall, output_s, **extra) -> int:
@@ -213,30 +232,30 @@ def _finish(settings, out_dir, result, wall, output_s, **extra) -> int:
     return 3 if settings["require_t_end"] and result.stop_reason == "under_resolved" else 0
 
 
-def _write_artifacts(settings, args, out_dir, result, wall, kept) -> int:
-    """Write the artifacts of a run and the kept snapshots (see _execute)."""
+def _write_artifacts(settings, out_dir, result, wall, charted, write_s) -> int:
+    """Write a run's timeseries, its charts unless charted is None, and its
+    metadata; _execute wrote the snapshot CSVs, in write_s seconds, and
+    filled charted."""
     t0 = time.perf_counter()
     write_timeseries(out_dir / "timeseries.csv", result.records)
-    for i, state in kept:
-        write_snapshot(out_dir / f"snapshot_{i:04d}.csv", state)
-    if not args.no_plots:
-        xs = kept[0][1].rho.grid.nodes
-        picks = kept[:: max(1, len(kept) // 6)]
-        line_chart([(xs, s.rho.values, f"t={s.t:.4g}") for _, s in picks],
+    if charted is not None:
+        xs = result.final_state.rho.grid.nodes
+        picks = charted[:: max(1, len(charted) // 6)]
+        line_chart([(xs, rho, f"t={t:.4g}") for t, rho in picks],
                    out_dir / "rho_snapshots.svg", title="density snapshots",
                    xlabel="x", ylabel="rho")
         ts = [r.t for r in result.records]
         line_chart([(ts, [r.c1_norm for r in result.records], "max |d_x rho|")],
                    out_dir / "c1_norm.svg", title="gradient norm",
                    xlabel="t", ylabel="c1", logy=True)
-    return _finish(settings, out_dir, result, wall, time.perf_counter() - t0)
+    return _finish(settings, out_dir, result, wall, write_s + time.perf_counter() - t0)
 
 
 def cmd_simulate(args) -> int:
     settings, rho0, config, out_dir = _prepare(args)
-    kept = []
-    _, result, wall = _execute(rho0, config, kept, keep_states=False)
-    code = _write_artifacts(settings, args, out_dir, result, wall, kept)
+    charted = None if args.no_plots else []
+    _, result, wall, write_s = _execute(rho0, config, out_dir, charted)
+    code = _write_artifacts(settings, out_dir, result, wall, charted, write_s)
     print(f"stop_reason={result.stop_reason} t={result.final_state.t:.6g} "
           f"steps={result.final_state.step_count} artifacts in {args.out}")
     return code
@@ -309,10 +328,10 @@ def _certify(rho0, constants, config, result) -> dict:
 
 def cmd_verify(args) -> int:
     settings, rho0, config, out_dir = _prepare(args)
-    kept = []
-    constants, result, wall = _execute(rho0, config, kept, keep_states=False)
+    charted = None if args.no_plots else []
+    constants, result, wall, write_s = _execute(rho0, config, out_dir, charted)
     report = _certify(rho0, constants, config, result)
-    code = _write_artifacts(settings, args, out_dir, result, wall, kept)
+    code = _write_artifacts(settings, out_dir, result, wall, charted, write_s)
     print(dumps(report))
     return code if report["all_ok"] else 2
 
@@ -333,7 +352,7 @@ def cmd_characteristics(args) -> int:
                               f"would both write {name}")
         names[name] = xs
     settings, rho0, config, out_dir = _prepare(args)
-    constants, result, wall = _execute(rho0, config)
+    constants, result, wall, _ = _execute(rho0, config, keep_states=True)
     if len(result.states) < 2:
         raise ConfigError(
             f"run stopped {result.stop_reason} at t = {result.final_state.t:.6g} "
@@ -414,7 +433,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         try:
             rho0, config = _inputs({**settings, axis: _typed(axis, value)})
-            constants, result, _ = _execute(rho0, config, keep_states=False)
+            constants, result, _, _ = _execute(rho0, config)
             report = _certify(rho0, constants, config, result)
             verdict = report["verdict"] or dict(verdict="inconclusive", growth_factor=math.nan)
             margins = report.get("margins", {})

@@ -1,5 +1,5 @@
 """Observer suite: per-snapshot scalar observables, the layer-density
-minimization oracle pair, the enhanced-velocity-bound link checker, and run
+minimization oracle, the enhanced-velocity-bound link checker, and run
 classification.
 """
 
@@ -23,7 +23,6 @@ __all__ = [
     "observe",
     "make_observer",
     "bathtub_min",
-    "bathtub_brute",
     "verify_enhanced_bound_derivation",
     "classify_run",
 ]
@@ -105,7 +104,7 @@ def make_observer(constants: EstimateConstants):
 
 
 # --------------------------------------------------------------------------
-# layer-density minimization (bathtub) oracle pair
+# layer-density minimization (bathtub) oracle
 
 def _check_bathtub_inputs(xs, fs, M, lam):
     xs = np.asarray(xs, dtype=float)
@@ -137,25 +136,6 @@ def bathtub_min(xs, fs, M: float, lam: float) -> float:
     grid = np.unique(np.concatenate(([c], xs[xs > c], [b])))
     vals = np.interp(grid, xs, fs)
     return M * float(np.trapezoid(vals, grid))
-
-
-def bathtub_brute(xs, fs, M: float, lam: float, n_cells: int = 100_000) -> float:
-    """Exact greedy optimum of the discretized problem: fill the cells of
-    smallest f first (fractionally at the margin).  Provably optimal for the
-    piecewise-constant relaxation; agrees with bathtub_min as n_cells grows.
-    """
-    xs, fs = _check_bathtub_inputs(xs, fs, M, lam)
-    a, b = xs[0], xs[-1]
-    width = (b - a) / n_cells
-    mids = a + (np.arange(n_cells) + 0.5) * width
-    fmid = np.sort(np.interp(mids, xs, fs))  # fill cells of smallest f first
-    cell_mass = M * width
-    k_full = int(min(n_cells, math.floor(lam / cell_mass + 1e-15)))
-    total = cell_mass * float(np.sum(fmid[:k_full]))
-    remainder = lam - k_full * cell_mass
-    if remainder > 0.0 and k_full < n_cells:
-        total += remainder * fmid[k_full]
-    return total
 
 
 # --------------------------------------------------------------------------

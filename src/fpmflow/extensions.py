@@ -21,13 +21,12 @@ from functools import partial
 
 import numpy as np
 
-from .grid import DensityField, apply_multiplier
+from .grid import DensityField
 from .operators import (_check_alpha, _gauss_legendre, _integrate_steep_left,
                         _jacobi_endpoint_integral, velocity_spectral)
 from .solver import RunResult, SolverConfig, _Workspace, integrate
 
 __all__ = [
-    "alignment_force",
     "run_alignment",
     "c_prime",
     "slab_check_2d",
@@ -65,22 +64,6 @@ def _alignment_rates(ws: _Workspace, y_hat: np.ndarray):
     y = np.fft.irfft(spec, ws.grid.n)
     del spec  # not held while the products are transformed (peak memory)
     return _tendencies(ws, _products_hat(*y)), y
-
-
-def alignment_force(rho: DensityField, u: DensityField, alpha: float,
-                    dealias_fraction: float = 2.0 / 3.0) -> DensityField:
-    """Alignment interaction in commutator form u Lambda^a rho - Lambda^a(rho u).
-
-    Algebraically identical to the singular-kernel interaction integral with
-    the same normalization as the symmetric operator; the identity is pinned
-    by a quadrature oracle in the tests.
-    """
-    if rho.grid is not u.grid and rho.grid.n != u.grid.n:
-        raise ValueError("fields must share a grid")
-    ws = _Workspace(rho.grid, alpha, dealias_fraction)
-    minus_lap_rho = apply_multiplier(rho, -ws.lap_sym).values
-    force_hat = _tendencies(ws, _products_hat(rho.values, u.values, minus_lap_rho))[1]
-    return DensityField(rho.grid, np.fft.irfft(force_hat, rho.grid.n))
 
 
 def run_alignment(rho0: DensityField, u0: DensityField, config: SolverConfig,

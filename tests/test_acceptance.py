@@ -29,10 +29,10 @@ from fpmflow.operators import (compute_A, compute_C, compute_delta,
                                fractional_laplacian_spectral, kernel_sum_S,
                                make_params, velocity_kernel, velocity_spectral)
 from fpmflow.characteristics import advect_path, check_decay_bound, check_mass_transport
-from fpmflow.diagnostics import (bathtub_brute, bathtub_min, classify_run,
-                                 constants_for, make_observer)
+from fpmflow.diagnostics import bathtub_min, classify_run, constants_for, make_observer
 from fpmflow.extensions import run_alignment, slab_check_2d
 from fpmflow.solver import SolverConfig, run
+from test_diagnostics import bathtub_brute
 
 N_FULL = 2048
 

@@ -26,6 +26,7 @@ from fpmflow.initial_data import KINDS, InitialDataSpec, make_initial_data
 from fpmflow.operators import velocity_spectral
 from fpmflow.output import write_csv, write_snapshot, write_timeseries
 from fpmflow.solver import SolverConfig, run
+from fpmflow.svgplot import line_chart
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "configuration.md"
 SRC = Path(fpmflow.__file__).resolve().parents[1]  # the fpmflow these tests import
@@ -291,10 +292,15 @@ class TestSimulate:
 
 
 # cccf at alpha = 1 on 128 points, snapshots every `interval`: a run that
-# stops under-resolved after 13 snapshots (the stop state is appended), and
-# one whose t_end lies off the snapshot grid (t_end is appended)
-STREAMED_RUNS = {"under_resolved": dict(t_end=0.5, interval=0.004),
-                 "off_grid_t_end": dict(t_end=0.0123, interval=0.001)}
+# stops under-resolved after 13 snapshots (the stop state is appended), one
+# whose t_end lies off the snapshot grid (t_end is appended), and that run
+# with 155 snapshots and charts on, whose density chart draws every 2nd of
+# the 17 snapshots written (a count at which len // 6 and len // 5 differ)
+STREAMED_RUNS = {
+    "under_resolved": dict(t_end=0.5, interval=0.004, written=(0, 10, 13)),
+    "off_grid_t_end": dict(t_end=0.0123, interval=0.001, written=(0, 10, 13)),
+    "charts": dict(t_end=0.0123, interval=8e-5, written=(*range(0, 151, 10), 154)),
+}
 
 
 def _csvs(out: Path) -> dict:
@@ -302,32 +308,47 @@ def _csvs(out: Path) -> dict:
 
 
 class TestStreamedArtifacts:
-    """simulate and verify keep only the snapshots they write; their CSVs
-    are those written from every state of the same run, as they always were."""
+    """simulate and verify write each snapshot CSV as the run makes it and
+    hold no written snapshot; their CSVs and charts are those written from
+    every state of the same run, as they always were."""
 
     @pytest.mark.parametrize("case", STREAMED_RUNS)
     @pytest.mark.parametrize("command", ("simulate", "verify"))
     def test_csvs_match_writing_from_all_states(self, command, case, tmp_path):
-        t_end, interval = STREAMED_RUNS[case]["t_end"], STREAMED_RUNS[case]["interval"]
+        t_end, interval, written = (STREAMED_RUNS[case][key]
+                                    for key in ("t_end", "interval", "written"))
+        plots = case == "charts"
         out = tmp_path / "cli"
         run_cli(command, "--preset", "cccf", "--alpha", "1.0", "--n", "128",
                 "--t-end", repr(t_end), "--snapshot-interval", repr(interval),
-                "--no-plots", "--out", str(out))
+                *(() if plots else ("--no-plots",)), "--out", str(out))
         rho0 = make_initial_data(make_grid(128), InitialDataSpec("cccf"))
         res = run(rho0, SolverConfig(alpha=1.0, n_points=128, t_end=t_end,
                                      snapshot_interval=interval),
                   observers=(make_observer(constants_for(1.0, rho0)),))
-        assert len(res.states) == 14
-        assert res.stop_reason == ("t_end" if case == "off_grid_t_end" else case)
+        assert len(res.states) == written[-1] + 1
+        assert res.stop_reason == ("under_resolved" if case == "under_resolved" else "t_end")
         ref = tmp_path / "ref"
         ref.mkdir()
         write_timeseries(ref / "timeseries.csv", res.records)
-        for i, state in enumerate(res.states):
-            if i % 10 == 0 or i == len(res.states) - 1:
-                write_snapshot(ref / f"snapshot_{i:04d}.csv", state)
-        assert list(_csvs(ref)) == ["snapshot_0000.csv", "snapshot_0010.csv",
-                                    "snapshot_0013.csv", "timeseries.csv"]
+        # every 10th snapshot and the last are written
+        kept = [s for i, s in enumerate(res.states)
+                if i % 10 == 0 or i == len(res.states) - 1]
+        for i, state in zip(written, kept, strict=True):
+            write_snapshot(ref / f"snapshot_{i:04d}.csv", state)
+        assert list(_csvs(ref)) == [*(f"snapshot_{i:04d}.csv" for i in written),
+                                    "timeseries.csv"]
         assert _csvs(out) == _csvs(ref)
+        if plots:  # the chart draws every max(1, len // 6)-th written snapshot
+            picks = kept[:: max(1, len(kept) // 6)]
+            assert len(picks) == 9
+            line_chart([(rho0.grid.nodes, s.rho.values, f"t={s.t:.4g}") for s in picks],
+                       ref / "rho_snapshots.svg", title="density snapshots",
+                       xlabel="x", ylabel="rho")
+            assert ((out / "rho_snapshots.svg").read_bytes()
+                    == (ref / "rho_snapshots.svg").read_bytes())
+        else:
+            assert not list(out.glob("*.svg"))
 
     def test_align_rows_match_all_states(self, tmp_path):
         out = tmp_path / "o"
@@ -383,6 +404,24 @@ class TestStreamedArtifacts:
             assert code == 0
         assert (tmp_path / "0" / "rho_snapshots.svg").exists()
         assert peaks[()] - peaks[("--no-plots",)] <= 0.1 * 2**20
+
+    def test_peak_memory_does_not_grow_with_snapshots(self, tmp_path):
+        # 21 and 201 snapshots of (rho, u) at n = 2048 (32 KiB each): holding
+        # every 10th grew the peak from 0.47 to 1.11 MiB; written as they are
+        # made, only the records grow (0.40 to 0.48 MiB)
+        peaks = []
+        for t_end in ("0.001", "0.01"):
+            tracemalloc.start()
+            try:
+                code = run_cli("simulate", "--preset", "positive-control", "--alpha", "1.0",
+                               "--n", "2048", "--t-end", t_end, "--snapshot-interval", "5e-5",
+                               "--no-plots", "--out", str(tmp_path / t_end))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert len(list((tmp_path / "0.01").glob("snapshot_*.csv"))) == 21
+        assert peaks[1] - peaks[0] < 0.25 * 2**20
 
 
 class TestVerify:

@@ -8,7 +8,7 @@ import pytest
 
 from fpmflow.grid import DensityField, make_grid
 from fpmflow.initial_data import gen_cccf, gen_vacuum_plateau
-from fpmflow.diagnostics import (DiagnosticsRecord, bathtub_brute, bathtub_min,
+from fpmflow.diagnostics import (DiagnosticsRecord, _check_bathtub_inputs, bathtub_min,
                                  classify_run, constants_for, observe,
                                  verify_enhanced_bound_derivation)
 from fpmflow.operators import make_params
@@ -18,6 +18,26 @@ from fpmflow.solver import SolverConfig, run
 @pytest.fixture(scope="module")
 def params_one():
     return make_params(1.0)
+
+
+def bathtub_brute(xs, fs, M: float, lam: float, n_cells: int = 100_000) -> float:
+    """Exact greedy optimum of the discretized problem: fill the cells of
+    smallest f first (fractionally at the margin).  Provably optimal for the
+    piecewise-constant relaxation; agrees with bathtub_min as n_cells grows.
+    The oracle of criterion 4 too (test_acceptance imports it from here).
+    """
+    xs, fs = _check_bathtub_inputs(xs, fs, M, lam)
+    a, b = xs[0], xs[-1]
+    width = (b - a) / n_cells
+    mids = a + (np.arange(n_cells) + 0.5) * width
+    fmid = np.sort(np.interp(mids, xs, fs))  # fill cells of smallest f first
+    cell_mass = M * width
+    k_full = int(min(n_cells, math.floor(lam / cell_mass + 1e-15)))
+    total = cell_mass * float(np.sum(fmid[:k_full]))
+    remainder = lam - k_full * cell_mass
+    if remainder > 0.0 and k_full < n_cells:
+        total += remainder * fmid[k_full]
+    return total
 
 
 def _state_for(rho, alpha=1.0):

@@ -5,15 +5,32 @@ import math
 import numpy as np
 import pytest
 
-from fpmflow.grid import DensityField, make_grid, spectral_derivative
+from fpmflow.grid import DensityField, apply_multiplier, make_grid, spectral_derivative
 from fpmflow.initial_data import gen_cccf
 from fpmflow.operators import (fractional_laplacian_spectral, make_params,
                                velocity_spectral)
 from fpmflow.operators import _periodized_singular_integral
-from fpmflow.extensions import (_alignment_rates, alignment_force, c_prime,
+from fpmflow.extensions import (_alignment_rates, _products_hat, _tendencies, c_prime,
                                 run_alignment, slab_check_2d, slab_velocity_2d,
                                 spectral_gap_2d)
 from fpmflow.solver import SolverConfig, _Workspace, run
+
+
+def alignment_force(rho: DensityField, u: DensityField, alpha: float,
+                    dealias_fraction: float = 2.0 / 3.0) -> DensityField:
+    """Alignment interaction in commutator form u Lambda^a rho - Lambda^a(rho u).
+
+    Algebraically identical to the singular-kernel interaction integral with
+    the same normalization as the symmetric operator; the identity is pinned
+    by a quadrature oracle below.  It is the u tendency of the alignment
+    system with G replaced by -Lambda^a rho (see extensions._tendencies).
+    """
+    if rho.grid is not u.grid and rho.grid.n != u.grid.n:
+        raise ValueError("fields must share a grid")
+    ws = _Workspace(rho.grid, alpha, dealias_fraction)
+    minus_lap_rho = apply_multiplier(rho, -ws.lap_sym).values
+    force_hat = _tendencies(ws, _products_hat(rho.values, u.values, minus_lap_rho))[1]
+    return DensityField(rho.grid, np.fft.irfft(force_hat, rho.grid.n))
 
 
 @pytest.fixture(scope="module")
