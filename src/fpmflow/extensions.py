@@ -73,13 +73,15 @@ def run_alignment(rho0: DensityField, u0: DensityField, config: SolverConfig,
     Returns integrate's RunResult: its states carry G, and the observers
     and keep_states act as in `solver.run`.
 
-    Linearised about (m, 0), with m the mean density, the rates per mode
-    are upper-triangular: u_hat relaxes at lambda = -m (2 pi k)^a on the
-    kept band and feeds rho_hat at r lambda, r = i (2 pi k)^(1 - a)
-    (ws.shear).  The stepper integrates that part exactly: its flow keeps
+    Linearised about (c, 0), with c the midrange of the step's start
+    density (see `solver.integrate`), the rates per mode are
+    upper-triangular: u_hat relaxes at lambda = -c (2 pi k)^a on the kept
+    band and feeds rho_hat at r lambda, r = i (2 pi k)^(1 - a) (ws.shear).
+    The stepper integrates that part exactly: its flow keeps
     rho_hat - r u_hat, the linear part of -G_hat / Lambda^a, and scales
-    u_hat by exp(t lambda).  So G = 0 data keep G at roundoff level, and
-    the dissipative floor of the step is measured from m, as in `run`.
+    u_hat by exp(t lambda).  r does not depend on c, so G = 0 data keep G
+    at roundoff level, and the dissipative floor of the step is measured
+    from c, as in `run`.
     """
     if rho0.grid.n != config.n_points or u0.grid.n != config.n_points:
         raise ValueError("initial data grids do not match the configuration")

@@ -7,16 +7,20 @@ physical field the stage needs and one rfft of every product.  Products are
 formed in physical space and the quadratic flux is truncated at a fraction
 of the Nyquist band (2/3 by default).
 
-Time stepping is Heun's third-order Runge-Kutta scheme (c = 0, 1/3, 2/3)
-in Lawson form.  Linearised about its mean m, the dealiased flux of the
-continuity flow is the diagonal dissipation -m (2 pi |k|)^alpha on the kept
-band; the stepper integrates that part exactly by the factors
-exp(c dt (-m (2 pi |k|)^alpha)) and steps only the remainder explicitly.
-Linearised about (m, 0), the alignment system has the same dissipation in
-u, which feeds rho through a fixed per-mode shear; its factor is the exact
-exponential of that upper-triangular pair.  The mean is the density's k = 0
-coefficient, which the flux never changes, so the factors are fixed for the
-run.
+Time stepping is Heun's third-order Runge-Kutta scheme (stages at 0,
+dt/3 and 2 dt/3) in Lawson form.  Linearised about a constant density c,
+the dealiased flux of the continuity flow is the diagonal dissipation
+-c (2 pi |k|)^alpha on the kept band; the stepper integrates that part
+exactly by the factors exp(-c (2 pi |k|)^alpha s) over each stage's time s
+and steps only the remainder explicitly.  Linearised about (c, 0), the
+alignment system has the same dissipation in u, which feeds rho through a
+fixed per-mode shear; its factor is the exact exponential of that
+upper-triangular pair.  Each step takes c to be the midrange
+(max rho + min rho) / 2 of its start density, which makes the dissipation
+left to the explicit stages, max|rho - c|, least: the split of a variable
+mobility into a constant part and a remainder (Zhu, Chen, Shen & Tikare,
+Phys. Rev. E 60 (1999) 3564).  So the factors are formed anew each step;
+the k = 0 rate is 0, so the mass is never touched.
 
 The step size is controlled by Heun's embedded second-order solution,
 b^ = (0, 1/2, 1/2) against b = (1/4, 0, 3/4), in the same Lawson form
@@ -27,13 +31,16 @@ min(5, max(0.2, 0.9 (tol / err)^(1/3))); it does not grow right after a
 rejected step (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and a step
 cut short to land on a snapshot or t_end does not shrink it.  cfl times
 the tighter of the transport limit dx/max|u| and the explicit limit of the
-dissipation left to the explicit stages, 1/(max|rho - m| (2 pi k_max)^alpha),
+dissipation left to the explicit stages, 1/(max|rho - c| (2 pi k_max)^alpha),
 is the floor: a longer step is taken when the estimate allows it and
 retried shorter when it does not, never below the floor.  cfl times the
-transport limit caps every step.  The tolerance is relative to the density:
-tol = rtol min rho, so that err <= tol keeps the error at each point within
-rtol times the density there.  rtol is 2e-9 at cfl 0.4 and scales as cfl^3,
-so cfl stays the one accuracy dial.  Near vacuum the dissipation vanishes
+transport limit caps every step.  A step that would not reach the next
+output time (snapshot or t_end) is evened out: the time left to it is split
+into equal steps no longer than the step, so no short step is left before
+it.  The tolerance is relative to the density: tol = rtol min rho, so that
+err <= tol keeps the error at each point within rtol times the density
+there.  rtol is 2e-9 at cfl 0.4 and scales as cfl^3, so cfl stays the one
+accuracy dial.  Near vacuum the dissipation vanishes
 and nothing damps the step errors, which there are of one sign and add up:
 a sup-norm tolerance lets rho(0) of the cccf data drift 200 times further
 from a fine run than the floor does.  When rtol min rho lies within the
@@ -193,22 +200,30 @@ class _Workspace:
         which bounds the row's sup norm in physical space."""
         return float((np.abs(y_hat) @ self.l1_weights).max()) / self.grid.n
 
-    def step_limits(self, y: np.ndarray, cfl: float, center: float = 0.0,
-                    rtol: float = 0.0) -> tuple[dict, float]:
+    def step_limits(self, y: np.ndarray, cfl: float,
+                    rtol: float = 0.0) -> tuple[dict, float, float]:
         """cfl times the transport limit dx/max|u| and the explicit
-        dissipative limit 1/(max|rho - center| (2 pi k_max)^alpha), by name,
-        and the error tolerance rtol min rho, or 0 when that lies within the
-        rounding of the density, eps max|rho|.  y holds the physical fields,
-        density first and transport velocity second, and center is the
-        density whose dissipation the stepper integrates exactly."""
+        dissipative limit 1/(max|rho - c| (2 pi k_max)^alpha), by name; the
+        center c, the density whose dissipation the stepper integrates
+        exactly; and the error tolerance rtol min rho, or 0 when that lies
+        within the rounding of the density, eps max|rho|.  y holds the
+        physical fields, density first and transport velocity second.
+
+        c is the midrange (max rho + min rho) / 2, which makes max|rho - c|
+        least, rounded to single precision: any constant serves, and a
+        rounded one gives densities that agree to roundoff the same factors,
+        so that the stepper keeps the equation's exact symmetries
+        (translation, reflection, dilation) to roundoff."""
         lo, hi = y[:2].min(axis=1).tolist(), y[:2].max(axis=1).tolist()
         transport = self.grid.dx / (max(hi[1], -lo[1]) + 1e-12)
+        center = float(np.float32(0.5 * (hi[0] + lo[0])))
         rho_peak = max(hi[0] - center, center - lo[0], 1e-12)
         dissipative = 1.0 / (rho_peak * (2.0 * np.pi * self.k_max_kept) ** self.alpha)
         tol = rtol * lo[0]
         if tol <= _EPS * max(hi[0], -lo[0]):
             tol = 0.0
-        return {"transport": cfl * transport, "dissipative": cfl * dissipative}, tol
+        caps = {"transport": cfl * transport, "dissipative": cfl * dissipative}
+        return caps, center, tol
 
 
 def _remainder(y: np.ndarray, f: np.ndarray, lam: np.ndarray,
@@ -296,14 +311,19 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
     (tendency_hat, y): the transform of the tendency and the physical rows
     of the stage, (rho, u) or (rho, u, G), u being the transport velocity
     and each row a field of the SimulationState in that order.  The tendency
-    linearised about the mean density m is integrated exactly (Lawson form):
-    a single field relaxes at the rates m ws.lin; in the pair (rho, u) of the
+    linearised about the center c of the step's start density (see
+    _Workspace.step_limits) is integrated exactly (Lawson form): a single
+    field relaxes at the rates c ws.lin; in the pair (rho, u) of the
     alignment system, u relaxes at those rates and feeds rho at ws.shear
-    times them (see _lawson_heun).  The dissipative floor is measured from m.
+    times them (see _lawson_heun).  The dissipative floor is measured from
+    c, and dt_fixed steps take the same c.
 
     Each step is proposed by the error controller (see the module
-    docstring), raised to the floor, capped by the transport limit, and
-    clamped to t_end and to the next snapshot time.  A step above the floor
+    docstring), raised to the floor and capped by the transport limit.  If
+    it reaches the next output time, t_end or the next snapshot time, it
+    is clamped to it; if not, it is shortened to gap / ceil(gap / dt), gap
+    being the time left to it, and keeps the label of the limit that set
+    it; dt_fixed steps are only clamped.  A step above the floor
     whose estimate exceeds the tolerance, or whose stages go non-finite, is
     retried shorter, never below the floor.  With no tolerance (vacuum) the
     step is the floor, and dt_fixed takes every step at dt_fixed; neither
@@ -322,10 +342,6 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
     """
     start = time.perf_counter()
     y_hat, t, steps, dt_last = np.fft.rfft(y0), 0.0, 0, 0.0
-    # the density's k = 0 coefficient is never updated, so the mean and the
-    # linear rates are fixed for the run
-    mean = float(np.atleast_2d(y_hat)[0, 0].real) / ws.grid.n
-    lam = mean * ws.lin
     shear = ws.shear if y0.ndim == 2 else None
     rate_calls = 0
 
@@ -373,21 +389,25 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
         if steps >= config.max_steps:
             stop_reason = "max_steps"
             break
+        caps, center, tol = ws.step_limits(y, config.cfl, rtol)
+        lam = center * ws.lin  # lin[0] = 0: the mass is never touched
         if config.dt_fixed:
             dt = floor = config.dt_fixed
             limit = floor_limit = "fixed"
             tol = 0.0
         else:
-            caps, tol = ws.step_limits(y, config.cfl, mean, rtol)
             limit = floor_limit = min(caps, key=caps.get)
             dt = floor = caps[limit]
             if wanted > floor:
                 dt, limit = ((wanted, "error") if wanted < caps["transport"]
                              else (caps["transport"], "transport"))
-        if config.t_end - t < dt:
-            dt, limit = config.t_end - t, "t_end"
-        if t < next_snap and next_snap - t < dt:
-            dt, limit = next_snap - t, "snapshot"
+        gap, gap_limit = config.t_end - t, "t_end"
+        if t < next_snap and next_snap - t < gap:
+            gap, gap_limit = next_snap - t, "snapshot"
+        if gap < dt:
+            dt, limit = gap, gap_limit
+        elif not config.dt_fixed:  # even out the steps to the output time
+            dt = gap / math.ceil(gap / dt)
         n0 = _remainder(y_hat, f0, lam, shear)
         retried = False
         while True:

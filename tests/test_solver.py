@@ -28,7 +28,8 @@ def _first_dt(rho, alpha):
 
 
 def _zero_mean_wave(grid):
-    """Sign-changing data of mean zero, where the integrating factor is 1."""
+    """Sign-changing data of mean zero and negative midrange, on which the
+    integrating factors do not damp."""
     x = grid.nodes
     return DensityField(grid, np.sin(2 * np.pi * x) + 0.3 * np.cos(4 * np.pi * x))
 
@@ -73,14 +74,33 @@ class TestConfig:
 
 class TestStableDt:
     def test_dissipative_limit_formula(self):
-        # the mean's dissipation is integrated exactly, so the limit is
-        # measured from the mean: max|rho - 1| = 0.5
+        # the midrange's dissipation is integrated exactly, so the limit is
+        # measured from it: max|rho - 1| = 0.5; the first step is that cap
+        # evened out over the first snapshot interval, t_end / 200 = 0.005
         grid = make_grid(256)
         cfg = SolverConfig(alpha=1.0, n_points=256, t_end=1.0, max_steps=1)
         rho = DensityField(grid, 1.0 + 0.5 * np.cos(2 * np.pi * grid.nodes))
+        ws = _Workspace(grid, 1.0, 2.0 / 3.0)
+        u = velocity_spectral(rho, 1.0).values
+        caps, _, _ = ws.step_limits(np.stack((rho.values, u)), 0.4)
+        cap = 0.4 / (0.5 * 2 * np.pi * 85)
+        assert abs(caps["dissipative"] - cap) < 1e-15
         tel = run(rho, cfg).telemetry
         assert tel["step_limits"]["dissipative"] == 1
-        assert abs(tel["dt_min"] - 0.4 / (0.5 * 2 * np.pi * 85)) < 1e-15
+        assert tel["dt_min"] == cfg.snapshot_dt / np.ceil(cfg.snapshot_dt / cap) == 0.00125
+
+    def test_floor_is_measured_from_the_midrange(self, grid):
+        # the center c = (max + min) / 2 (to single precision), here not
+        # the mean, makes max|rho - c| = (max - min) / 2 least
+        ws = _Workspace(grid, 1.0, 2.0 / 3.0)
+        x = grid.nodes
+        rho = 1.0 + 0.5 * np.cos(2 * np.pi * x) + 0.25 * np.cos(4 * np.pi * x)
+        caps, center, _ = ws.step_limits(np.stack((rho, np.zeros(grid.n))), 0.4)
+        lo, hi = rho.min(), rho.max()
+        assert center == pytest.approx(0.5 * (hi + lo), rel=1e-7)
+        assert abs(center - rho.mean()) > 0.1
+        assert caps["dissipative"] == pytest.approx(
+            0.4 / (0.5 * (hi - lo) * (2 * np.pi * 85)), rel=1e-7)
 
     def test_transport_scaling(self):
         # fabricate a transport-dominated state: tiny density, large velocity
@@ -88,8 +108,8 @@ class TestStableDt:
         ws = _Workspace(grid, 1.0, 2.0 / 3.0)
         rho = 1e-6 * (1.0 + 0.5 * np.cos(2 * np.pi * grid.nodes))
         u1 = np.sin(2 * np.pi * grid.nodes)
-        (caps1, _), (caps2, _) = (ws.step_limits(np.stack((rho, u)), 0.4)
-                                  for u in (u1, 2.0 * u1))
+        (caps1, _, _), (caps2, _, _) = (ws.step_limits(np.stack((rho, u)), 0.4)
+                                        for u in (u1, 2.0 * u1))
         for caps in (caps1, caps2):
             assert 0 < caps["transport"] < caps["dissipative"]
         assert abs(caps1["transport"] / caps2["transport"] - 2.0) < 1e-6
@@ -198,10 +218,10 @@ class TestStepControl:
         ws = _Workspace(grid, 1.5, 2.0 / 3.0)
         u = np.zeros(grid.n)
         positive = gen_positive_control(grid, 1.5).values
-        assert ws.step_limits(np.stack((positive, u)), 0.4, 1.5, 2e-9)[1] == 2e-9 * positive.min()
+        assert ws.step_limits(np.stack((positive, u)), 0.4, 2e-9)[2] == 2e-9 * positive.min()
         for floor in (0.0, -1e-14, 1e-18):
             vacuum = gen_cccf(grid).values + floor
-            assert ws.step_limits(np.stack((vacuum, u)), 0.4, 0.5, 2e-9)[1] == 0.0
+            assert ws.step_limits(np.stack((vacuum, u)), 0.4, 2e-9)[2] == 0.0
 
     def test_vacuum_data_take_the_floor(self, grid, monkeypatch):
         # with no tolerance no estimate is formed: every step is the floor
@@ -286,6 +306,17 @@ class TestRun:
         z_end = np.max(np.abs(spectral_derivative(res.states[-1].rho).values))
         assert z_end >= 5.0 * z0
 
+    def test_steps_to_an_output_time_are_even(self):
+        # a controlled step that would not reach the next output time is
+        # shortened to an even share of the gap, so no short clamp step
+        # follows; a fixed step is taken as given
+        grid = make_grid(256)
+        cfg = dict(alpha=1.0, n_points=256, t_end=0.05, snapshot_interval=1e-3)
+        tel = run(gen_cccf(grid), SolverConfig(**cfg)).telemetry
+        assert tel["dt_min"] >= 0.5 * tel["dt_max"]
+        fixed = run(gen_cccf(grid), SolverConfig(**cfg, dt_fixed=3e-4)).telemetry
+        assert fixed["dt_max"] == 3e-4 and fixed["step_limits"]["fixed"] > 0
+
     def test_max_steps_stop(self, grid):
         cfg = SolverConfig(alpha=1.0, n_points=256, t_end=10.0, max_steps=5,
                            snapshot_interval=10.0)
@@ -361,8 +392,9 @@ STOPS = {
                                              snapshot_interval=10.0)),
     "under_resolved": (gen_cccf, dict(t_end=5.0)),
     # CFL-violating fixed step with the trust monitor disabled; both systems
-    # integrate the mean's dissipation exactly and relax cccf to its mean at
-    # any step, so they get zero-mean data, where the factor is 1
+    # integrate the dissipation about the density's midrange exactly and
+    # relax cccf to it at any step, so they get data whose midrange is
+    # negative, where the factors do not damp
     "nan": (_zero_mean_wave, dict(t_end=100.0, dt_fixed=0.5, snapshot_interval=100.0,
                                   tail_threshold=10.0)),
 }
