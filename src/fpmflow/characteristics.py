@@ -121,11 +121,13 @@ class DecayBoundReport:
     t_checked: Optional[float]  # last time the smallness hypothesis held
 
 
+DECAY_TOL = 1e-3  # relative slack of the decay bound
+
+
 def check_decay_bound(path: CharacteristicPath, A: float, m: float,
-                      tol: float = 1e-3,
                       delta: float | None = None) -> DecayBoundReport:
-    """Verify |X(t)| <= |x_start| e^{-A t} (1 + tol) while rho(X(t), t) <= m/2;
-    |X| is the path's distance from the vacuum point 0.
+    """Verify |X(t)| <= |x_start| e^{-A t} (1 + DECAY_TOL) while
+    rho(X(t), t) <= m/2; |X| is the path's distance from the vacuum point 0.
 
     Times after the first smallness violation are not checked; if the
     hypothesis fails from the start, or the path starts outside the
@@ -141,5 +143,5 @@ def check_decay_bound(path: CharacteristicPath, A: float, m: float,
     bound = path.decay_envelope(A)[:n_ok]
     later = (times > 0) & (bound > 0)
     margin = float(np.min((bound - dist)[later] / bound[later])) if later.any() else None
-    holds = bool(np.all(dist <= bound * (1.0 + tol) + 1e-15))
+    holds = bool(np.all(dist <= bound * (1.0 + DECAY_TOL) + 1e-15))
     return DecayBoundReport(True, holds, margin, float(times[-1]))

@@ -3,8 +3,8 @@
 The torus is [-1/2, 1/2) with nodes x_j = -1/2 + j/n.  Fields are expanded in
 the modes e^{2 pi i k x}, so a Fourier multiplier m(k) acts on the integer
 wavenumber k.  Real fields are stored as sample vectors; the half-spectrum
-coefficients c_k (k = 0 .. n/2) are cached per field, and `trig_sum` evaluates
-any such row off the grid.  It factors each phase: with k = qB + r,
+coefficients c_k (k = 0 .. n/2) are cached per field, and `trig_eval`
+evaluates any such row off the grid.  It factors each phase: with k = qB + r,
 B = isqrt(n/2 - 1) + 1 and Q = ceil((n/2) / B),
 
     sum_k c_k e^{2 pi i k x} = sum_q e^{2 pi i qB x} sum_r c_{qB+r} e^{2 pi i r x},
@@ -13,10 +13,10 @@ so a point costs B + Q complex exponentials (46 at n = 1024, 64 at
 n = 2048) instead of n/2 - 1, and the inner sums are one matrix product
 with the coefficients laid out as a zero-padded (Q, B) matrix:
 `trig_layout` builds that layout once per row, and `trig_eval` evaluates
-it at one point or at a block of points.  Every multiplier outside the time
-stepper goes through `apply_multiplier`, which takes a half-spectrum symbol,
-works on the plain rfft of the samples as the stepper does, and leaves the
-imaginary part of the Nyquist entry to irfft, which drops it.
+it at one point or at any number of points.  Every multiplier outside the
+time stepper goes through `apply_multiplier`, which takes a half-spectrum
+symbol, works on the plain rfft of the samples as the stepper does, and
+leaves the imaginary part of the Nyquist entry to irfft, which drops it.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class PeriodicGrid:
 
     @cached_property
     def _trig_rows(self) -> tuple[int, np.ndarray]:
-        """trig_sum's block width B = isqrt(n/2 - 1) + 1 and its exponent
+        """trig_eval's block width B = isqrt(n/2 - 1) + 1 and its exponent
         row: 2 pi i r for r < B, then 2 pi i B q for q < Q = ceil((n/2) / B)."""
         half = self.n // 2
         b = math.isqrt(half - 1) + 1
@@ -142,7 +142,7 @@ def spectral_derivative(f: DensityField) -> DensityField:
 
 
 def trig_layout(grid: PeriodicGrid, c: np.ndarray):
-    """trig_sum's layout of a half-spectrum row c: (C, c_0, c_{n/2}), where
+    """The layout of a half-spectrum row c: (C, c_0, c_{n/2}), where
     C[r, q] = c_{qB+r} is the zero-padded (B, Q) matrix of the factorised
     phases (module docstring).  Built once, it serves any number of
     `trig_eval` calls.  It copies c entry by entry, so for a float f the
@@ -154,12 +154,23 @@ def trig_layout(grid: PeriodicGrid, c: np.ndarray):
     return cqr.reshape(-1, b).T, c[0].real, c[-1].real
 
 
+TRIG_BLOCK = 2048  # points per phase matrix
+
+
 def trig_eval(grid: PeriodicGrid, layout, x):
-    """The trig sum of one row's `trig_layout` at x: one point as a float (a
-    float comes back, without the set-up of an array of points) or a 1-D
-    array of at most TRIG_BLOCK points.  The one kernel behind `trig_sum`,
-    `evaluate_trig` and `antiderivative_at`; a float gives the bits of the
-    same point alone in an array."""
+    """c_0 + 2 Re sum_{0<k<n/2} c_k e^{2 pi i k x} + c_{n/2} cos(pi n x) of
+    the row whose `trig_layout` is layout, 1-periodic in x: at one point as
+    a float (a float comes back, without the set-up of an array of points)
+    or at a 1-D sequence of points, TRIG_BLOCK points per phase matrix.  The
+    one off-grid evaluation kernel; a float gives the bits of the same point
+    alone in an array."""
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+        if len(x) > TRIG_BLOCK:
+            out = np.empty(len(x))
+            for lo in range(0, len(x), TRIG_BLOCK):
+                out[lo:lo + TRIG_BLOCK] = trig_eval(grid, layout, x[lo:lo + TRIG_BLOCK])
+            return out
     cqr, c0, cn = layout
     b, row = grid._trig_rows
     phases = np.multiply.outer(x, row)  # e^{2 pi i r x}, then e^{2 pi i qB x}
@@ -169,52 +180,32 @@ def trig_eval(grid: PeriodicGrid, layout, x):
     return c0 + 2.0 * inner.real.sum(axis=-1) + cn * np.cos(np.pi * grid.n * x)
 
 
-TRIG_BLOCK = 2048  # points per phase matrix
-
-
-def _in_blocks(kernel, xs) -> np.ndarray:
-    """kernel over the points xs (any shape), TRIG_BLOCK points at a time."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    out = np.empty(len(xs))
-    for lo in range(0, len(xs), TRIG_BLOCK):
-        out[lo:lo + TRIG_BLOCK] = kernel(xs[lo:lo + TRIG_BLOCK])
-    return out
-
-
-def trig_sum(grid: PeriodicGrid, c: np.ndarray, xs) -> np.ndarray:
-    """c_0 + 2 Re sum_{0<k<n/2} c_k e^{2 pi i k x} + c_{n/2} cos(pi n x) of a
-    half-spectrum coefficient row c at arbitrary points; 1-periodic in x.
-    The interior sum runs on factorised phases k = qB + r (module docstring)."""
-    layout = trig_layout(grid, c)
-    return _in_blocks(lambda xb: trig_eval(grid, layout, xb), xs)
-
-
 def evaluate_trig(f: DensityField, xs) -> np.ndarray:
     """Evaluate the trigonometric interpolant of f at arbitrary points.
 
     Exact at the nodes and for any resolved trig polynomial.
     """
-    return trig_sum(f.grid, f.coefficients, xs)
+    return trig_eval(f.grid, trig_layout(f.grid, f.coefficients), np.atleast_1d(xs))
 
 
 def antiderivative_layout(f: DensityField):
-    """What `antiderivative_eval` needs of f, built once: the `trig_layout`
-    of the periodic part's row c_k / (2 pi i k), its trig sum at 0, c_0 and
-    c_{n/2}."""
+    """What `antiderivative_eval` needs of f, built once: (layout, c_0,
+    c_{n/2}), where layout is the `trig_layout` of the periodic part's row
+    c_k / (2 pi i k) with its constant set to minus that row's trig sum at
+    0, so that the periodic part vanishes at 0."""
     c = f.coefficients
     a = np.zeros_like(c)
     a[1:-1] = c[1:-1] / (2j * np.pi * f.grid.k_half[1:-1])
-    layout = trig_layout(f.grid, a)
-    return layout, trig_eval(f.grid, layout, 0.0), c[0].real, c[-1].real
+    cqr, _, cn = layout = trig_layout(f.grid, a)
+    return (cqr, -trig_eval(f.grid, layout, 0.0), cn), c[0].real, c[-1].real
 
 
 def antiderivative_eval(grid: PeriodicGrid, parts, x):
     """`antiderivative_at` of the field whose `antiderivative_layout` is
     parts, at x as `trig_eval` takes it."""
-    layout, at_zero, c0, cn = parts
+    layout, c0, cn = parts
     n = grid.n
-    periodic = trig_eval(grid, layout, x) - at_zero
-    return c0 * x + periodic + cn * np.sin(np.pi * n * x) / (np.pi * n)
+    return c0 * x + trig_eval(grid, layout, x) + cn * np.sin(np.pi * n * x) / (np.pi * n)
 
 
 def antiderivative_at(f: DensityField, xs) -> np.ndarray:
@@ -224,5 +215,5 @@ def antiderivative_at(f: DensityField, xs) -> np.ndarray:
     int_a^b f = F(b) - F(a) on unwrapped coordinates.  The periodic part is
     the trig sum of c_k / (2 pi i k) less its value at 0, plus a Nyquist sine.
     """
-    parts = antiderivative_layout(f)
-    return _in_blocks(lambda xb: antiderivative_eval(f.grid, parts, xb), xs)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    return antiderivative_eval(f.grid, antiderivative_layout(f), xs)

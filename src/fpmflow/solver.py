@@ -127,7 +127,6 @@ class SimulationState:
     t: float
     step_count: int
     dt_last: float
-    under_resolved: bool
     tail_fraction: float
     rho: DensityField
     u: DensityField
@@ -201,7 +200,7 @@ class _Workspace:
         return float((np.abs(y_hat) @ self.l1_weights).max()) / self.grid.n
 
     def step_limits(self, y: np.ndarray, cfl: float,
-                    rtol: float = 0.0) -> tuple[dict, float, float]:
+                    rtol: float) -> tuple[dict, float, float]:
         """cfl times the transport limit dx/max|u| and the explicit
         dissipative limit 1/(max|rho - c| (2 pi k_max)^alpha), by name; the
         center c, the density whose dissipation the stepper integrates
@@ -351,8 +350,7 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
         return rates(y_hat)
 
     def state():
-        return SimulationState(t, steps, dt_last, tail > config.tail_threshold, tail,
-                               *(DensityField(ws.grid, row) for row in y))
+        return SimulationState(t, steps, dt_last, tail, *(DensityField(ws.grid, row) for row in y))
 
     def snapshot(s):
         nonlocal observer_s, snap_t

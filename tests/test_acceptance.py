@@ -230,7 +230,7 @@ def test_criterion_6_characteristic_decay(certify_runs):
     res, cons, cfg = certify_runs[("plateau", 1.0)]
     A = compute_A(1.0, cons.m, cons.rho_max)
     path = advect_path(res.states, 0.15)
-    report = check_decay_bound(path, A, cons.m, tol=1e-3)
+    report = check_decay_bound(path, A, cons.m)
     p1 = advect_path(res.states, 0.05)
     p2 = advect_path(res.states, 0.25)
     drift = check_mass_transport(p1, p2, res.states)

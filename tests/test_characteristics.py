@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fpmflow.grid import DensityField, antiderivative_at, evaluate_trig, make_grid, trig_sum
+from fpmflow.grid import (DensityField, antiderivative_at, evaluate_trig, make_grid, trig_eval,
+                          trig_layout)
 from fpmflow.initial_data import gen_cccf, gen_positive_control, gen_vacuum_plateau
 from fpmflow.characteristics import (CharacteristicPath, advect_path, advect_paths,
                                      check_decay_bound, check_mass_transport)
@@ -87,7 +88,8 @@ def plateau_run():
 
 
 def _advect_stage_by_stage(states, x_start):
-    """Path advection as one trig_sum call per RK4 stage, the loop that
+    """Path advection as one trig sum of a freshly laid out row per RK4
+    stage, the loop that
     advect_paths replaced; the reference for its bits."""
     times = np.array([s.t for s in states])
     grid = states[0].u.grid
@@ -100,7 +102,7 @@ def _advect_stage_by_stage(states, x_start):
         rows = ca + np.outer(fracs, states[i + 1].u.coefficients - ca)
 
         def u_at(row, x):
-            return float(trig_sum(grid, rows[row], [x])[0])
+            return float(trig_eval(grid, trig_layout(grid, rows[row]), [x])[0])
 
         for j in range(0, 8, 2):
             k1 = u_at(j, pos)

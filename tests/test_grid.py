@@ -7,8 +7,7 @@ import pytest
 
 from fpmflow.grid import (TRIG_BLOCK, DensityField, antiderivative_at, antiderivative_eval,
                           antiderivative_layout, apply_multiplier, evaluate_trig,
-                          make_grid, spectral_derivative, trig_eval, trig_layout,
-                          trig_sum)
+                          make_grid, spectral_derivative, trig_eval, trig_layout)
 
 
 class TestMakeGrid:
@@ -201,47 +200,67 @@ class TestTrigSum:
         grid, c, _ = _white_noise_row(n, n)
         inside = np.random.default_rng(n + 1).uniform(-0.5, 0.5, 8)
         xs = np.concatenate((inside, [3.7, -3.7, -12.3, 0.5, -0.5]))
-        err = np.abs(trig_sum(grid, c, xs) - _direct_sum(c, xs, n))
+        err = np.abs(trig_eval(grid, trig_layout(grid, c), xs) - _direct_sum(c, xs, n))
         assert err.max() <= 1e-12 * np.abs(c).sum()
 
     @pytest.mark.parametrize("n", [8, 18, 1024, 8192])
     def test_exact_at_nodes(self, n):
         grid, c, values = _white_noise_row(n, 3)
-        err = np.abs(trig_sum(grid, c, grid.nodes) - values)
+        err = np.abs(trig_eval(grid, trig_layout(grid, c), grid.nodes) - values)
         assert err.max() <= 1e-12 * np.abs(c).sum()
 
     @pytest.mark.parametrize("count", [2048, 2049])
     def test_block_boundary(self, count):
         grid, c, _ = _white_noise_row(64, 5)
         xs = np.random.default_rng(count).uniform(-0.5, 0.5, count)
-        out = trig_sum(grid, c, xs)
+        out = trig_eval(grid, trig_layout(grid, c), xs)
         assert out.shape == (count,)
         picks = [0, 2046, 2047, count - 1]
         err = np.abs(out[picks] - _direct_sum(c, xs[picks], 64))
         assert err.max() <= 1e-12 * np.abs(c).sum()
 
     def test_scalar_point(self):
-        grid, c, _ = _white_noise_row(64, 7)
-        out = trig_sum(grid, c, 0.3)
-        assert out.shape == (1,)
-        assert out[0] == trig_sum(grid, c, [0.3])[0]
+        # a float comes back as a float; a point set of one, and
+        # evaluate_trig at a float, as a one-point array
+        grid, c, values = _white_noise_row(64, 7)
+        layout = trig_layout(grid, c)
+        out = trig_eval(grid, layout, 0.3)
+        assert isinstance(out, float)
+        alone = trig_eval(grid, layout, [0.3])
+        assert alone.shape == (1,)
+        assert out == alone[0]
+        assert evaluate_trig(DensityField(grid, values), 0.3).shape == (1,)
 
     def test_nyquist_only_row(self):
         grid = make_grid(16)
         c = np.zeros(9, dtype=complex)
         c[-1] = 0.7
         xs = np.linspace(-0.5, 0.5, 37)
-        assert np.max(np.abs(trig_sum(grid, c, xs) - 0.7 * np.cos(16 * np.pi * xs))) < 1e-14
+        out = trig_eval(grid, trig_layout(grid, c), xs)
+        assert np.max(np.abs(out - 0.7 * np.cos(16 * np.pi * xs))) < 1e-14
 
     def test_block_holds_one_phase_matrix(self):
         # a full block of 2048 points at n = 2048 needs 2 MiB of phases and
         # 1 MiB of inner sums; a second phase matrix would take it past 4 MiB
         grid, c, _ = _white_noise_row(2048, 11)
         xs = np.random.default_rng(12).uniform(-0.5, 0.5, TRIG_BLOCK)
-        trig_sum(grid, c, xs[:4])  # builds the grid's cached rows first
+        trig_eval(grid, trig_layout(grid, c), xs[:4])  # builds the grid's cached rows first
         tracemalloc.start()
         try:
-            trig_sum(grid, c, xs)
+            trig_eval(grid, trig_layout(grid, c), xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2 ** 20
+
+    def test_blocks_hold_one_phase_matrix_at_a_time(self):
+        # past one block, each block's phases go before the next block's come
+        grid, c, _ = _white_noise_row(2048, 11)
+        xs = np.random.default_rng(12).uniform(-0.5, 0.5, 2 * TRIG_BLOCK + 3)
+        trig_eval(grid, trig_layout(grid, c), xs[:4])
+        tracemalloc.start()
+        try:
+            trig_eval(grid, trig_layout(grid, c), xs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -274,8 +293,8 @@ class TestAntiderivative:
 
 
 def _trig_sum_one_pass(grid, c, xs):
-    """trig_sum as one function that lays out c and evaluates it, block by
-    block: the reference for the layout-plus-kernel split."""
+    """The trig sum as one function that lays out c and evaluates it, block
+    by block: the reference for the layout-plus-kernel split."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     b, row = grid._trig_rows
     cqr = np.zeros((len(row) - b) * b, dtype=complex)
@@ -302,8 +321,8 @@ def _antiderivative_one_pass(f, xs):
 
 
 class TestTrigLayout:
-    """The layout-plus-kernel route gives trig_sum's bits, point sets of any
-    size and one-point float calls alike."""
+    """The layout-plus-kernel route gives the one-pass bits, point sets of
+    any size and one-point float calls alike."""
 
     @pytest.mark.parametrize("n", [8, 1024, 2048])
     def test_matches_one_pass_bit_for_bit(self, n):
@@ -314,7 +333,7 @@ class TestTrigLayout:
         edge = xs[TRIG_BLOCK - 2:TRIG_BLOCK + 2]  # last two of a block, first two of the next
         for c in rows:
             expected = _trig_sum_one_pass(grid, c, xs)
-            assert trig_sum(grid, c, xs).tobytes() == expected.tobytes()
+            assert trig_eval(grid, trig_layout(grid, c), xs).tobytes() == expected.tobytes()
             layout = trig_layout(grid, c)
             blocks = [trig_eval(grid, layout, xs[:TRIG_BLOCK]),
                       trig_eval(grid, layout, xs[TRIG_BLOCK:])]
@@ -322,7 +341,24 @@ class TestTrigLayout:
             for x in edge.tolist():
                 alone = _trig_sum_one_pass(grid, c, [x])
                 assert trig_eval(grid, layout, x) == alone[0]
-                assert trig_sum(grid, c, [x]).tobytes() == alone.tobytes()
+                assert trig_eval(grid, trig_layout(grid, c), [x]).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 1024, 2048])
+    def test_many_blocks_match_per_block_calls(self, n):
+        # 2 TRIG_BLOCK + 3 points: two full blocks and three more in one call
+        rng = np.random.default_rng(n + 2)
+        grid = make_grid(n)
+        c = rng.normal(size=n // 2 + 1) + 1j * rng.normal(size=n // 2 + 1)
+        xs = rng.uniform(-2.0, 2.0, 2 * TRIG_BLOCK + 3)
+        layout = trig_layout(grid, c)
+        out = trig_eval(grid, layout, xs)
+        blocks = [trig_eval(grid, layout, xs[lo:lo + TRIG_BLOCK])
+                  for lo in range(0, len(xs), TRIG_BLOCK)]
+        assert out.shape == xs.shape
+        assert out.tobytes() == np.concatenate(blocks).tobytes()
+        assert out.tobytes() == _trig_sum_one_pass(grid, c, xs).tobytes()
+        for x in xs[TRIG_BLOCK - 1:TRIG_BLOCK + 1].tolist() + xs[-2:].tolist():
+            assert trig_eval(grid, layout, x) == trig_eval(grid, layout, np.array([x]))[0]
 
     @pytest.mark.parametrize("n", [8, 1024, 2048])
     def test_interpolated_layouts_match_interpolated_rows(self, n):
