@@ -68,7 +68,7 @@ def _alignment_rates(ws: _Workspace, y_hat: np.ndarray):
 
 def run_alignment(rho0: DensityField, u0: DensityField, config: SolverConfig,
                   observers: tuple = (), keep_states: bool = True) -> RunResult:
-    """Evolve the coupled (rho, u) system with the main solver's Heun RK3
+    """Evolve the coupled (rho, u) system with the main solver's Lawson RK4
     driver, dealiasing and stop rules; the tail check covers both fields.
     Returns integrate's RunResult: its states carry G, and the observers
     and keep_states act as in `solver.run`.

@@ -7,31 +7,35 @@ physical field the stage needs and one rfft of every product.  Products are
 formed in physical space and the quadratic flux is truncated at a fraction
 of the Nyquist band (2/3 by default).
 
-Time stepping is Heun's third-order Runge-Kutta scheme (stages at 0,
-dt/3 and 2 dt/3) in Lawson form.  Linearised about a constant density c,
+Time stepping is the classic fourth-order Runge-Kutta scheme (stages at 0,
+dt/2, dt/2 and dt) in Lawson form.  Linearised about a constant density c,
 the dealiased flux of the continuity flow is the diagonal dissipation
 -c (2 pi |k|)^alpha on the kept band; the stepper integrates that part
-exactly by the factors exp(-c (2 pi |k|)^alpha s) over each stage's time s
-and steps only the remainder explicitly.  Linearised about (c, 0), the
-alignment system has the same dissipation in u, which feeds rho through a
-fixed per-mode shear; its factor is the exact exponential of that
+exactly by the factor E = exp(-c (2 pi |k|)^alpha dt/2), the only one its
+stages need, and steps only the remainder explicitly.  Linearised about
+(c, 0), the alignment system has the same dissipation in u, which feeds rho
+through a fixed per-mode shear; its factor is the exact exponential of that
 upper-triangular pair.  Each step takes c to be the midrange
 (max rho + min rho) / 2 of its start density, which makes the dissipation
 left to the explicit stages, max|rho - c|, least: the split of a variable
 mobility into a constant part and a remainder (Zhu, Chen, Shen & Tikare,
 Phys. Rev. E 60 (1999) 3564).  So the factors are formed anew each step;
-the k = 0 rate is 0, so the mass is never touched.
+the k = 0 rate is 0, so the mass is never touched.  Lawson methods can lose
+order on stiff problems (Hochbruck & Ostermann, Acta Numerica 19 (2010)
+209); on these runs the step-halving order stays near 4.
 
-The step size is controlled by Heun's embedded second-order solution,
-b^ = (0, 1/2, 1/2) against b = (1/4, 0, 3/4), in the same Lawson form
-(Balac & Mahe, Comput. Phys. Commun. 184 (2013) 1211): err, the sup norm
-of the difference of the two solutions, bounded from the spectrum,
+The step size is controlled by the interaction-picture RK4(3) pair of
+Balac & Mahe (Comput. Phys. Commun. 184 (2013) 1211): the embedded
+third-order solution takes the remainder N4 at the new value in place of
+the last stage's N3, so the step minus it is dt/6 (N3 - N4), and N4 comes
+from the rates call that is the next step's first stage (first same as
+last).  err, the sup norm of that difference, bounded from the spectrum,
 estimates the local error.  The next step is the last one times
-min(5, max(0.2, 0.9 (tol / err)^(1/3))); it does not grow right after a
+min(5, max(0.2, 0.9 (tol / err)^(1/4))); it does not grow right after a
 rejected step (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and a step
 cut short to land on a snapshot or t_end does not shrink it.  cfl times
 the tighter of the transport limit dx/max|u| and the explicit limit of the
-dissipation left to the explicit stages, 1/(max|rho - c| (2 pi k_max)^alpha),
+dissipation left to the explicit stages, 2/(max|rho - c| (2 pi k_max)^alpha),
 is the floor: a longer step is taken when the estimate allows it and
 retried shorter when it does not, never below the floor.  cfl times the
 transport limit caps every step.  A step that would not reach the next
@@ -39,13 +43,16 @@ output time (snapshot or t_end) is evened out: the time left to it is split
 into equal steps no longer than the step, so no short step is left before
 it.  The tolerance is relative to the density: tol = rtol min rho, so that
 err <= tol keeps the error at each point within rtol times the density
-there.  rtol is 2e-9 at cfl 0.4 and scales as cfl^3, so cfl stays the one
-accuracy dial.  Near vacuum the dissipation vanishes
-and nothing damps the step errors, which there are of one sign and add up:
-a sup-norm tolerance lets rho(0) of the cccf data drift 200 times further
-from a fine run than the floor does.  When rtol min rho lies within the
-rounding of the density, eps max|rho|, as on data with vacuum, no estimate
-is formed and every step is the floor.
+there.  rtol is 2e-9 at cfl 0.4 and scales as cfl^4, so cfl stays the one
+accuracy dial.  Near vacuum the dissipation vanishes and nothing damps
+the step errors, which there are of one sign and add up: under a sup-norm
+tolerance of 1e-9, rho(0) of the cccf data (n = 2048, alpha = 1.5) reaches
+1.0e-8 at t = 0.025, against 1.1e-12 at the floor.  When rtol min rho lies
+within the rounding of the density, eps max|rho|, as on data with vacuum,
+no estimate is formed and every step is the floor.  There the floor
+limits accuracy, not stability: on even data with rho0(0) = 0, whose exact
+solution keeps rho(0, t) = 0, the floor holds rho(0) below 2e-8 on cccf
+(n = 2048, alpha = 1) to t = 0.12.
 
 The run stops when the spectral tail mass fraction exceeds a threshold:
 past that point the solution is not trustworthy and the simulator refuses
@@ -58,7 +65,8 @@ system of `extensions`.  It builds each snapshot as a SimulationState
 (rho, u, and G for the alignment system), hands it to the observers at
 once, keeps it only if asked, and returns a RunResult that counts the
 accepted and rejected steps, the limit that bound each step, the
-step-size range and the FFT calls for the run's metadata.
+step-size range, the largest tail fraction and the FFT calls for the run's
+metadata.
 """
 
 from __future__ import annotations
@@ -141,7 +149,7 @@ class RunResult:
     records: list  # each observer's return value per snapshot, in order
     final_state: SimulationState
     stop_reason: str  # t_end | under_resolved | max_steps | nan
-    telemetry: dict  # steps, binding step limits, dt range, FFT calls (see integrate)
+    telemetry: dict  # steps, binding step limits, dt range, tail_max, FFT calls (see integrate)
     wall_split: dict  # seconds spent stepping and in observers
 
 
@@ -164,7 +172,7 @@ class _Workspace:
         self.lin = np.real(self.flux_sym * self.rho_u_sym[1])
         # r = flux_sym / lin = i (2 pi k)^(1 - alpha) on the kept band, 0
         # elsewhere: the alignment system's linear density rate per unit
-        # linear velocity rate (see _lawson_heun)
+        # linear velocity rate (see _lawson_rk4)
         self.shear = np.divide(self.flux_sym, self.lin, out=np.zeros_like(self.flux_sym),
                                where=self.lin != 0.0)
         self.tail_band = slice((2 * self.k_max_kept) // 3 + 1, self.k_max_kept + 1)
@@ -202,7 +210,7 @@ class _Workspace:
     def step_limits(self, y: np.ndarray, cfl: float,
                     rtol: float) -> tuple[dict, float, float]:
         """cfl times the transport limit dx/max|u| and the explicit
-        dissipative limit 1/(max|rho - c| (2 pi k_max)^alpha), by name; the
+        dissipative limit 2/(max|rho - c| (2 pi k_max)^alpha), by name; the
         center c, the density whose dissipation the stepper integrates
         exactly; and the error tolerance rtol min rho, or 0 when that lies
         within the rounding of the density, eps max|rho|.  y holds the
@@ -217,7 +225,7 @@ class _Workspace:
         transport = self.grid.dx / (max(hi[1], -lo[1]) + 1e-12)
         center = float(np.float32(0.5 * (hi[0] + lo[0])))
         rho_peak = max(hi[0] - center, center - lo[0], 1e-12)
-        dissipative = 1.0 / (rho_peak * (2.0 * np.pi * self.k_max_kept) ** self.alpha)
+        dissipative = 2.0 / (rho_peak * (2.0 * np.pi * self.k_max_kept) ** self.alpha)
         tol = rtol * lo[0]
         if tol <= _EPS * max(hi[0], -lo[0]):
             tol = 0.0
@@ -241,70 +249,74 @@ def _remainder(y: np.ndarray, f: np.ndarray, lam: np.ndarray,
 
 
 def _step_ratio(error: float, tol: float) -> float:
-    """The controller's factor on the step, 0.9 (tol / error)^(1/3) kept
+    """The controller's factor on the step, 0.9 (tol / error)^(1/4) kept
     within [0.2, 5]; an infinite error gives 0.2."""
-    return min(5.0, max(0.2, 0.9 * (tol / max(error, _TINY)) ** (1.0 / 3.0)))
+    return min(5.0, max(0.2, 0.9 * (tol / max(error, _TINY)) ** 0.25))
 
 
-def _lawson_heun(y_hat: np.ndarray, n0: np.ndarray, rates: Callable, dt: float,
-                 lam: np.ndarray, shear: Optional[np.ndarray], err: np.ndarray,
-                 estimate: bool) -> np.ndarray:
-    """One Heun RK3 step (c = 0, 1/3, 2/3) of the transforms y_hat in Lawson
-    form, given the stage-1 remainder n0 = _remainder(y_hat, f0): the linear
-    rates A are integrated exactly and the remainder N = f - A y explicitly.
-    The exact flow E over dt / 3 multiplies y, or u_hat, by exp(dt lam / 3);
-    given shear it keeps rho_hat - shear u_hat.
+def _lawson_rk4(y_hat: np.ndarray, n0: np.ndarray, rates: Callable, dt: float,
+                lam: np.ndarray, shear: Optional[np.ndarray],
+                err: np.ndarray) -> np.ndarray:
+    """One classic RK4 step (c = 0, 1/2, 1/2, 1) of the transforms y_hat in
+    Lawson form, given the stage-1 remainder n0 = _remainder(y_hat, f0): the
+    linear rates A are integrated exactly and the remainder N = f - A y
+    explicitly.  The exact flow E over dt / 2 multiplies y, or u_hat, by
+    exp(dt lam / 2); given shear it keeps rho_hat - shear u_hat.
 
-    Returns the new transforms.  err carries stage 1, then, given estimate,
-    receives E^3 N0 - 2 E^2 N1 + E N2, N_i being the remainder of stage
-    i + 1; dt / 4 times it is the step minus Heun's embedded second-order
-    solution, b^ = (0, 1/2, 1/2).  err is finite only if every stage
-    remainder is, and then so is the step, short of overflow.  y_hat and
-    n0 are left as they are, so a rejected step is retried from them."""
-    e1 = np.exp((dt / 3.0) * lam)
-    e2 = e1 * e1
-    factors = (e1, e2, e2 * e1)
+    Returns the new transforms E^2 y + dt / 6 S, S = E (E N0 + 2 N1 + 2 N2)
+    + N3, N_i being the remainder of stage i + 1.  S is built unscaled in
+    one accumulator and scaled once, which keeps the exact symmetries to
+    roundoff.  err holds each stage's value in turn and then N3, for the
+    caller's estimate; it is finite only if every stage is.  y_hat and n0
+    are left as they are, so a rejected step is retried from them."""
+    e = np.exp((dt / 2.0) * lam)
     if shear is not None:
+        # rho_hat gains shear (e - 1) u_hat as u_hat becomes e u_hat
+        gain = shear * np.expm1((dt / 2.0) * lam)
         sheared = np.empty_like(y_hat[1])  # the flow's one scratch row
 
-    def flow(y, stage, out=None):  # exact flow over stage dt / 3, into out or in place
+    def flow(y, out=None):  # exact flow over dt / 2, into out or in place
         if shear is None:
-            return np.multiply(y, factors[stage - 1], out=y if out is None else out)
+            return np.multiply(y, e, out=y if out is None else out)
         if out is not None:
             np.copyto(out, y)
             y = out
-        y[0] -= np.multiply(shear, y[1], out=sheared)
-        y[1] *= factors[stage - 1]
-        y[0] += np.multiply(shear, y[1], out=sheared)
+        y[0] += np.multiply(gain, y[1], out=sheared)
+        y[1] *= e
         return y
 
-    y1 = np.multiply(n0, dt / 3.0, out=err)
-    y1 += y_hat
-    flow(y1, 1)
-    y2 = flow(_remainder(y1, rates(y1)[0], lam, shear), 1)  # E N1
-    if estimate:
-        flow(n0, 2, out=err)
-        err -= y2
-        err -= y2
-    y2 *= 2.0 * dt / 3.0
-    y2 += flow(y_hat, 2, out=np.empty_like(y_hat))
-    f2 = _remainder(y2, rates(y2)[0], lam, shear)  # N2
-    if estimate:
-        err += f2
-        flow(err, 1)
-    f2 = flow(f2, 1)
-    f2 *= 0.75 * dt
-    y3 = np.multiply(n0, dt / 4.0, out=y2)  # the stage-3 base, before its flow
-    y3 += y_hat
-    flow(y3, 3)
-    y3 += f2
-    return y3
+    np.multiply(n0, dt / 2.0, out=err)
+    err += y_hat
+    flow(err)  # stage 2: E (y + dt/2 N0)
+    k = _remainder(err, rates(err)[0], lam, shear)  # N1
+    s = flow(n0, out=np.empty_like(y_hat))
+    k *= 2.0
+    s += k
+    k *= dt / 4.0
+    flow(y_hat, out=err)
+    err += k  # stage 3: E y + dt/2 N1
+    del k  # not held while the stage's rates are formed (peak memory)
+    k = _remainder(err, rates(err)[0], lam, shear)  # N2
+    k *= 2.0
+    s += k
+    k *= dt / 2.0
+    flow(y_hat, out=err)
+    err += k
+    flow(err)  # stage 4: E (E y + dt N2)
+    del k
+    k = _remainder(err, rates(err)[0], lam, shear)  # N3
+    flow(s)
+    s += k
+    s *= dt / 6.0
+    s += flow(flow(y_hat, out=err))
+    np.copyto(err, k)
+    return s
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the error estimate catches non-finite stages
 def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverConfig,
               observers: tuple[Callable, ...] = (), keep_states: bool = True) -> RunResult:
-    """Step the transforms y_hat = rfft(y0) with Heun RK3 from t = 0.
+    """Step the transforms y_hat = rfft(y0) with Lawson RK4 from t = 0.
 
     y0 holds one field per row, density first.  rates(y_hat) returns
     (tendency_hat, y): the transform of the tendency and the physical rows
@@ -314,7 +326,7 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
     _Workspace.step_limits) is integrated exactly (Lawson form): a single
     field relaxes at the rates c ws.lin; in the pair (rho, u) of the
     alignment system, u relaxes at those rates and feeds rho at ws.shear
-    times them (see _lawson_heun).  The dissipative floor is measured from
+    times them (see _lawson_rk4).  The dissipative floor is measured from
     c, and dt_fixed steps take the same c.
 
     Each step is proposed by the error controller (see the module
@@ -326,17 +338,21 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
     whose estimate exceeds the tolerance, or whose stages go non-finite, is
     retried shorter, never below the floor.  With no tolerance (vacuum) the
     step is the floor, and dt_fixed takes every step at dt_fixed; neither
-    forms an estimate.  The snapshot at each snapshot time is built from the
-    stage-1 rows, and every observer runs on it at once.  Stops on t_end,
-    under-resolution of any row, the step budget of accepted steps, or a
-    non-finite step at the floor; on the last the final state is the last
-    finite one and is not a snapshot.  Returns a RunResult: records holds
-    the observers' return values snapshot by snapshot, in observer order,
-    and states every snapshot if keep_states, else nothing; its telemetry
-    holds the accepted steps, the rejected ones, how many accepted steps
-    each limit bound (transport, dissipative, error, snapshot, t_end,
-    fixed), the dt range (None before the first step), and the numpy FFT
-    calls: the first rfft and two per rates call; wall_split splits the
+    forms an estimate.  Each attempt's last rates call, at its new value,
+    gives the estimate and, once the attempt is accepted, the next step's
+    first stage, so an accepted step makes four rates calls.  The snapshot
+    at each snapshot time is built from the stage-1 rows, and every
+    observer runs on it at once.  Stops on t_end, under-resolution of any
+    row, the step budget of accepted steps, or a non-finite step at the
+    floor; on the last the final state is the last finite one and is not a
+    snapshot.  Returns a RunResult: records holds the observers' return
+    values snapshot by snapshot, in observer order, and states every
+    snapshot if keep_states, else nothing; its telemetry holds the accepted
+    steps, the rejected ones, how many accepted steps each limit bound
+    (transport, dissipative, error, snapshot, t_end, fixed), the dt range
+    (None before the first step), tail_max, the largest tail fraction at
+    any step start, the one that stopped the run included, and the numpy
+    FFT calls: the first rfft and two per rates call; wall_split splits the
     seconds here into "observers" and "stepping".
     """
     start = time.perf_counter()
@@ -362,8 +378,8 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
             states.append(s)
         snap_t = s.t
 
-    rtol = _RTOL * (config.cfl / 0.4) ** 3
-    err = np.empty_like(y_hat)  # every step's stage 1 and error estimate
+    rtol = _RTOL * (config.cfl / 0.4) ** 4
+    err = np.empty_like(y_hat)  # every step's stages and error estimate
     wanted = 0.0  # the controller's next step; the first step is the floor
     next_snap = 0.0
     snap_t = -math.inf  # the last snapshot's time
@@ -371,10 +387,11 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
     limits = dict.fromkeys(
         ("transport", "dissipative", "error", "snapshot", "t_end", "fixed"), 0)
     rejected = 0
-    dt_min, dt_max = np.inf, 0.0
+    dt_min, dt_max, tail_max = np.inf, 0.0, 0.0
+    f, y = counted_rates(y_hat)  # stage 1 of the first step
     while True:
-        f0, y = counted_rates(y_hat)
         tail = ws.tail_fraction(y_hat)
+        tail_max = max(tail_max, tail)
         if tail > config.tail_threshold:
             stop_reason = "under_resolved"
             break
@@ -406,12 +423,14 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
             dt, limit = gap, gap_limit
         elif not config.dt_fixed:  # even out the steps to the output time
             dt = gap / math.ceil(gap / dt)
-        n0 = _remainder(y_hat, f0, lam, shear)
+        n0 = _remainder(y_hat, f, lam, shear)
         retried = False
         while True:
-            y_next = _lawson_heun(y_hat, n0, counted_rates, dt, lam, shear, err, tol > 0.0)
-            if tol:
-                error = 0.25 * dt * ws.sup_bound(err)
+            y_next = _lawson_rk4(y_hat, n0, counted_rates, dt, lam, shear, err)
+            f, y_next_rows = counted_rates(y_next)  # the next step's stage 1
+            if tol:  # dt / 6 (N3 - N4), N4 = f - A y_next the remainder there
+                err -= f
+                error = dt / 6.0 * ws.sup_bound(_remainder(y_next, err, -lam, shear))
             else:
                 error = 0.0 if np.isfinite(y_next).all() else math.inf
             if not math.isfinite(error):  # a stage went non-finite
@@ -426,7 +445,7 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
         if error == math.inf:
             stop_reason = "nan"
             break
-        y_hat = y_next
+        y_hat, y = y_next, y_next_rows
         t += dt
         dt_last = dt
         steps += 1
@@ -448,7 +467,7 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
     return RunResult(states, records, final, stop_reason, {
         "steps": steps, "rejected": rejected, "step_limits": limits,
         "dt_min": dt_min if steps else None, "dt_max": dt_max if steps else None,
-        "fft_calls": 1 + 2 * rate_calls},
+        "tail_max": tail_max, "fft_calls": 1 + 2 * rate_calls},
         {"stepping": time.perf_counter() - start - observer_s, "observers": observer_s})
 
 

@@ -353,9 +353,9 @@ def test_criterion_10_temporal_order():
             d1 = float(np.max(np.abs(finals[1] - finals[2])))
             d2 = float(np.max(np.abs(finals[2] - finals[4])))
             order = math.log2(d1 / d2)
-            _report("10", abs(order - 3.0) <= 0.2,
+            _report("10", abs(order - 4.0) <= 0.2,
                     f"{name}, alpha={alpha}, base dt {dt:g}: step-halving order "
-                    f"{order:.3f} within 3.0 +/- 0.2")
+                    f"{order:.3f} within 4.0 +/- 0.2")
 
 
 def test_criterion_10_deterministic_reruns(tmp_path):

@@ -247,6 +247,7 @@ class TestSimulate:
         run = meta["run"]  # step telemetry of solver.integrate
         assert run["steps"] == meta["steps"] == sum(run["step_limits"].values()) > 0
         assert 0.0 < run["dt_min"] <= run["dt_max"]
+        assert 0.0 < run["tail_max"] < 1e-8  # below the default stop threshold
         split = meta["wall_split"]  # seconds stepping, in observers, writing
         assert set(split) == {"stepping", "observers", "output"}
         assert min(split.values()) > 0.0

@@ -140,7 +140,7 @@ class TestAlignmentRun:
                            snapshot_interval=0.01)
         ares = run_alignment(rho0, velocity_spectral(rho0, alpha), cfg)
         mres = run(rho0, cfg)
-        assert ares.telemetry["steps"] == mres.telemetry["steps"] == 147
+        assert ares.telemetry["steps"] == mres.telemetry["steps"] == 75
         diff = np.max(np.abs(ares.final_state.rho.values
                              - mres.final_state.rho.values))
         assert diff <= 1e-12
