@@ -94,7 +94,6 @@ RUN_KEYS = (
     ("n_points", "--n", int, 1024),
     ("t_end", "--t-end", float, 0.5),
     ("cfl", "--cfl", float, 0.4),
-    ("dealias_fraction", "--dealias-fraction", float, 2.0 / 3.0),
     ("tail_threshold", "--tail-threshold", float, 1e-8),
     ("snapshot_interval", "--snapshot-interval", float, None),
     ("max_steps", "--max-steps", int, 20_000_000),
@@ -180,7 +179,7 @@ def _prepare(args):
     return settings, rho0, config, _out_dir(args)
 
 
-def _execute(rho0, config, out_dir=None, charted=None, keep_states=False):
+def _execute(rho0, config, out_dir=None, charted=None):
     """Run rho0 with the estimate observer.  With an out_dir, every
     SNAPSHOT_STRIDE-th snapshot CSV is written there as the run makes it,
     and the last snapshot after the run, so at most one unwritten snapshot
@@ -211,7 +210,7 @@ def _execute(rho0, config, out_dir=None, charted=None, keep_states=False):
 
     t0 = time.perf_counter()
     result = run(rho0, config, observers=(observe if out_dir is None else keep,),
-                 keep_states=keep_states)
+                 keep_states=False)
     wall = time.perf_counter() - t0
     result.wall_split["observers"] -= write_s
     if unwritten is not None:
@@ -230,35 +229,6 @@ def _finish(settings, out_dir, result, wall, output_s, **extra) -> int:
         "t_final": result.final_state.t, "run": result.telemetry, **extra,
     })
     return 3 if settings["require_t_end"] and result.stop_reason == "under_resolved" else 0
-
-
-def _write_artifacts(settings, out_dir, result, wall, charted, write_s) -> int:
-    """Write a run's timeseries, its charts unless charted is None, and its
-    metadata; _execute wrote the snapshot CSVs, in write_s seconds, and
-    filled charted."""
-    t0 = time.perf_counter()
-    write_timeseries(out_dir / "timeseries.csv", result.records)
-    if charted is not None:
-        xs = result.final_state.rho.grid.nodes
-        picks = charted[:: max(1, len(charted) // 6)]
-        line_chart([(xs, rho, f"t={t:.4g}") for t, rho in picks],
-                   out_dir / "rho_snapshots.svg", title="density snapshots",
-                   xlabel="x", ylabel="rho")
-        ts = [r.t for r in result.records]
-        line_chart([(ts, [r.c1_norm for r in result.records], "max |d_x rho|")],
-                   out_dir / "c1_norm.svg", title="gradient norm",
-                   xlabel="t", ylabel="c1", logy=True)
-    return _finish(settings, out_dir, result, wall, write_s + time.perf_counter() - t0)
-
-
-def cmd_simulate(args) -> int:
-    settings, rho0, config, out_dir = _prepare(args)
-    charted = None if args.no_plots else []
-    _, result, wall, write_s = _execute(rho0, config, out_dir, charted)
-    code = _write_artifacts(settings, out_dir, result, wall, charted, write_s)
-    print(f"stop_reason={result.stop_reason} t={result.final_state.t:.6g} "
-          f"steps={result.final_state.step_count} artifacts in {args.out}")
-    return code
 
 
 _INVARIANT_TOLS = dict(mass_drift=1e-11, rho_min=1e-8, rho_max=1e-8,
@@ -326,12 +296,32 @@ def _certify(rho0, constants, config, result) -> dict:
     return report
 
 
-def cmd_verify(args) -> int:
+def cmd_run(args) -> int:
+    """simulate and verify: run with the estimate observer and write the
+    snapshot CSVs, the timeseries, the charts unless --no-plots, and the
+    metadata.  verify then prints its certificate and exits 2 if an
+    invariant failed."""
     settings, rho0, config, out_dir = _prepare(args)
     charted = None if args.no_plots else []
     constants, result, wall, write_s = _execute(rho0, config, out_dir, charted)
+    t0 = time.perf_counter()
+    write_timeseries(out_dir / "timeseries.csv", result.records)
+    if charted is not None:
+        xs = result.final_state.rho.grid.nodes
+        picks = charted[:: max(1, len(charted) // 6)]
+        line_chart([(xs, rho, f"t={t:.4g}") for t, rho in picks],
+                   out_dir / "rho_snapshots.svg", title="density snapshots",
+                   xlabel="x", ylabel="rho")
+        ts = [r.t for r in result.records]
+        line_chart([(ts, [r.c1_norm for r in result.records], "max |d_x rho|")],
+                   out_dir / "c1_norm.svg", title="gradient norm",
+                   xlabel="t", ylabel="c1", logy=True)
+    code = _finish(settings, out_dir, result, wall, write_s + time.perf_counter() - t0)
+    if args.command == "simulate":
+        print(f"stop_reason={result.stop_reason} t={result.final_state.t:.6g} "
+              f"steps={result.final_state.step_count} artifacts in {args.out}")
+        return code
     report = _certify(rho0, constants, config, result)
-    code = _write_artifacts(settings, out_dir, result, wall, charted, write_s)
     print(dumps(report))
     return code if report["all_ok"] else 2
 
@@ -352,7 +342,10 @@ def cmd_characteristics(args) -> int:
                               f"would both write {name}")
         names[name] = xs
     settings, rho0, config, out_dir = _prepare(args)
-    constants, result, wall, _ = _execute(rho0, config, keep_states=True)
+    constants = constants_for(config.alpha, rho0)
+    t0 = time.perf_counter()
+    result = run(rho0, config)
+    wall = time.perf_counter() - t0
     if len(result.states) < 2:
         raise ConfigError(
             f"run stopped {result.stop_reason} at t = {result.final_state.t:.6g} "
@@ -460,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     runs = {}
     for name, func, text in (
-            ("simulate", cmd_simulate, "run and write artifacts"),
-            ("verify", cmd_verify, "run and check estimate invariants"),
+            ("simulate", cmd_run, "run and write artifacts"),
+            ("verify", cmd_run, "run and check estimate invariants"),
             ("characteristics", cmd_characteristics, "run and trace characteristic paths"),
             ("align", cmd_align, "run the coupled alignment system"),
             ("reduce", cmd_reduce, "2D slab reduction checks"),

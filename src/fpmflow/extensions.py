@@ -85,7 +85,7 @@ def run_alignment(rho0: DensityField, u0: DensityField, config: SolverConfig,
     """
     if rho0.grid.n != config.n_points or u0.grid.n != config.n_points:
         raise ValueError("initial data grids do not match the configuration")
-    ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
+    ws = _Workspace(rho0.grid, config.alpha)
     return integrate(np.stack((rho0.values, u0.values)), partial(_alignment_rates, ws),
                      ws, config, observers, keep_states)
 

@@ -130,11 +130,7 @@ def apply_multiplier(f: DensityField, symbol: np.ndarray) -> DensityField:
 
 
 def derivative_symbol(grid: PeriodicGrid) -> np.ndarray:
-    sym = 2j * np.pi * grid.k_half.astype(complex)
-    # 0 at Nyquist: at dealias fraction 1 the stepper's flux, linear rates
-    # and shear keep that mode and use this entry before any irfft
-    sym[-1] = 0.0
-    return sym
+    return 2j * np.pi * grid.k_half.astype(complex)
 
 
 def spectral_derivative(f: DensityField) -> DensityField:

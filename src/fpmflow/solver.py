@@ -4,8 +4,8 @@ d_t rho = -d_x(rho u) with the nonlocal velocity induced by rho.
 The state is kept as rfft coefficients, one row per field.  Each
 Runge-Kutta stage makes two batched numpy FFT calls: one irfft for every
 physical field the stage needs and one rfft of every product.  Products are
-formed in physical space and the quadratic flux is truncated at a fraction
-of the Nyquist band (2/3 by default).
+formed in physical space and the quadratic flux is truncated at two thirds
+of the Nyquist band (Orszag's 2/3 rule, J. Atmos. Sci. 28 (1971) 1074).
 
 Time stepping is the classic fourth-order Runge-Kutta scheme (stages at 0,
 dt/2, dt/2 and dt) in Lawson form.  Linearised about a constant density c,
@@ -94,6 +94,7 @@ __all__ = [
 _TINY = np.finfo(float).tiny  # keeps an all-zero spectrum's fraction at 0
 _EPS = np.finfo(float).eps
 _RTOL = 2e-9  # the step controller's tolerance at cfl 0.4, per unit of min rho
+_DEALIAS = 2.0 / 3.0  # the kept fraction of the Nyquist band
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,6 @@ class SolverConfig:
     n_points: int
     t_end: float
     cfl: float = 0.4
-    dealias_fraction: float = 2.0 / 3.0
     tail_threshold: float = 1e-8
     snapshot_interval: Optional[float] = None
     max_steps: int = 20_000_000
@@ -112,8 +112,6 @@ class SolverConfig:
         _check_alpha(self.alpha)
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError("dealias_fraction must lie in (0, 1]")
         if not 0.0 < self.t_end < np.inf:
             raise ValueError("t_end must be finite and positive")
         if not self.tail_threshold > 0.0:
@@ -154,14 +152,14 @@ class RunResult:
 
 
 class _Workspace:
-    """Fourier symbols, dealiasing mask and tail band for one
-    (n, alpha, dealias) triple; operates on single fields and on row stacks."""
+    """Fourier symbols, dealiasing mask and tail band for one (n, alpha)
+    pair; operates on single fields and on row stacks."""
 
-    def __init__(self, grid: PeriodicGrid, alpha: float, dealias_fraction: float):
+    def __init__(self, grid: PeriodicGrid, alpha: float):
         self.grid = grid
         self.alpha = alpha
         n = grid.n
-        self.k_max_kept = int(np.floor(dealias_fraction * (n // 2)))
+        self.k_max_kept = int(np.floor(_DEALIAS * (n // 2)))
         self.mask = grid.k_half <= self.k_max_kept
         # rows (1, velocity symbol): rho_hat -> the transforms of (rho, u)
         self.rho_u_sym = np.stack((np.ones(n // 2 + 1), velocity_symbol(grid, alpha)))
@@ -217,13 +215,16 @@ class _Workspace:
         physical fields, density first and transport velocity second.
 
         c is the midrange (max rho + min rho) / 2, which makes max|rho - c|
-        least, rounded to single precision: any constant serves, and a
+        least, rounded to 24 significant bits: any constant serves, and a
         rounded one gives densities that agree to roundoff the same factors,
         so that the stepper keeps the equation's exact symmetries
-        (translation, reflection, dilation) to roundoff."""
+        (translation, reflection, dilation) to roundoff.  The rounding is
+        single precision's, but not a float32 cast, whose overflow above
+        3.4e38 would leave no floor."""
         lo, hi = y[:2].min(axis=1).tolist(), y[:2].max(axis=1).tolist()
         transport = self.grid.dx / (max(hi[1], -lo[1]) + 1e-12)
-        center = float(np.float32(0.5 * (hi[0] + lo[0])))
+        mantissa, exponent = math.frexp(0.5 * (hi[0] + lo[0]))
+        center = math.ldexp(round(mantissa * 2**24), exponent - 24)
         rho_peak = max(hi[0] - center, center - lo[0], 1e-12)
         dissipative = 2.0 / (rho_peak * (2.0 * np.pi * self.k_max_kept) ** self.alpha)
         tol = rtol * lo[0]
@@ -480,5 +481,5 @@ def run(rho0: DensityField, config: SolverConfig,
     """
     if rho0.grid.n != config.n_points:
         raise ValueError("initial data grid does not match the configuration")
-    ws = _Workspace(rho0.grid, config.alpha, config.dealias_fraction)
+    ws = _Workspace(rho0.grid, config.alpha)
     return integrate(rho0.values, ws.continuity_rates, ws, config, observers, keep_states)

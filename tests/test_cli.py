@@ -96,7 +96,7 @@ class TestConfigFile:
                      'preset = "cccf"\noffset = nan', 'preset = "cccf"\nx0 = nan',
                      "t_end = nan", "t_end = inf", "rho_max = inf",
                      "tail_threshold = inf", "snapshot_interval = inf",
-                     "alpha =", "= 0.5"):
+                     "alpha =", "= 0.5", "dealias_fraction = 0.5"):
             cfg.write_text("t_end = 0.001\n" + text + "\n")
             code = run_cli("simulate", "--config", str(cfg), "--no-plots",
                            "--out", str(tmp_path / "o"))
@@ -162,6 +162,8 @@ class TestConfigFile:
         # a value that starts with '-' reads as a flag unless written --x-start=...
         (("characteristics", "--x-start", "-0.05,0.05"),
          "argument --x-start: expected one argument"),
+        # the flux keeps 2/3 of the Nyquist band on every grid, not a flag
+        (("simulate", "--n", "64", "--dealias-fraction", "0.5"), "unrecognized arguments"),
     ])
     def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
         # rejected flag values exit 1 with a one-line message and write nothing
@@ -224,7 +226,7 @@ class TestDocs:
                 if field in defaults:
                     assert default == defaults[field], key
                     shared += 1
-        assert shared == 9
+        assert shared == 8
 
 
 class TestSimulate:
@@ -437,13 +439,12 @@ class TestVerify:
         assert report["hypotheses"] == {"h1": True, "h2": True, "h3": False}
 
     def test_tail_fraction_uses_solver_band(self, tmp_path, capsys):
-        # at dealias fraction 1/2 the observer must report the solver's own
-        # tail fraction, so the under-resolved stop record is not certified
+        # the observer must report the solver's own tail fraction, so the
+        # under-resolved stop record is not certified
         out = tmp_path / "o"
         code = run_cli("verify", "--preset", "cccf", "--alpha", "1.0",
                        "--n", "512", "--t-end", "0.25",
-                       "--snapshot-interval", "0.001",
-                       "--dealias-fraction", "0.5", "--no-plots",
+                       "--snapshot-interval", "0.001", "--no-plots",
                        "--out", str(out))
         assert code == 0
         report = json.loads(capsys.readouterr().out)

@@ -16,8 +16,7 @@ from fpmflow.extensions import (_alignment_rates, _products_hat, _tendencies, c_
 from fpmflow.solver import SolverConfig, _Workspace, run
 
 
-def alignment_force(rho: DensityField, u: DensityField, alpha: float,
-                    dealias_fraction: float = 2.0 / 3.0) -> DensityField:
+def alignment_force(rho: DensityField, u: DensityField, alpha: float) -> DensityField:
     """Alignment interaction in commutator form u Lambda^a rho - Lambda^a(rho u).
 
     Algebraically identical to the singular-kernel interaction integral with
@@ -27,7 +26,7 @@ def alignment_force(rho: DensityField, u: DensityField, alpha: float,
     """
     if rho.grid is not u.grid and rho.grid.n != u.grid.n:
         raise ValueError("fields must share a grid")
-    ws = _Workspace(rho.grid, alpha, dealias_fraction)
+    ws = _Workspace(rho.grid, alpha)
     minus_lap_rho = apply_multiplier(rho, -ws.lap_sym).values
     force_hat = _tendencies(ws, _products_hat(rho.values, u.values, minus_lap_rho))[1]
     return DensityField(rho.grid, np.fft.irfft(force_hat, rho.grid.n))
@@ -41,7 +40,7 @@ def grid():
 class TestAlignmentRates:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_matches_stacked_formula(self, alpha):
-        ws = _Workspace(make_grid(64), alpha, 2.0 / 3.0)
+        ws = _Workspace(make_grid(64), alpha)
         rng = np.random.default_rng(4)
         y_hat = np.fft.rfft(rng.normal(size=(2, 64)))
         rho_hat, u_hat = y_hat
@@ -87,7 +86,7 @@ class TestAlignmentForce:
         u = DensityField(grid, 0.3 * np.sin(2 * np.pi * grid.nodes)
                          + 0.1 * np.sin(4 * np.pi * grid.nodes))
         params = make_params(alpha)
-        force = alignment_force(rho, u, alpha, dealias_fraction=1.0)
+        force = alignment_force(rho, u, alpha)
         from fpmflow.grid import evaluate_trig
 
         def oracle(x):
