@@ -40,23 +40,25 @@ class CharacteristicPath:
 
 def advect_paths(states, starts) -> list[CharacteristicPath]:
     """Integrate the path from each start (a float or a sequence of them)
-    through the snapshot series with classical RK4.
+    through the snapshot series, one classical RK4 step per interval.
 
     Between snapshots u is the trig sum of the coefficients interpolated
-    linearly in time, so each stage evaluates one row at one point.  The
-    trig layouts of an interval's stage rows, and of each snapshot's density
-    and antiderivative, are built once and shared by the starts.  Each start
-    is stepped on its own with one-point evaluations, so a path does not
-    depend on the other starts of the call.  Positions are tracked unwrapped
-    (our data keep paths inside the torus); the trig sums are 1-periodic.
+    linearly in time, so each stage evaluates one row at one point: the
+    interval's end rows or their average.  That interpolation, not the
+    step, bounds a path's accuracy (vacuum-plateau, n = 1024, snapshots
+    every 2e-4: 1.5e-11 from 16 steps per interval, 2.7e-7 from halving
+    the interval).  The trig layouts of each interval's three stage rows,
+    and of each snapshot's density and antiderivative, are built once and
+    shared by the starts.  Each start is stepped on its own with one-point
+    evaluations, so a path does not depend on the other starts of the call.
+    Positions are tracked unwrapped (our data keep paths inside the torus);
+    the trig sums are 1-periodic.
     """
     if len(states) < 2:
         raise ValueError("need at least two snapshots to advect a path")
     starts = np.atleast_1d(np.asarray(starts, dtype=float)).tolist()
     times = np.array([s.t for s in states])
     grid = states[0].u.grid
-    substeps = 4  # RK4 steps per snapshot interval
-    fracs = [j / (2 * substeps) for j in range(2 * substeps + 1)]  # stage times
 
     positions, rho_along, mass_along = ([np.empty(len(times)) for _ in starts]
                                         for _ in range(3))
@@ -76,22 +78,15 @@ def advect_paths(states, starts) -> list[CharacteristicPath]:
     pos = list(starts)
     sample(0)
     for i in range(len(times) - 1):
-        h = float(times[i + 1] - times[i]) / substeps
-        ca = states[i].u.coefficients
-        # u's layouts at the stage times, interpolated in layout space; the
-        # bits are those of trig_layout(grid, ca + f (cb - ca))
-        a0, a1, a2 = trig_layout(grid, ca)
-        d0, d1, d2 = trig_layout(grid, states[i + 1].u.coefficients - ca)
-        layouts = [(a0 + f * d0, a1 + f * d1, a2 + f * d2) for f in fracs]
+        h = float(times[i + 1] - times[i])
+        ca, cb = states[i].u.coefficients, states[i + 1].u.coefficients
+        start, mid, end = (trig_layout(grid, c) for c in (ca, 0.5 * (ca + cb), cb))
         for k, p in enumerate(pos):
-            for j in range(0, 2 * substeps, 2):
-                k1 = u_at(layouts[j], p)
-                k2 = u_at(layouts[j + 1], p + 0.5 * h * k1)
-                k3 = u_at(layouts[j + 1], p + 0.5 * h * k2)
-                k4 = u_at(layouts[j + 2], p + h * k3)
-                p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            pos[k] = p
-        del layouts  # so the next interval's layouts replace these, not join them
+            k1 = u_at(start, p)
+            k2 = u_at(mid, p + 0.5 * h * k1)
+            k3 = u_at(mid, p + 0.5 * h * k2)
+            k4 = u_at(end, p + h * k3)
+            pos[k] = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         sample(i + 1)
 
     return [CharacteristicPath(x_start=x, times=times, positions=X, rho_along=r, mass_along=m)

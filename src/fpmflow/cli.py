@@ -150,16 +150,22 @@ def _fields_of(cls, settings) -> dict:
 
 def _inputs(settings):
     """Initial data and solver config from settings.  A value that the grid,
-    the initial data or SolverConfig rejects is a config error."""
+    the initial data or SolverConfig rejects is a config error, and so is
+    initial data whose mean overflows."""
     try:
         grid = make_grid(settings["n_points"])
         spec = InitialDataSpec(kind=settings["preset"].replace("-", "_"),
                                transition_width=settings["width"],
                                **_fields_of(InitialDataSpec, settings))
         config = SolverConfig(**_fields_of(SolverConfig, settings))
-        return make_initial_data(grid, spec), config
+        rho0 = make_initial_data(grid, spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    with np.errstate(over="ignore"):
+        if not math.isfinite(rho0.mean):
+            raise ConfigError("the initial density's mean overflows; "
+                              "lower rho_max or offset")
+    return rho0, config
 
 
 def _out_dir(args) -> Path:
@@ -350,7 +356,9 @@ def cmd_characteristics(args) -> int:
         raise ConfigError(
             f"run stopped {result.stop_reason} at t = {result.final_state.t:.6g} "
             f"with {len(result.states)} snapshot(s); paths need at least two")
+    t0 = time.perf_counter()
     paths = advect_paths(result.states, starts)
+    result.wall_split["paths"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     for name, path in zip(names, paths):
         rows = np.column_stack((path.times, path.positions, path.mass_along,

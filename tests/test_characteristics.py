@@ -89,28 +89,25 @@ def plateau_run():
 
 def _advect_stage_by_stage(states, x_start):
     """Path advection as one trig sum of a freshly laid out row per RK4
-    stage, the loop that
-    advect_paths replaced; the reference for its bits."""
+    stage, one step per snapshot interval: the rows of the interval's two
+    snapshots and of their average, at its midpoint.  The reference for the
+    bits of advect_paths."""
     times = np.array([s.t for s in states])
     grid = states[0].u.grid
-    fracs = np.arange(9) / 8
     positions = np.empty(len(times))
     positions[0] = pos = x_start
     for i in range(len(times) - 1):
-        h = (times[i + 1] - times[i]) / 4
-        ca = states[i].u.coefficients
-        rows = ca + np.outer(fracs, states[i + 1].u.coefficients - ca)
+        h = times[i + 1] - times[i]
+        ca, cb = states[i].u.coefficients, states[i + 1].u.coefficients
 
         def u_at(row, x):
-            return float(trig_eval(grid, trig_layout(grid, rows[row]), [x])[0])
+            return float(trig_eval(grid, trig_layout(grid, row), [x])[0])
 
-        for j in range(0, 8, 2):
-            k1 = u_at(j, pos)
-            k2 = u_at(j + 1, pos + 0.5 * h * k1)
-            k3 = u_at(j + 1, pos + 0.5 * h * k2)
-            k4 = u_at(j + 2, pos + h * k3)
-            pos = pos + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        positions[i + 1] = pos
+        k1 = u_at(ca, pos)
+        k2 = u_at(0.5 * (ca + cb), pos + 0.5 * h * k1)
+        k3 = u_at(0.5 * (ca + cb), pos + 0.5 * h * k2)
+        k4 = u_at(cb, pos + h * k3)
+        positions[i + 1] = pos = pos + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     rho_along = [float(evaluate_trig(s.rho, [p])[0]) for s, p in zip(states, positions)]
     mass_along = [antiderivative_at(s.rho, [p])[0] for s, p in zip(states, positions)]
     return positions, np.array(rho_along), np.array(mass_along)
@@ -152,6 +149,61 @@ class TestAdvectPaths:
         for s in plateau_run.states:
             assert antiderivative_at(s.rho, [0.0])[0] == 0.0
         assert advect_paths(plateau_run.states, [0.0, 0.1])[0].mass_along[0] == 0.0
+
+
+def _advect_in_substeps(states, x_start, substeps):
+    """The path from x_start with `substeps` RK4 steps per snapshot interval
+    through the same linearly interpolated u: a reference for the error of
+    advect_paths' one step."""
+    grid = states[0].u.grid
+    positions = [x_start]
+    pos = x_start
+    for a, b in zip(states[:-1], states[1:]):
+        h = (b.t - a.t) / substeps
+        ca, cb = a.u.coefficients, b.u.coefficients
+
+        def u_at(f, x):
+            return float(trig_eval(grid, trig_layout(grid, ca + f * (cb - ca)), x))
+
+        for j in range(substeps):
+            f = j / substeps
+            k1 = u_at(f, pos)
+            k2 = u_at(f + 0.5 / substeps, pos + 0.5 * h * k1)
+            k3 = u_at(f + 0.5 / substeps, pos + 0.5 * h * k2)
+            k4 = u_at(f + 1.0 / substeps, pos + h * k3)
+            pos = pos + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        positions.append(pos)
+    return np.array(positions)
+
+
+class TestPathAccuracy:
+    STARTS = [0.03, 0.12, 0.2, 0.45, -0.1]
+
+    def test_interpolation_not_the_step_bounds_the_error(self, plateau_run):
+        # the same run with snapshots twice as dense; its even snapshots
+        # fall on the plateau run's snapshot times
+        grid = make_grid(1024)
+        cfg = SolverConfig(alpha=1.0, n_points=1024, t_end=0.05,
+                           snapshot_interval=2.5e-4)
+        dense = run(gen_vacuum_plateau(grid), cfg).states
+        states = plateau_run.states
+        m = min(len(states), (len(dense) + 1) // 2) - 1  # a stopped run's last is off the grid
+        assert m >= 10
+        states, dense = states[:m], dense[:2 * m - 1]
+        assert np.allclose([s.t for s in states], [s.t for s in dense[::2]], rtol=0, atol=1e-14)
+        step_error = interpolation_error = moved = 0.0
+        for x, path, halved in zip(self.STARTS, advect_paths(states, self.STARTS),
+                                   advect_paths(dense, self.STARTS)):
+            reference = _advect_in_substeps(states, x, 16)
+            step_error = max(step_error, np.max(np.abs(path.positions - reference)))
+            interpolation_error = max(interpolation_error, np.max(np.abs(
+                _advect_in_substeps(dense, x, 16)[::2] - reference)))
+            moved = max(moved, np.max(np.abs(halved.positions[::2] - path.positions)))
+        # one step per interval lies within 1% of the interpolation error of
+        # a path taken with 16 steps per interval
+        assert step_error <= 0.01 * interpolation_error
+        # and halving the snapshot interval moves the paths 100 times as far
+        assert moved >= 100.0 * step_error
 
 
 class TestMassTransport:

@@ -164,6 +164,13 @@ class TestConfigFile:
          "argument --x-start: expected one argument"),
         # the flux keeps 2/3 of the Nyquist band on every grid, not a flag
         (("simulate", "--n", "64", "--dealias-fraction", "0.5"), "unrecognized arguments"),
+        # finite data whose mean overflows in its sum have no finite mass
+        *((("simulate", "--preset", preset, flag, value, "--n", "64", "--t-end", "0.001"),
+           "the initial density's mean overflows")
+          for preset, flag, value in (("positive-control", "--offset", "1e307"),
+                                      ("positive-control", "--offset", "5e306"),
+                                      ("vacuum-plateau", "--rho-max", "1e307"),
+                                      ("smooth-monotone", "--rho-max", "1e308"))),
     ])
     def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
         # rejected flag values exit 1 with a one-line message and write nothing
@@ -437,6 +444,8 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["all_ok"]
         assert report["hypotheses"] == {"h1": True, "h2": True, "h3": False}
+        meta = json.loads((tmp_path / "o" / "metadata.json").read_text())
+        assert set(meta["wall_split"]) == {"stepping", "observers", "output"}
 
     def test_tail_fraction_uses_solver_band(self, tmp_path, capsys):
         # the observer must report the solver's own tail fraction, so the
@@ -571,6 +580,11 @@ class TestCharacteristicsCommand:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["run"]["steps"] == meta["steps"] > 0
         assert meta["pair_mass_drift"] == payload["pair_mass_drift"]
+        # the paths are traced after the run, in seconds of their own
+        split = meta["wall_split"]
+        assert set(split) == {"stepping", "observers", "paths", "output"}
+        assert min(split.values()) > 0.0
+        assert split["stepping"] + split["observers"] <= meta["wall_time"]
 
     def test_mirrored_starts(self, tmp_path, capsys):
         # cccf is even: the paths from -0.05 and 0.05 mirror each other, and
@@ -625,6 +639,7 @@ class TestAlignCommand:
         assert meta["steps"] == meta["run"]["steps"] > 0
         assert meta["run"]["step_limits"]["snapshot"] + meta["run"]["step_limits"]["t_end"] >= 3
         # the rows are made by an observer, as each snapshot arrives
+        assert set(meta["wall_split"]) == {"stepping", "observers", "output"}
         assert min(meta["wall_split"].values()) > 0.0
 
     def test_bad_value_writes_nothing(self, tmp_path):
