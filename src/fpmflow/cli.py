@@ -29,7 +29,8 @@ from .diagnostics import classify_run, constants_for, make_observer
 from .extensions import run_alignment, slab_check_2d
 from .grid import make_grid, spectral_derivative
 from .initial_data import KINDS, InitialDataSpec, make_initial_data, validate_hypotheses
-from .operators import compute_A, compute_C, compute_delta, make_params, velocity_spectral
+from .operators import (compute_A, compute_C, compute_delta, fractional_laplacian_spectral,
+                        make_params, velocity_spectral)
 from .output import dumps, write_csv, write_metadata, write_snapshot, write_timeseries
 from .solver import SolverConfig, run
 from .svgplot import line_chart
@@ -151,7 +152,7 @@ def _fields_of(cls, settings) -> dict:
 def _inputs(settings):
     """Initial data and solver config from settings.  A value that the grid,
     the initial data or SolverConfig rejects is a config error, and so is
-    initial data whose mean overflows."""
+    initial data whose mean, derivative or fractional Laplacian overflows."""
     try:
         grid = make_grid(settings["n_points"])
         spec = InitialDataSpec(kind=settings["preset"].replace("-", "_"),
@@ -161,10 +162,16 @@ def _inputs(settings):
         rho0 = make_initial_data(grid, spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if not math.isfinite(rho0.mean):
             raise ConfigError("the initial density's mean overflows; "
                               "lower rho_max or offset")
+        try:  # fields of the first snapshot's observers and of align's G
+            spectral_derivative(rho0)
+            fractional_laplacian_spectral(rho0, config.alpha)
+        except ValueError as exc:
+            raise ConfigError("the initial density's derivative or fractional "
+                              "Laplacian overflows; lower rho_max") from exc
     return rho0, config
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import DensityField, evaluate_trig, spectral_derivative
-from .operators import (_QUADRATURE_POINTS, OperatorParams, _gauss_legendre,
+from .operators import (_QUADRATURE_POINTS, OperatorParams, _gauss_jacobi,
                         _jacobi_endpoint_integral, compute_A, compute_delta,
                         decompose_velocity)
 from .solver import SimulationState
@@ -185,7 +185,7 @@ def verify_enhanced_bound_derivation(rho: DensityField, params: OperatorParams, 
     h_positive = bool(np.all(h >= -tol))
     h_decreasing = bool(np.all(np.diff(h) <= tol * max(float(h.max()), 1.0)))
 
-    xg, wg = _gauss_legendre(_QUADRATURE_POINTS)
+    xg, wg = _gauss_jacobi(_QUADRATURE_POINTS, 0.0)  # rho at these nodes serves two integrals
     mid, half = 0.5 * (x + 0.5), 0.5 * (0.5 - x)
     yq = mid + half * xg
     rho_q = evaluate_trig(rho, yq)

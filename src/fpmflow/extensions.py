@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from .grid import DensityField
-from .operators import (_check_alpha, _gauss_legendre, _integrate_steep_left,
-                        _jacobi_endpoint_integral, velocity_spectral)
+from .operators import (_check_alpha, _integrate_steep_left, _jacobi_endpoint_integral,
+                        velocity_spectral)
 from .solver import RunResult, SolverConfig, _Workspace, integrate
 
 __all__ = [
@@ -37,11 +37,11 @@ __all__ = [
 
 def _tendencies(ws: _Workspace, f: np.ndarray) -> np.ndarray:
     """Rewrite in place the transforms f = (P, W) of (rho u, u g) into
-    (flux_sym P, -mask (W + lap_sym P)): the density tendency, and the u
-    tendency when g = d_x u - Lambda^a rho or the alignment force when
-    g = -Lambda^a rho."""
+    (flux_sym P, -mask W + lin P), with lin = -mask (2 pi k)^a: the density
+    tendency, and the u tendency when g = d_x u - Lambda^a rho or the
+    alignment force when g = -Lambda^a rho."""
     f[1] *= ws.neg_mask
-    f[1] += ws.neg_lap_mask * f[0]
+    f[1] += ws.lin * f[0]
     f[0] *= ws.flux_sym
     return f
 
@@ -165,12 +165,11 @@ def _mollifier(x: np.ndarray, r0: float) -> np.ndarray:
 def _free_space_inner(y1: float, alpha: float) -> float:
     """int_R (y1^2 + y2^2)^(-(2+alpha)/2) dy2 by geometric Gauss cells plus a
     second-order analytic tail; independent of the plane-slice constant."""
-    xg, wg = _gauss_legendre(24)
     a = abs(y1)
     Y = 200.0 * a
     total = _integrate_steep_left(
         lambda y2: (y1 ** 2 + y2 ** 2) ** (-(2.0 + alpha) / 2.0), 0.0, Y,
-        scale=a, nodes=xg, weights=wg)
+        a, 24)
     tail = Y ** (-1.0 - alpha) / (1.0 + alpha) \
         - (2.0 + alpha) * y1 ** 2 * Y ** (-3.0 - alpha) / (2.0 * (3.0 + alpha))
     return 2.0 * (total + tail)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DensityField, PeriodicGrid, spectral_derivative
-from .operators import _gauss_legendre
+from .operators import _gauss_jacobi
 
 __all__ = [
     "KINDS",
@@ -80,21 +80,14 @@ def smooth_transition(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     tc = np.clip(t, 0.0, 1.0)
     pts = np.unique(np.concatenate(([0.0, 1.0], tc.ravel())))
-    xg, wg = _gauss_legendre(12)
-
-    def integrand(s):
-        inner = s * (1.0 - s)
-        safe = np.maximum(inner, 1e-300)
-        return np.where(inner > 0.0, np.exp(-1.0 / safe), 0.0)
-
-    panels = np.empty(len(pts) - 1)
-    for i, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        panels[i] = half * np.dot(wg, integrand(mid + half * xg))
+    nodes, weights = _gauss_jacobi(12, 0.0)
+    mid, half = 0.5 * (pts[:-1] + pts[1:]), 0.5 * np.diff(pts)
+    s = mid[:, None] + half[:, None] * nodes  # one row of nodes per panel
+    inner = s * (1.0 - s)
+    safe = np.maximum(inner, 1e-300)
+    panels = half * (np.where(inner > 0.0, np.exp(-1.0 / safe), 0.0) @ weights)
     cumulative = np.concatenate(([0.0], np.cumsum(panels)))
-    total = cumulative[-1]
-    lookup = dict(zip(pts, cumulative / total))
-    return np.array([lookup[v] for v in tc.ravel()]).reshape(tc.shape)
+    return (cumulative / cumulative[-1])[np.searchsorted(pts, tc)]
 
 
 def gen_cccf(grid: PeriodicGrid) -> DensityField:

@@ -18,11 +18,13 @@ kernel carries c_alpha / alpha: integrating the defining identity by parts
 converts one constant into the other with exactly that factor.  Both routes
 are pinned by tests against the multiplier path.
 
-Gauss-Jacobi nodes are the Jacobi matrix's eigenvalues (Golub & Welsch, Math.
-Comp. 1969) after one Newton step on the three-term recurrence, with weights
-from P_n' at the nodes, not the eigenvectors (Hale & Townsend, SIAM J. Sci.
-Comput. 2013).  Hurwitz zeta is summed by Euler-Maclaurin (DLMF 25.11).  Rules
-are built on first use, once per size (and Jacobi exponent), shared read-only.
+Every Gauss rule in the package comes from one builder, `_gauss_jacobi`: the
+Gauss-Legendre panels are its Jacobi exponent 0 case.  Its nodes are the
+Jacobi matrix's eigenvalues (Golub & Welsch, Math. Comp. 1969) after one
+Newton step on the three-term recurrence, with weights from P_n' at the
+nodes, not the eigenvectors (Hale & Townsend, SIAM J. Sci. Comput. 2013).
+Hurwitz zeta is summed by Euler-Maclaurin (DLMF 25.11).  Rules are built on
+first use, once per size and Jacobi exponent, shared read-only.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .grid import DensityField, apply_multiplier, evaluate_trig
 
@@ -102,18 +103,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
 
 
-def _read_only(rule):
-    for a in rule:
-        a.setflags(write=False)
-    return rule
-
-
-@lru_cache(maxsize=32)
-def _gauss_legendre(n: int):
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
-    return _read_only(leggauss(n))
-
-
 def _jacobi_ratio(n: int, nu: float, y):
     """R_n = P_n^(0,nu)(t) / P_n^(0,nu)(-1) and dR_n/dt at t = y - 1, by the
     recurrence on R_k - R_(k-1): being O(y), they keep nodes near t = -1 to full
@@ -133,7 +122,8 @@ def _jacobi_ratio(n: int, nu: float, y):
 @lru_cache(maxsize=32)
 def _gauss_jacobi(n: int, nu: float):
     """n-point Gauss-Jacobi nodes and weights for (1 + t)^nu on [-1, 1],
-    read-only; the weights are 2^(nu+1) / ((1 - t^2) P_n'(t)^2)."""
+    read-only; the weights are 2^(nu+1) / ((1 - t^2) P_n'(t)^2).  nu = 0
+    gives the Gauss-Legendre rule."""
     k = np.arange(1, n)
     c = 2.0 * k + nu
     jacobi = np.diag(np.r_[nu / (nu + 2.0), nu * nu / (c * (c + 2.0))])
@@ -143,13 +133,17 @@ def _gauss_jacobi(n: int, nu: float):
     y -= r / dr
     # P_n' = R_n' P_n(-1), and |P_n(-1)| = binomial(n + nu, n)
     dp = _jacobi_ratio(n, nu, y)[1] * np.prod(1.0 + nu / np.arange(1.0, n + 1.0))
-    return _read_only((y - 1.0, 2.0 ** (nu + 1.0) / ((2.0 - y) * y * dp * dp)))
+    rule = y - 1.0, 2.0 ** (nu + 1.0) / ((2.0 - y) * y * dp * dp)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
-def _gauss_cell(fun, a, b, nodes, weights):
+def _gauss_cell(fun, a, b, n: int) -> float:
+    """integral_a^b fun by the n-point Gauss-Legendre rule."""
+    nodes, weights = _gauss_jacobi(n, 0.0)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    s = mid + half * nodes
-    return half * float(np.dot(weights, fun(s)))
+    return half * float(np.dot(weights, fun(mid + half * nodes)))
 
 
 def _hurwitz_zeta(s: float, a: int) -> float:
@@ -199,8 +193,9 @@ def _periodized_singular_integral(G, p: float, mean_zero: bool = False) -> float
         q += 1
     total = _jacobi_endpoint_integral(lambda s: G(s) / s ** q, 0.0,
                                       _SING_HALF_WIDTH, q - p, _QUADRATURE_POINTS // 2)
-    xg, wg = _gauss_legendre(_QUADRATURE_POINTS)
-    total += _gauss_cell(lambda t: G(t) * t ** (-p), _SING_HALF_WIDTH, 0.5, xg, wg)
+    total += _gauss_cell(lambda t: G(t) * t ** (-p), _SING_HALF_WIDTH, 0.5,
+                         _QUADRATURE_POINTS)
+    xg, wg = _gauss_jacobi(_QUADRATURE_POINTS, 0.0)
     sig = 0.5 * xg
     images = _image_weights(sig, p, start=1 if mean_zero else 0)
     return total + float(np.dot(0.5 * wg * images, G(sig)))
@@ -215,15 +210,17 @@ def _jacobi_endpoint_integral(fun_phi, a: float, b: float, nu: float, n: int) ->
     return ((b - a) / 2.0) ** (nu + 1.0) * float(np.dot(wi, fun_phi(t)))
 
 
-def _integrate_steep_left(fun, a: float, b: float, scale: float,
-                          nodes, weights) -> float:
-    """Gauss-Legendre on cells doubling away from a steep-but-regular left end."""
+def _integrate_steep_left(fun, a: float, b: float, scale: float, n: int) -> float:
+    """n-point Gauss-Legendre on cells doubling away from a steep-but-regular
+    left end.  fun is called once per cell: the kernel route's integrands
+    build a phase matrix that grows with the points per call, so batching
+    the cells would raise peak memory."""
     total = 0.0
     left = a
     width = min(scale, b - a)
     while left < b - 1e-15:
         right = min(left + width, b)
-        total += _gauss_cell(fun, left, right, nodes, weights)
+        total += _gauss_cell(fun, left, right, n)
         left = right
         width *= 2.0
     return total
@@ -347,7 +344,6 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
     if not 0.0 <= x <= 0.5:
         raise ValueError("decomposition point must lie in [0, 1/2]")
     alpha = params.alpha
-    xg, wg = _gauss_legendre(_QUADRATURE_POINTS)
     c_u = params.c_velocity
     rho_x = float(evaluate_trig(rho, [x])[0])
 
@@ -362,7 +358,7 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
     I_val = c_u * _jacobi_endpoint_integral(phi_near, 0.0, x, 1.0 - alpha, _QUADRATURE_POINTS)
     I_val += c_u * _gauss_cell(
         lambda s: (evaluate_trig(rho, x - s) - rho_x) * (2.0 * x - s) ** (-alpha),
-        0.0, x, xg, wg)
+        0.0, x, _QUADRATURE_POINTS)
     if x > 0.5 - 1e-14:
         # every II1 cell is empty and u(1/2) = 0 for even rho, so II2 = -I
         return VelocityDecomposition(I=I_val, II1=0.0, II2=-I_val, total=0.0)
@@ -374,7 +370,7 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
     II1 = _jacobi_endpoint_integral(phi_far, x, 1.0 - x, 1.0 - alpha, _QUADRATURE_POINTS)
     II1 += _integrate_steep_left(
         lambda y: (evaluate_trig(rho, y) - rho_x) * (x + y) ** (-alpha),
-        x, 1.0 - x, scale=max(x, 1e-3), nodes=xg, weights=wg)
+        x, 1.0 - x, max(x, 1e-3), _QUADRATURE_POINTS)
 
     # images l >= 1: the cells [l+x, l+1-x] (II1) and [l-x, l+x] (II2) fold
     # onto w = y - l with kernel sum_l (l+w+x)^-a - (l+w-x)^-a; the j = 0
@@ -384,8 +380,8 @@ def decompose_velocity(rho: DensityField, params: OperatorParams,
                   - _image_weights(w - x, alpha, start=1))
         return (evaluate_trig(rho, w) - rho_x) * kernel
 
-    II1 = c_u * (II1 + _gauss_cell(far, x, 1.0 - x, xg, wg))
-    II2 = c_u * _gauss_cell(far, -x, x, xg, wg)
+    II1 = c_u * (II1 + _gauss_cell(far, x, 1.0 - x, _QUADRATURE_POINTS))
+    II2 = c_u * _gauss_cell(far, -x, x, _QUADRATURE_POINTS)
 
     total = I_val + II1 + II2
     return VelocityDecomposition(I=I_val, II1=II1, II2=II2, total=total)

@@ -177,15 +177,11 @@ class _Workspace:
         self.l1_weights = np.where(
             (grid.k_half > 0) & (grid.k_half < n // 2), 2.0, 1.0)
 
-    # the alignment system's u tendency is neg_mask W + neg_lap_mask P; built
-    # on first use, so the continuity flow does not hold them
+    # the alignment system's u tendency is neg_mask W + lin P; built on
+    # first use, so the continuity flow does not hold it
     @cached_property
     def neg_mask(self) -> np.ndarray:
         return -self.mask.astype(float)
-
-    @cached_property
-    def neg_lap_mask(self) -> np.ndarray:
-        return self.neg_mask * self.lap_sym
 
     def continuity_rates(self, rho_hat: np.ndarray):
         """Transform of the dealiased flux divergence -d_x(rho u), which is

@@ -171,11 +171,26 @@ class TestConfigFile:
                                       ("positive-control", "--offset", "5e306"),
                                       ("vacuum-plateau", "--rho-max", "1e307"),
                                       ("smooth-monotone", "--rho-max", "1e308"))),
+        # a finite mean, but the first snapshot's d_x rho or Lambda^a rho overflows
+        *(((*argv, "--t-end", "0.001"),
+           "the initial density's derivative or fractional Laplacian overflows")
+          for argv in (("simulate", "--preset", "vacuum-plateau", "--rho-max", "1e305",
+                        "--n", "1024", "--no-plots"),
+                       ("verify", "--preset", "vacuum-plateau", "--rho-max", "1e305",
+                        "--n", "1024", "--no-plots"),
+                       ("simulate", "--preset", "smooth-monotone", "--rho-max", "1e306",
+                        "--n", "64"),
+                       ("align", "--preset", "vacuum-plateau", "--rho-max", "1e305",
+                        "--n", "1024"),
+                       ("align", "--preset", "vacuum-plateau", "--rho-max", "1e303",
+                        "--alpha", "1.9", "--n", "1024"),
+                       ("reduce", "--preset", "vacuum-plateau", "--rho-max", "1e305",
+                        "--n", "1024"))),
     ])
     def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
         # rejected flag values exit 1 with a one-line message and write nothing
         out = tmp_path / "o"
-        extra = ("--out", str(out)) if argv[0] in ("characteristics", "simulate") else ()
+        extra = ("--out", str(out)) if argv[0] != "constants" else ()
         assert run_cli(*argv, *extra) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ")
@@ -810,8 +825,9 @@ def _artifacts(out: Path) -> dict:
 
 class TestProcess:
     def test_cold_start_skips_scipy(self, tmp_path):
-        # no command loads scipy, and numpy.fft is loaded at import, not
-        # inside the first run
+        # no command loads scipy or numpy.polynomial (the Gauss rules are
+        # built in operators), and numpy.fft is loaded at import, not inside
+        # the first run
         script = textwrap.dedent("""
             import sys
             import fpmflow.cli as cli
@@ -828,6 +844,7 @@ class TestProcess:
             assert cli.main(["reduce", "--n", "64", "--out", ""]) == 0
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
             assert not loaded, loaded
+            assert "numpy.polynomial" not in sys.modules
         """)
         run_python("-c", script, cwd=tmp_path)
         assert (tmp_path / "o0" / "rho_snapshots.svg").exists()

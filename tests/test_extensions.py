@@ -48,7 +48,12 @@ class TestAlignmentRates:
         y = np.fft.irfft(np.stack((rho_hat, u_hat, ws.deriv_sym * u_hat
                                    - ws.lap_sym * rho_hat)), 64)
         rho_u_hat, w_hat = ws.mask * np.fft.rfft(np.stack((y[0] * y[1], y[1] * y[2])))
-        tendency = np.stack((ws.flux_sym * rho_u_hat, -(w_hat + ws.lap_sym * rho_u_hat)))
+        # the u tendency -mask (W + lap_sym P) reads the linearised flux
+        # symbol lin = -mask (2 pi k)^alpha, which is -mask lap_sym up to
+        # the rounding of (2 pi k) (2 pi k)^(alpha - 1)
+        np.testing.assert_allclose(ws.lin, -(ws.mask * ws.lap_sym.real),
+                                   rtol=4 * np.finfo(float).eps, atol=0)
+        tendency = np.stack((ws.flux_sym * rho_u_hat, ws.lin * rho_u_hat - w_hat))
         got_tendency, got_y = _alignment_rates(ws, y_hat)
         assert np.array_equal(got_y, y)
         assert np.array_equal(got_tendency, tendency)

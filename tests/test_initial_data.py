@@ -8,6 +8,7 @@ from fpmflow.initial_data import (InitialDataSpec, gen_cccf, gen_positive_contro
                                   gen_smooth_monotone, gen_vacuum_plateau,
                                   make_initial_data, smooth_transition,
                                   validate_hypotheses)
+from fpmflow.operators import _gauss_cell
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,29 @@ class TestSmoothTransition:
         t = np.linspace(0.0, 1.0, 11)
         v = smooth_transition(t)
         assert np.max(np.abs(v + v[::-1] - 1.0)) < 1e-12
+
+    def test_matches_panel_by_panel_sum(self):
+        # shuffled, repeated and out-of-range points, in a 2-D array: each
+        # maps to the cumulative 12-point Gauss sum over the panels between
+        # the sorted distinct points, as one _gauss_cell call per panel
+        rng = np.random.default_rng(7)
+        t = rng.permutation(np.r_[np.linspace(-0.2, 1.2, 301), rng.uniform(0, 1, 99)])
+        t = np.r_[t, t[:100]].reshape(4, 125)
+        v = smooth_transition(t)
+
+        def integrand(s):
+            inner = s * (1.0 - s)
+            return np.where(inner > 0.0, np.exp(-1.0 / np.maximum(inner, 1e-300)), 0.0)
+
+        pts = np.unique(np.r_[0.0, 1.0, np.clip(t, 0.0, 1.0).ravel()])
+        cumulative = np.cumsum([0.0] + [_gauss_cell(integrand, a, b, 12)
+                                        for a, b in zip(pts[:-1], pts[1:])])
+        want = dict(zip(pts, cumulative / cumulative[-1]))
+        ref = np.array([want[x] for x in np.clip(t, 0.0, 1.0).ravel()]).reshape(t.shape)
+        assert v.shape == t.shape
+        assert np.max(np.abs(v - ref)) <= 1e-15
+        order = np.argsort(t, axis=None)
+        assert np.all(np.diff(v.ravel()[order]) >= 0.0)
 
 
 class TestSpec:
