@@ -407,8 +407,12 @@ def cmd_align(args) -> int:
 
 def cmd_reduce(args) -> int:
     settings, rho0, _, out_dir = _prepare(args)
-    report = slab_check_2d(rho0, settings["alpha"])
-    payload = {"alpha": settings["alpha"], "n": settings["n_points"], **asdict(report)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = asdict(slab_check_2d(rho0, settings["alpha"]))
+    if not all(map(math.isfinite, report.values())):
+        # the (n, 8) strip's 2D FFT sums 8n values, so it overflows first
+        raise ConfigError("the slab check's 2D transforms overflow; lower rho_max or offset")
+    payload = {"alpha": settings["alpha"], "n": settings["n_points"], **report}
     if args.out:  # an empty --out writes no report
         write_metadata(out_dir / "slab_report.json", payload)
     print(dumps(payload))

@@ -34,11 +34,15 @@ estimates the local error.  The next step is the last one times
 min(5, max(0.2, 0.9 (tol / err)^(1/4))); it does not grow right after a
 rejected step (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and a step
 cut short to land on a snapshot or t_end does not shrink it.  cfl times
-the tighter of the transport limit dx/max|u| and the explicit limit of the
-dissipation left to the explicit stages, 2/(max|rho - c| (2 pi k_max)^alpha),
-is the floor: a longer step is taken when the estimate allows it and
-retried shorter when it does not, never below the floor.  cfl times the
-transport limit caps every step.  A step that would not reach the next
+the tighter of the transport limit 2 sqrt 2/(2 pi k_max max|u|) and the
+explicit limit of the dissipation left to the explicit stages,
+2/(max|rho - c| (2 pi k_max)^alpha), is the floor: a longer step is taken
+when the estimate allows it and retried shorter when it does not, never
+below the floor.  cfl times the transport limit caps every step.  That
+limit is classic RK4's stability interval on the imaginary axis, 2 sqrt 2
+(Hairer & Wanner, Solving ODEs II, IV.2), over the largest advection rate
+of the kept band, so cfl = 1 is on the boundary; it is 1.35 to 1.37 times
+dx/max|u| for n >= 64.  A step that would not reach the next
 output time (snapshot or t_end) is evened out: the time left to it is split
 into equal steps no longer than the step, so no short step is left before
 it.  The tolerance is relative to the density: tol = rtol min rho, so that
@@ -95,6 +99,7 @@ _TINY = np.finfo(float).tiny  # keeps an all-zero spectrum's fraction at 0
 _EPS = np.finfo(float).eps
 _RTOL = 2e-9  # the step controller's tolerance at cfl 0.4, per unit of min rho
 _DEALIAS = 2.0 / 3.0  # the kept fraction of the Nyquist band
+_RK4_IMAG = 2.0 * math.sqrt(2.0)  # classic RK4's stability interval on the imaginary axis
 
 
 @dataclass(frozen=True)
@@ -203,12 +208,18 @@ class _Workspace:
 
     def step_limits(self, y: np.ndarray, cfl: float,
                     rtol: float) -> tuple[dict, float, float]:
-        """cfl times the transport limit dx/max|u| and the explicit
-        dissipative limit 2/(max|rho - c| (2 pi k_max)^alpha), by name; the
-        center c, the density whose dissipation the stepper integrates
-        exactly; and the error tolerance rtol min rho, or 0 when that lies
-        within the rounding of the density, eps max|rho|.  y holds the
-        physical fields, density first and transport velocity second.
+        """cfl times the transport limit 2 sqrt 2/(2 pi k_max max|u|) and
+        the explicit dissipative limit 2/(max|rho - c| (2 pi k_max)^alpha),
+        by name; the center c, the density whose dissipation the stepper
+        integrates exactly; and the error tolerance rtol min rho, or 0 when
+        that lies within the rounding of the density, eps max|rho|.  y
+        holds the physical fields, density first and transport velocity
+        second.
+
+        Each limit divides a stability interval of classic RK4 by the
+        largest rate of the kept band: 2 sqrt 2 on the imaginary axis by
+        the advection rate 2 pi k_max max|u|, and 2, inside the real-axis
+        interval of about 2.79, by the dissipation left to the stages.
 
         c is the midrange (max rho + min rho) / 2, which makes max|rho - c|
         least, rounded to 24 significant bits: any constant serves, and a
@@ -218,7 +229,8 @@ class _Workspace:
         single precision's, but not a float32 cast, whose overflow above
         3.4e38 would leave no floor."""
         lo, hi = y[:2].min(axis=1).tolist(), y[:2].max(axis=1).tolist()
-        transport = self.grid.dx / (max(hi[1], -lo[1]) + 1e-12)
+        u_peak = max(hi[1], -lo[1]) + 1e-12
+        transport = _RK4_IMAG / (2.0 * np.pi * self.k_max_kept * u_peak)
         mantissa, exponent = math.frexp(0.5 * (hi[0] + lo[0]))
         center = math.ldexp(round(mantissa * 2**24), exponent - 24)
         rho_peak = max(hi[0] - center, center - lo[0], 1e-12)

@@ -186,6 +186,9 @@ class TestConfigFile:
                         "--alpha", "1.9", "--n", "1024"),
                        ("reduce", "--preset", "vacuum-plateau", "--rho-max", "1e305",
                         "--n", "1024"))),
+        # finite 1D fields, but the slab check's (n, 8) strip FFT sums 8n values
+        (("reduce", "--preset", "positive-control", "--offset", "1e306", "--n", "64"),
+         "the slab check's 2D transforms overflow"),
     ])
     def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
         # rejected flag values exit 1 with a one-line message and write nothing

@@ -6,7 +6,7 @@ import pytest
 from fpmflow import extensions
 from fpmflow.extensions import run_alignment
 from fpmflow.grid import DensityField, make_grid
-from fpmflow.initial_data import gen_cccf, gen_positive_control
+from fpmflow.initial_data import gen_cccf, gen_positive_control, gen_vacuum_plateau
 from fpmflow.operators import velocity_spectral
 from fpmflow.solver import SolverConfig, _Workspace, run
 
@@ -115,6 +115,37 @@ class TestStableDt:
         for caps in (caps1, caps2):
             assert 0 < caps["transport"] < caps["dissipative"]
         assert abs(caps1["transport"] / caps2["transport"] - 2.0) < 1e-6
+        # RK4's imaginary-axis interval 2 sqrt 2 over the largest advection
+        # rate of the kept band, 2 pi k_max max|u|, k_max = 85
+        assert caps1["transport"] == pytest.approx(
+            0.4 * 2 * np.sqrt(2) / (2 * np.pi * 85 * np.abs(u1).max()), rel=1e-11)
+
+    def test_transport_limit_is_stable_at_cfl_one(self):
+        # at cfl = 1 the transport limit sits on RK4's stability boundary;
+        # the vacuum-plateau data have no estimate, so every step is the
+        # floor, and the run still reaches t_end with a tail near 1e-8
+        grid = make_grid(1024)
+        cfg = SolverConfig(alpha=1.0, n_points=1024, t_end=0.0076, snapshot_interval=0.0076,
+                           cfl=1.0, tail_threshold=1.0)
+        res = run(gen_vacuum_plateau(grid), cfg)
+        tel = res.telemetry
+        assert res.stop_reason == "t_end" and res.final_state.t == pytest.approx(cfg.t_end)
+        assert tel["rejected"] == 0 and tel["step_limits"]["transport"] >= 1
+        assert tel["tail_max"] <= 2e-8
+
+    def test_transport_limit_accuracy(self):
+        # on vacuum data the floor limits accuracy: at the default cfl the
+        # snapshots stay within 5e-7 of a run at cfl 0.05 (2.1e-7 measured)
+        grid = make_grid(1024)
+        rho0 = gen_vacuum_plateau(grid)
+        runs = [run(rho0, SolverConfig(alpha=1.0, n_points=1024, t_end=0.0076,
+                                       snapshot_interval=2e-4, tail_threshold=1.0, cfl=cfl))
+                for cfl in (0.4, 0.05)]
+        assert [r.stop_reason for r in runs] == ["t_end", "t_end"]
+        assert len(runs[0].states) == len(runs[1].states) == 39
+        gap = max(np.max(np.abs(s.rho.values - r.rho.values))
+                  for s, r in zip(*(r.states for r in runs)))
+        assert gap <= 5e-7
 
     def test_positive(self, grid):
         assert _first_dt(gen_cccf(grid), 0.5) > 0
@@ -608,9 +639,10 @@ class TestTelemetry:
     def test_dissipative_limit_dominates_stiff_run(self):
         # positive data at alpha = 1.5 on 1024 points: the dissipative limit
         # is only the floor of the first step; the estimate then lets the
-        # step grow to the transport cap, which binds most steps, and the
-        # run takes under a fifth of the steps the floor of t = 0 would
-        # take, 0.4 * 2 / (max|rho - 1.5| (2 pi 341)^1.5) each
+        # step grow to the transport cap, which binds over two thirds of
+        # the steps (19 of 27), and the run takes under a fifth of the
+        # steps the floor of t = 0 would take, 0.4 * 2 / (max|rho - 1.5|
+        # (2 pi 341)^1.5) each
         grid = make_grid(1024)
         cfg = SolverConfig(alpha=1.5, n_points=1024, t_end=0.005,
                            snapshot_interval=0.001)
@@ -620,7 +652,7 @@ class TestTelemetry:
         assert tel["steps"] == res.final_state.step_count == sum(limits.values())
         assert limits["dissipative"] == 1
         assert limits["error"] >= 1
-        assert limits["transport"] > 0.75 * tel["steps"]
+        assert limits["transport"] > 2 / 3 * tel["steps"]
         assert limits["fixed"] == tel["rejected"] == 0
         assert 1 <= limits["snapshot"] + limits["t_end"] <= 5
         assert 0.0 < tel["dt_min"] <= tel["dt_max"]
