@@ -149,10 +149,11 @@ def _fields_of(cls, settings) -> dict:
     return {f.name: settings[f.name] for f in fields(cls) if f.name in settings}
 
 
-def _inputs(settings):
+def _inputs(settings, stepped=True):
     """Initial data and solver config from settings.  A value that the grid,
     the initial data or SolverConfig rejects is a config error, and so is
-    initial data whose mean, derivative or fractional Laplacian overflows."""
+    initial data whose mean, derivative or fractional Laplacian overflows,
+    or, if the data are to be stepped, whose flux rho0 u0 does."""
     try:
         grid = make_grid(settings["n_points"])
         spec = InitialDataSpec(kind=settings["preset"].replace("-", "_"),
@@ -166,12 +167,18 @@ def _inputs(settings):
         if not math.isfinite(rho0.mean):
             raise ConfigError("the initial density's mean overflows; "
                               "lower rho_max or offset")
-        try:  # fields of the first snapshot's observers and of align's G
+        try:  # fields of the first snapshot's observers and of align's G, and
+            # u0, whose multiplier is below Lambda^a's at every k
             spectral_derivative(rho0)
             fractional_laplacian_spectral(rho0, config.alpha)
+            u0 = velocity_spectral(rho0, config.alpha).values
         except ValueError as exc:
             raise ConfigError("the initial density's derivative or fractional "
                               "Laplacian overflows; lower rho_max") from exc
+        # the first stage's flux transform, not finite if rho0 u0 is not;
+        # u scales with rho, so the product overflows first
+        if stepped and not np.isfinite(np.fft.rfft(rho0.values * u0)).all():
+            raise ConfigError("the initial flux rho u overflows; lower rho_max or offset")
     return rho0, config
 
 
@@ -188,7 +195,7 @@ def _out_dir(args) -> Path:
 def _prepare(args):
     """A run command's settings, initial data, solver config and --out, checked in order."""
     settings = _settings(args)
-    rho0, config = _inputs(settings)
+    rho0, config = _inputs(settings, stepped=args.command != "reduce")
     return settings, rho0, config, _out_dir(args)
 
 

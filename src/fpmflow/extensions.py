@@ -4,9 +4,10 @@ reduction checks.
 The 1D system evolves (rho, u) with the velocity as an unknown driven by a
 singular-kernel alignment force; the diagnostic field G = d_x u - Lambda^a rho
 is transported, so data prepared with G = 0 must keep it at discretization
-level and reproduce the induced-velocity flow of the main solver.  It is
-stepped by `solver.integrate` and returns the same RunResult as `run`,
-whose states also carry G.
+level and reproduce the induced-velocity flow of the main solver.  Its
+workspace, a `solver._Workspace` whose rates, remainder and flow are the
+pair's, is stepped by `solver.integrate`, which returns the same RunResult
+as `run`, whose states also carry G.
 
 The multi-d part is static: slab velocities on a strip of the 2D torus and
 their reduction to the 1D formula, the closed-form plane-slice constant c',
@@ -17,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .grid import DensityField
+from .grid import DensityField, derivative_symbol
 from .operators import (_check_alpha, _integrate_steep_left, _jacobi_endpoint_integral,
-                        velocity_spectral)
+                        laplacian_symbol, velocity_spectral)
 from .solver import RunResult, SolverConfig, _Workspace, integrate
 
 __all__ = [
@@ -35,15 +35,63 @@ __all__ = [
 ]
 
 
-def _tendencies(ws: _Workspace, f: np.ndarray) -> np.ndarray:
-    """Rewrite in place the transforms f = (P, W) of (rho u, u g) into
-    (flux_sym P, -mask W + lin P), with lin = -mask (2 pi k)^a: the density
-    tendency, and the u tendency when g = d_x u - Lambda^a rho or the
-    alignment force when g = -Lambda^a rho."""
-    f[1] *= ws.neg_mask
-    f[1] += ws.lin * f[0]
-    f[0] *= ws.flux_sym
-    return f
+class _Alignment(_Workspace):
+    """The pair (rho, u) as `integrate` steps it: its rates and the exact
+    flow of their linear part (see run_alignment)."""
+
+    def __init__(self, grid, alpha: float):
+        super().__init__(grid, alpha)
+        self.lap_sym = laplacian_symbol(grid, alpha)
+        self.deriv_sym = derivative_symbol(grid)
+        self.neg_mask = -self.mask.astype(float)
+        # lin feeds rho at shear = flux_sym / lin = i (2 pi k)^(1 - a) on the kept band
+        self.shear = np.divide(self.flux_sym, self.lin, out=np.zeros_like(self.flux_sym),
+                               where=self.lin != 0.0)
+
+    def tendencies(self, f: np.ndarray) -> np.ndarray:
+        """Rewrite in place the transforms f = (P, W) of (rho u, u g) into
+        (flux_sym P, -mask W + lin P): the density tendency, and the u
+        tendency when g = d_x u - Lambda^a rho or the alignment force when
+        g = -Lambda^a rho."""
+        f[1] *= self.neg_mask
+        f[1] += self.lin * f[0]
+        f[0] *= self.flux_sym
+        return f
+
+    def rates(self, y_hat: np.ndarray):
+        """Tendency transforms of the stacked (rho, u) state and the physical
+        rows (rho, u, G) from one batched irfft."""
+        spec = np.empty((3, y_hat.shape[1]), dtype=complex)
+        spec[:2] = y_hat
+        np.multiply(self.deriv_sym, y_hat[1], out=spec[2])
+        spec[2] -= self.lap_sym * y_hat[0]
+        y = np.fft.irfft(spec, self.grid.n)
+        del spec  # not held while the products are transformed (peak memory)
+        return self.tendencies(_products_hat(*y)), y
+
+    def remainder(self, y: np.ndarray, f: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """f minus the linear rates (shear lam u_hat, lam u_hat), in place."""
+        linear = lam * y[1]
+        f[1] -= linear
+        linear *= self.shear
+        f[0] -= linear
+        return f
+
+    def flow(self, lam: np.ndarray, h: float):
+        """The exact linear flow over h, in place or into out: u_hat times
+        e = exp(h lam), and rho_hat plus shear (e - 1) u_hat."""
+        e = np.exp(h * lam)
+        gain = self.shear * np.expm1(h * lam)
+        sheared = np.empty_like(gain)  # the flow's one scratch row
+
+        def flow(y, out=None):
+            if out is not None:
+                np.copyto(out, y)
+                y = out
+            y[0] += np.multiply(gain, y[1], out=sheared)
+            y[1] *= e
+            return y
+        return flow
 
 
 def _products_hat(rho: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -52,18 +100,6 @@ def _products_hat(rho: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
     np.multiply(rho, u, out=prod[0])
     np.multiply(u, g, out=prod[1])
     return np.fft.rfft(prod)
-
-
-def _alignment_rates(ws: _Workspace, y_hat: np.ndarray):
-    """Tendency transforms of the stacked (rho, u) state and the physical
-    rows (rho, u, G) from one batched irfft."""
-    spec = np.empty((3, y_hat.shape[1]), dtype=complex)
-    spec[:2] = y_hat
-    np.multiply(ws.deriv_sym, y_hat[1], out=spec[2])
-    spec[2] -= ws.lap_sym * y_hat[0]
-    y = np.fft.irfft(spec, ws.grid.n)
-    del spec  # not held while the products are transformed (peak memory)
-    return _tendencies(ws, _products_hat(*y)), y
 
 
 def run_alignment(rho0: DensityField, u0: DensityField, config: SolverConfig,
@@ -76,18 +112,17 @@ def run_alignment(rho0: DensityField, u0: DensityField, config: SolverConfig,
     Linearised about (c, 0), with c the midrange of the step's start
     density (see `solver.integrate`), the rates per mode are
     upper-triangular: u_hat relaxes at lambda = -c (2 pi k)^a on the kept
-    band and feeds rho_hat at r lambda, r = i (2 pi k)^(1 - a) (ws.shear).
-    The stepper integrates that part exactly: its flow keeps
-    rho_hat - r u_hat, the linear part of -G_hat / Lambda^a, and scales
-    u_hat by exp(t lambda).  r does not depend on c, so G = 0 data keep G
-    at roundoff level, and the dissipative floor of the step is measured
-    from c, as in `run`.
+    band and feeds rho_hat at r lambda, r = i (2 pi k)^(1 - a), the
+    workspace's shear.  The stepper integrates that part exactly: its flow
+    keeps rho_hat - r u_hat, the linear part of -G_hat / Lambda^a, and
+    scales u_hat by exp(t lambda).  r does not depend on c, so G = 0 data
+    keep G at roundoff level, and the dissipative floor of the step is
+    measured from c, as in `run`.
     """
     if rho0.grid.n != config.n_points or u0.grid.n != config.n_points:
         raise ValueError("initial data grids do not match the configuration")
-    ws = _Workspace(rho0.grid, config.alpha)
-    return integrate(np.stack((rho0.values, u0.values)), partial(_alignment_rates, ws),
-                     ws, config, observers, keep_states)
+    return integrate(np.stack((rho0.values, u0.values)), _Alignment(rho0.grid, config.alpha),
+                     config, observers, keep_states)
 
 
 # --------------------------------------------------------------------------

@@ -12,17 +12,15 @@ dt/2, dt/2 and dt) in Lawson form.  Linearised about a constant density c,
 the dealiased flux of the continuity flow is the diagonal dissipation
 -c (2 pi |k|)^alpha on the kept band; the stepper integrates that part
 exactly by the factor E = exp(-c (2 pi |k|)^alpha dt/2), the only one its
-stages need, and steps only the remainder explicitly.  Linearised about
-(c, 0), the alignment system has the same dissipation in u, which feeds rho
-through a fixed per-mode shear; its factor is the exact exponential of that
-upper-triangular pair.  Each step takes c to be the midrange
-(max rho + min rho) / 2 of its start density, which makes the dissipation
-left to the explicit stages, max|rho - c|, least: the split of a variable
-mobility into a constant part and a remainder (Zhu, Chen, Shen & Tikare,
-Phys. Rev. E 60 (1999) 3564).  So the factors are formed anew each step;
-the k = 0 rate is 0, so the mass is never touched.  Lawson methods can lose
-order on stiff problems (Hochbruck & Ostermann, Acta Numerica 19 (2010)
-209); on these runs the step-halving order stays near 4.
+stages need, and steps only the remainder explicitly.  Each step takes c
+to be the midrange (max rho + min rho) / 2 of its start density, which
+makes the dissipation left to the explicit stages, max|rho - c|, least:
+the split of a variable mobility into a constant part and a remainder
+(Zhu, Chen, Shen & Tikare, Phys. Rev. E 60 (1999) 3564).  So the factors
+are formed anew each step; the k = 0 rate is 0, so the mass is never
+touched.  Lawson methods can lose order on stiff problems (Hochbruck &
+Ostermann, Acta Numerica 19 (2010) 209); on these runs the step-halving
+order stays near 4.
 
 The step size is controlled by the interaction-picture RK4(3) pair of
 Balac & Mahe (Comput. Phys. Commun. 184 (2013) 1211): the embedded
@@ -64,13 +62,13 @@ to certify anything about it.  The tail fraction is the l1 spectral mass in
 the top third of the retained band over the total l1 mass, which makes the
 threshold commensurate with amplitude-level error bounds.
 
-One driver, `integrate`, steps every system: this flow and the alignment
-system of `extensions`.  It builds each snapshot as a SimulationState
-(rho, u, and G for the alignment system), hands it to the observers at
-once, keeps it only if asked, and returns a RunResult that counts the
-accepted and rejected steps, the limit that bound each step, the
-step-size range, the largest tail fraction and the FFT calls for the run's
-metadata.
+One driver, `integrate`, steps any system that a workspace describes by
+its rates and their exact linear flow: this flow, and the alignment system
+of `extensions`.  It builds each snapshot as a SimulationState from the
+rows of the rates, hands it to the observers at once, keeps it only if
+asked, and returns a RunResult that counts the accepted and rejected
+steps, the limit that bound each step, the step-size range, the largest
+tail fraction and the FFT calls for the run's metadata.
 """
 
 from __future__ import annotations
@@ -78,13 +76,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .grid import DensityField, PeriodicGrid, derivative_symbol
-from .operators import _check_alpha, laplacian_symbol, velocity_symbol
+from .operators import _check_alpha, velocity_symbol
 
 __all__ = [
     "SolverConfig",
@@ -157,8 +154,10 @@ class RunResult:
 
 
 class _Workspace:
-    """Fourier symbols, dealiasing mask and tail band for one (n, alpha)
-    pair; operates on single fields and on row stacks."""
+    """The continuity flow on one (n, alpha) pair: its rates, their exact
+    linear flow, and the Fourier symbols, dealiasing mask and tail band
+    they use.  `integrate` steps any subclass that overrides rates,
+    remainder and flow.  The norms act on single fields and on row stacks."""
 
     def __init__(self, grid: PeriodicGrid, alpha: float):
         self.grid = grid
@@ -168,31 +167,28 @@ class _Workspace:
         self.mask = grid.k_half <= self.k_max_kept
         # rows (1, velocity symbol): rho_hat -> the transforms of (rho, u)
         self.rho_u_sym = np.stack((np.ones(n // 2 + 1), velocity_symbol(grid, alpha)))
-        self.lap_sym = laplacian_symbol(grid, alpha)
-        self.deriv_sym = derivative_symbol(grid)
-        self.flux_sym = np.where(self.mask, -self.deriv_sym, 0.0)
+        self.flux_sym = np.where(self.mask, -derivative_symbol(grid), 0.0)
         # the flux linearised about a unit constant density: -mask (2 pi k)^alpha
         self.lin = np.real(self.flux_sym * self.rho_u_sym[1])
-        # r = flux_sym / lin = i (2 pi k)^(1 - alpha) on the kept band, 0
-        # elsewhere: the alignment system's linear density rate per unit
-        # linear velocity rate (see _lawson_rk4)
-        self.shear = np.divide(self.flux_sym, self.lin, out=np.zeros_like(self.flux_sym),
-                               where=self.lin != 0.0)
         self.tail_band = slice((2 * self.k_max_kept) // 3 + 1, self.k_max_kept + 1)
         self.l1_weights = np.where(
             (grid.k_half > 0) & (grid.k_half < n // 2), 2.0, 1.0)
 
-    # the alignment system's u tendency is neg_mask W + lin P; built on
-    # first use, so the continuity flow does not hold it
-    @cached_property
-    def neg_mask(self) -> np.ndarray:
-        return -self.mask.astype(float)
-
-    def continuity_rates(self, rho_hat: np.ndarray):
+    def rates(self, rho_hat: np.ndarray):
         """Transform of the dealiased flux divergence -d_x(rho u), which is
         exactly mass neutral, and the rows (rho, u)."""
         y = np.fft.irfft(self.rho_u_sym * rho_hat, self.grid.n)
         return self.flux_sym * np.fft.rfft(y[0] * y[1]), y
+
+    def remainder(self, y: np.ndarray, f: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """The tendency f minus the linear rates lam y, in place in f."""
+        f -= lam * y
+        return f
+
+    def flow(self, lam: np.ndarray, h: float) -> Callable:
+        """The exact linear flow over h, y -> exp(h lam) y, in place or into out."""
+        e = np.exp(h * lam)
+        return lambda y, out=None: np.multiply(y, e, out=y if out is None else out)
 
     def tail_fraction(self, y_hat: np.ndarray) -> float:
         """Largest tail fraction over the rows of y_hat."""
@@ -242,35 +238,18 @@ class _Workspace:
         return caps, center, tol
 
 
-def _remainder(y: np.ndarray, f: np.ndarray, lam: np.ndarray,
-               shear: Optional[np.ndarray] = None) -> np.ndarray:
-    """The tendency f minus the linear rates A y, in place in f.  A y is
-    lam y or, given shear, (shear lam u_hat, lam u_hat) for the pair
-    y = (rho_hat, u_hat)."""
-    if shear is None:
-        f -= lam * y
-    else:
-        linear = lam * y[1]
-        f[1] -= linear
-        linear *= shear
-        f[0] -= linear
-    return f
-
-
 def _step_ratio(error: float, tol: float) -> float:
     """The controller's factor on the step, 0.9 (tol / error)^(1/4) kept
     within [0.2, 5]; an infinite error gives 0.2."""
     return min(5.0, max(0.2, 0.9 * (tol / max(error, _TINY)) ** 0.25))
 
 
-def _lawson_rk4(y_hat: np.ndarray, n0: np.ndarray, rates: Callable, dt: float,
-                lam: np.ndarray, shear: Optional[np.ndarray],
-                err: np.ndarray) -> np.ndarray:
+def _lawson_rk4(y_hat: np.ndarray, n0: np.ndarray, ws: _Workspace, dt: float,
+                lam: np.ndarray, err: np.ndarray) -> np.ndarray:
     """One classic RK4 step (c = 0, 1/2, 1/2, 1) of the transforms y_hat in
-    Lawson form, given the stage-1 remainder n0 = _remainder(y_hat, f0): the
-    linear rates A are integrated exactly and the remainder N = f - A y
-    explicitly.  The exact flow E over dt / 2 multiplies y, or u_hat, by
-    exp(dt lam / 2); given shear it keeps rho_hat - shear u_hat.
+    Lawson form, given the stage-1 remainder n0 = ws.remainder(y_hat, f0):
+    the linear rates A are integrated exactly by E = ws.flow(lam, dt / 2)
+    and the remainder N = f - A y explicitly.
 
     Returns the new transforms E^2 y + dt / 6 S, S = E (E N0 + 2 N1 + 2 N2)
     + N3, N_i being the remainder of stage i + 1.  S is built unscaled in
@@ -278,26 +257,11 @@ def _lawson_rk4(y_hat: np.ndarray, n0: np.ndarray, rates: Callable, dt: float,
     roundoff.  err holds each stage's value in turn and then N3, for the
     caller's estimate; it is finite only if every stage is.  y_hat and n0
     are left as they are, so a rejected step is retried from them."""
-    e = np.exp((dt / 2.0) * lam)
-    if shear is not None:
-        # rho_hat gains shear (e - 1) u_hat as u_hat becomes e u_hat
-        gain = shear * np.expm1((dt / 2.0) * lam)
-        sheared = np.empty_like(y_hat[1])  # the flow's one scratch row
-
-    def flow(y, out=None):  # exact flow over dt / 2, into out or in place
-        if shear is None:
-            return np.multiply(y, e, out=y if out is None else out)
-        if out is not None:
-            np.copyto(out, y)
-            y = out
-        y[0] += np.multiply(gain, y[1], out=sheared)
-        y[1] *= e
-        return y
-
+    flow = ws.flow(lam, dt / 2.0)
     np.multiply(n0, dt / 2.0, out=err)
     err += y_hat
     flow(err)  # stage 2: E (y + dt/2 N0)
-    k = _remainder(err, rates(err)[0], lam, shear)  # N1
+    k = ws.remainder(err, ws.rates(err)[0], lam)  # N1
     s = flow(n0, out=np.empty_like(y_hat))
     k *= 2.0
     s += k
@@ -305,7 +269,7 @@ def _lawson_rk4(y_hat: np.ndarray, n0: np.ndarray, rates: Callable, dt: float,
     flow(y_hat, out=err)
     err += k  # stage 3: E y + dt/2 N1
     del k  # not held while the stage's rates are formed (peak memory)
-    k = _remainder(err, rates(err)[0], lam, shear)  # N2
+    k = ws.remainder(err, ws.rates(err)[0], lam)  # N2
     k *= 2.0
     s += k
     k *= dt / 2.0
@@ -313,7 +277,7 @@ def _lawson_rk4(y_hat: np.ndarray, n0: np.ndarray, rates: Callable, dt: float,
     err += k
     flow(err)  # stage 4: E (E y + dt N2)
     del k
-    k = _remainder(err, rates(err)[0], lam, shear)  # N3
+    k = ws.remainder(err, ws.rates(err)[0], lam)  # N3
     flow(s)
     s += k
     s *= dt / 6.0
@@ -323,20 +287,19 @@ def _lawson_rk4(y_hat: np.ndarray, n0: np.ndarray, rates: Callable, dt: float,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the error estimate catches non-finite stages
-def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverConfig,
+def integrate(y0: np.ndarray, ws: _Workspace, config: SolverConfig,
               observers: tuple[Callable, ...] = (), keep_states: bool = True) -> RunResult:
-    """Step the transforms y_hat = rfft(y0) with Lawson RK4 from t = 0.
+    """Step the transforms y_hat = rfft(y0) of the system ws with Lawson
+    RK4 from t = 0.
 
-    y0 holds one field per row, density first.  rates(y_hat) returns
+    y0 holds one field per row, density first.  ws.rates(y_hat) returns
     (tendency_hat, y): the transform of the tendency and the physical rows
-    of the stage, (rho, u) or (rho, u, G), u being the transport velocity
-    and each row a field of the SimulationState in that order.  The tendency
-    linearised about the center c of the step's start density (see
-    _Workspace.step_limits) is integrated exactly (Lawson form): a single
-    field relaxes at the rates c ws.lin; in the pair (rho, u) of the
-    alignment system, u relaxes at those rates and feeds rho at ws.shear
-    times them (see _lawson_rk4).  The dissipative floor is measured from
-    c, and dt_fixed steps take the same c.
+    of the stage, u being the transport velocity and each row a field of
+    the SimulationState in that order.  The linear rates about the center c
+    of the step's start density (see _Workspace.step_limits), lam =
+    c ws.lin, are integrated exactly by ws.flow and the rest, ws.remainder,
+    explicitly.  The dissipative floor is measured from c, and dt_fixed
+    steps take the same c.
 
     Each step is proposed by the error controller (see the module
     docstring), raised to the floor and capped by the transport limit.  If
@@ -366,13 +329,7 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
     """
     start = time.perf_counter()
     y_hat, t, steps, dt_last = np.fft.rfft(y0), 0.0, 0, 0.0
-    shear = ws.shear if y0.ndim == 2 else None
-    rate_calls = 0
-
-    def counted_rates(y_hat):
-        nonlocal rate_calls
-        rate_calls += 1
-        return rates(y_hat)
+    attempts = 0  # each makes four rates calls (see _lawson_rk4)
 
     def state():
         return SimulationState(t, steps, dt_last, tail, *(DensityField(ws.grid, row) for row in y))
@@ -397,7 +354,7 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
         ("transport", "dissipative", "error", "snapshot", "t_end", "fixed"), 0)
     rejected = 0
     dt_min, dt_max, tail_max = np.inf, 0.0, 0.0
-    f, y = counted_rates(y_hat)  # stage 1 of the first step
+    f, y = ws.rates(y_hat)  # stage 1 of the first step
     while True:
         tail = ws.tail_fraction(y_hat)
         tail_max = max(tail_max, tail)
@@ -432,14 +389,15 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
             dt, limit = gap, gap_limit
         elif not config.dt_fixed:  # even out the steps to the output time
             dt = gap / math.ceil(gap / dt)
-        n0 = _remainder(y_hat, f, lam, shear)
+        n0 = ws.remainder(y_hat, f, lam)
         retried = False
         while True:
-            y_next = _lawson_rk4(y_hat, n0, counted_rates, dt, lam, shear, err)
-            f, y_next_rows = counted_rates(y_next)  # the next step's stage 1
+            y_next = _lawson_rk4(y_hat, n0, ws, dt, lam, err)
+            f, y_next_rows = ws.rates(y_next)  # the next step's stage 1
+            attempts += 1
             if tol:  # dt / 6 (N3 - N4), N4 = f - A y_next the remainder there
                 err -= f
-                error = dt / 6.0 * ws.sup_bound(_remainder(y_next, err, -lam, shear))
+                error = dt / 6.0 * ws.sup_bound(ws.remainder(y_next, err, -lam))
             else:
                 error = 0.0 if np.isfinite(y_next).all() else math.inf
             if not math.isfinite(error):  # a stage went non-finite
@@ -476,7 +434,7 @@ def integrate(y0: np.ndarray, rates: Callable, ws: _Workspace, config: SolverCon
     return RunResult(states, records, final, stop_reason, {
         "steps": steps, "rejected": rejected, "step_limits": limits,
         "dt_min": dt_min if steps else None, "dt_max": dt_max if steps else None,
-        "tail_max": tail_max, "fft_calls": 1 + 2 * rate_calls},
+        "tail_max": tail_max, "fft_calls": 1 + 2 * (1 + 4 * attempts)},
         {"stepping": time.perf_counter() - start - observer_s, "observers": observer_s})
 
 
@@ -490,4 +448,4 @@ def run(rho0: DensityField, config: SolverConfig,
     if rho0.grid.n != config.n_points:
         raise ValueError("initial data grid does not match the configuration")
     ws = _Workspace(rho0.grid, config.alpha)
-    return integrate(rho0.values, ws.continuity_rates, ws, config, observers, keep_states)
+    return integrate(rho0.values, ws, config, observers, keep_states)

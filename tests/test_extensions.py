@@ -10,10 +10,10 @@ from fpmflow.initial_data import gen_cccf
 from fpmflow.operators import (fractional_laplacian_spectral, make_params,
                                velocity_spectral)
 from fpmflow.operators import _periodized_singular_integral
-from fpmflow.extensions import (_alignment_rates, _products_hat, _tendencies, c_prime,
+from fpmflow.extensions import (_Alignment, _products_hat, c_prime,
                                 run_alignment, slab_check_2d, slab_velocity_2d,
                                 spectral_gap_2d)
-from fpmflow.solver import SolverConfig, _Workspace, run
+from fpmflow.solver import SolverConfig, run
 
 
 def alignment_force(rho: DensityField, u: DensityField, alpha: float) -> DensityField:
@@ -22,13 +22,13 @@ def alignment_force(rho: DensityField, u: DensityField, alpha: float) -> Density
     Algebraically identical to the singular-kernel interaction integral with
     the same normalization as the symmetric operator; the identity is pinned
     by a quadrature oracle below.  It is the u tendency of the alignment
-    system with G replaced by -Lambda^a rho (see extensions._tendencies).
+    system with G replaced by -Lambda^a rho (see extensions._Alignment.tendencies).
     """
     if rho.grid is not u.grid and rho.grid.n != u.grid.n:
         raise ValueError("fields must share a grid")
-    ws = _Workspace(rho.grid, alpha)
+    ws = _Alignment(rho.grid, alpha)
     minus_lap_rho = apply_multiplier(rho, -ws.lap_sym).values
-    force_hat = _tendencies(ws, _products_hat(rho.values, u.values, minus_lap_rho))[1]
+    force_hat = ws.tendencies(_products_hat(rho.values, u.values, minus_lap_rho))[1]
     return DensityField(rho.grid, np.fft.irfft(force_hat, rho.grid.n))
 
 
@@ -40,7 +40,7 @@ def grid():
 class TestAlignmentRates:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_matches_stacked_formula(self, alpha):
-        ws = _Workspace(make_grid(64), alpha)
+        ws = _Alignment(make_grid(64), alpha)
         rng = np.random.default_rng(4)
         y_hat = np.fft.rfft(rng.normal(size=(2, 64)))
         rho_hat, u_hat = y_hat
@@ -54,10 +54,10 @@ class TestAlignmentRates:
         np.testing.assert_allclose(ws.lin, -(ws.mask * ws.lap_sym.real),
                                    rtol=4 * np.finfo(float).eps, atol=0)
         tendency = np.stack((ws.flux_sym * rho_u_hat, ws.lin * rho_u_hat - w_hat))
-        got_tendency, got_y = _alignment_rates(ws, y_hat)
+        got_tendency, got_y = ws.rates(y_hat)
         assert np.array_equal(got_y, y)
         assert np.array_equal(got_tendency, tendency)
-        assert not np.shares_memory(_alignment_rates(ws, y_hat)[1], got_y)  # fresh rows
+        assert not np.shares_memory(ws.rates(y_hat)[1], got_y)  # fresh rows
 
 
 class TestAlignmentForce:

@@ -37,7 +37,7 @@ def _zero_mean_wave(grid):
 
 def rhs(rho, alpha):
     """Flux divergence -d_x(rho u) of the continuity flow, dealiased at 2/3."""
-    f_hat = _Workspace(rho.grid, alpha).continuity_rates(np.fft.rfft(rho.values))[0]
+    f_hat = _Workspace(rho.grid, alpha).rates(np.fft.rfft(rho.values))[0]
     return DensityField(rho.grid, np.fft.irfft(f_hat, rho.grid.n))
 
 
@@ -194,6 +194,48 @@ class TestStep:
         d2 = np.max(np.abs(final[2] - final[4]))
         order = np.log2(d1 / d2)
         assert abs(order - 4.0) <= 0.2
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.5))
+@pytest.mark.parametrize("system", (_Workspace, extensions._Alignment))
+class TestLinearPart:
+    """A workspace's remainder and flow must describe one linear part A,
+    or the Lawson step is silently inconsistent."""
+
+    @staticmethod
+    def _linear_part(system, alpha):
+        ws = system(make_grid(64), alpha)
+        rng = np.random.default_rng(11)
+        shape = (2, 33) if system is extensions._Alignment else (33,)
+        return ws, 1.3 * ws.lin, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def test_remainder_subtracts_the_flow_generator(self, system, alpha):
+        # the central difference of the flow at 0 is A y, which the
+        # remainder of the tendency A y leaves at the difference's error
+        ws, lam, y = self._linear_part(system, alpha)
+        h = 1e-5 / np.abs(lam).max()
+        a_y = (ws.flow(lam, h)(y.copy()) - ws.flow(lam, -h)(y.copy())) / (2 * h)
+        residual = ws.remainder(y, a_y.copy(), lam)
+        assert np.abs(residual).max() <= 1e-8 * np.abs(a_y).max()
+
+    def test_flow_is_a_group(self, system, alpha):
+        # two flows over h are the flow over 2h; into out, y is left as it is
+        ws, lam, y = self._linear_part(system, alpha)
+        h = 1e-3
+        kept = y.copy()
+        twice = ws.flow(lam, h)(ws.flow(lam, h)(y, out=np.empty_like(y)))
+        assert np.array_equal(y, kept)
+        once = ws.flow(lam, 2 * h)(y)
+        assert np.abs(twice - once).max() <= 1e-14 * np.abs(once).max()
+
+
+def test_alignment_flow_keeps_rho_minus_shear_u():
+    ws = extensions._Alignment(make_grid(64), 1.0)
+    rng = np.random.default_rng(12)
+    y = rng.normal(size=(2, 33)) + 1j * rng.normal(size=(2, 33))
+    kept = y[0] - ws.shear * y[1]
+    ws.flow(1.3 * ws.lin, 0.01)(y)
+    assert np.abs(y[0] - ws.shear * y[1] - kept).max() <= 1e-14 * np.abs(kept).max()
 
 
 class TestStepControl:
@@ -623,7 +665,7 @@ class TestExactSymmetries:
                 calls.append(_fft)
                 return _fft(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
-        for owner, name in ((_Workspace, "continuity_rates"), (extensions, "_alignment_rates")):
+        for owner, name in ((_Workspace, "rates"), (extensions._Alignment, "rates")):
             def counted_rates(*args, _rates=getattr(owner, name)):
                 rate_calls.append(None)
                 return _rates(*args)
