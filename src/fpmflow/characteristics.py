@@ -18,6 +18,7 @@ from .grid import (antiderivative_at, antiderivative_eval,  # noqa: F401
 __all__ = [
     "CharacteristicPath",
     "DecayBoundReport",
+    "PathTracer",
     "advect_path",
     "advect_paths",
     "check_mass_transport",
@@ -38,59 +39,59 @@ class CharacteristicPath:
         return abs(self.x_start) * np.exp(-A * self.times)
 
 
-def advect_paths(states, starts) -> list[CharacteristicPath]:
-    """Integrate the path from each start (a float or a sequence of them)
-    through the snapshot series, one classical RK4 step per interval.
+class PathTracer:
+    """An observer that steps the path from each start (a float or a
+    sequence of them) through the snapshots as the run makes them, one
+    classic RK4 step per interval, and returns each snapshot's row: t, then
+    X, rho(X) and F(X) for each start; `paths` turns the rows into paths.
 
     Between snapshots u is the trig sum of the coefficients interpolated
-    linearly in time, so each stage evaluates one row at one point: the
-    interval's end rows or their average.  That interpolation, not the
-    step, bounds a path's accuracy (vacuum-plateau, n = 1024, snapshots
-    every 2e-4: 1.5e-11 from 16 steps per interval, 2.7e-7 from halving
-    the interval).  The trig layouts of each interval's three stage rows,
-    and of each snapshot's density and antiderivative, are built once and
-    shared by the starts.  Each start is stepped on its own with one-point
-    evaluations, so a path does not depend on the other starts of the call.
-    Positions are tracked unwrapped (our data keep paths inside the torus);
-    the trig sums are 1-periodic.
+    linearly in time, so a stage evaluates the interval's end rows or their
+    average at one point.  That interpolation, not the step, bounds a
+    path's accuracy (vacuum-plateau, n = 1024, snapshots every 2e-4:
+    1.5e-11 from 16 steps per interval, 2.7e-7 from halving the interval).
+    Each trig layout is built once and shared by the starts; a snapshot's u
+    layout starts the next interval.  Each start is stepped on its own, so
+    a path does not depend on the other starts.  Positions are unwrapped
+    (our data keep paths inside the torus); the trig sums are 1-periodic.
     """
+
+    def __init__(self, starts):
+        self.starts = np.atleast_1d(np.asarray(starts, dtype=float)).tolist()
+        self._pos = list(self.starts)
+        self._last = None  # the last snapshot's t, u coefficients and u layout
+
+    def __call__(self, state) -> tuple:
+        grid, cb = state.u.grid, state.u.coefficients
+        end = trig_layout(grid, cb)
+        if self._last is not None:
+            t, ca, start = self._last
+            h = float(state.t - t)
+            mid = trig_layout(grid, 0.5 * (ca + cb))
+            for k, p in enumerate(self._pos):  # RK4 runs on Python floats
+                k1 = float(trig_eval(grid, start, p))
+                k2 = float(trig_eval(grid, mid, p + 0.5 * h * k1))
+                k3 = float(trig_eval(grid, mid, p + 0.5 * h * k2))
+                k4 = float(trig_eval(grid, end, p + h * k3))
+                self._pos[k] = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        self._last = state.t, cb, end
+        rho, parts = trig_layout(grid, state.rho.coefficients), antiderivative_layout(state.rho)
+        return (state.t, *(v for p in self._pos for v in (
+            p, trig_eval(grid, rho, p), antiderivative_eval(grid, parts, p))))
+
+    def paths(self, records) -> list[CharacteristicPath]:
+        """The path of each start from the rows this tracer returned."""
+        cols = np.array(records).T
+        return [CharacteristicPath(x, cols[0], *cols[1 + 3 * k:4 + 3 * k])
+                for k, x in enumerate(self.starts)]
+
+
+def advect_paths(states, starts) -> list[CharacteristicPath]:
+    """`PathTracer(starts)` folded over a stored snapshot series."""
     if len(states) < 2:
         raise ValueError("need at least two snapshots to advect a path")
-    starts = np.atleast_1d(np.asarray(starts, dtype=float)).tolist()
-    times = np.array([s.t for s in states])
-    grid = states[0].u.grid
-
-    positions, rho_along, mass_along = ([np.empty(len(times)) for _ in starts]
-                                        for _ in range(3))
-
-    def sample(i: int) -> None:  # X, rho(X) and F(X) of every path at snapshot i
-        rho = states[i].rho
-        layout = trig_layout(grid, rho.coefficients)
-        parts = antiderivative_layout(rho)
-        for k, p in enumerate(pos):
-            positions[k][i] = p
-            rho_along[k][i] = trig_eval(grid, layout, p)
-            mass_along[k][i] = antiderivative_eval(grid, parts, p)
-
-    def u_at(layout, x: float) -> float:  # RK4 runs on Python floats
-        return float(trig_eval(grid, layout, x))
-
-    pos = list(starts)
-    sample(0)
-    for i in range(len(times) - 1):
-        h = float(times[i + 1] - times[i])
-        ca, cb = states[i].u.coefficients, states[i + 1].u.coefficients
-        start, mid, end = (trig_layout(grid, c) for c in (ca, 0.5 * (ca + cb), cb))
-        for k, p in enumerate(pos):
-            k1 = u_at(start, p)
-            k2 = u_at(mid, p + 0.5 * h * k1)
-            k3 = u_at(mid, p + 0.5 * h * k2)
-            k4 = u_at(end, p + h * k3)
-            pos[k] = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        sample(i + 1)
-
-    return [CharacteristicPath(x_start=x, times=times, positions=X, rho_along=r, mass_along=m)
-            for x, X, r, m in zip(starts, positions, rho_along, mass_along)]
+    tracer = PathTracer(starts)
+    return tracer.paths([tracer(s) for s in states])
 
 
 def advect_path(states, x_start: float) -> CharacteristicPath:
@@ -101,7 +102,7 @@ def advect_path(states, x_start: float) -> CharacteristicPath:
 def check_mass_transport(path1: CharacteristicPath, path2: CharacteristicPath,
                          states) -> float:
     """Max drift over snapshots of the mass F(X_2) - F(X_1) between the two
-    paths, read from their `mass_along`."""
+    paths, read from their `mass_along`; states is any sequence of one entry per snapshot."""
     if len(path1.times) != len(states) or len(path2.times) != len(states):
         raise ValueError("paths and snapshot series must share their time grid")
     drifts = path2.mass_along - path1.mass_along

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .characteristics import advect_paths, check_decay_bound, check_mass_transport
+from .characteristics import PathTracer, check_decay_bound, check_mass_transport
 from .diagnostics import classify_run, constants_for, make_observer
 from .extensions import run_alignment, slab_check_2d
 from .grid import make_grid, spectral_derivative
@@ -363,16 +363,15 @@ def cmd_characteristics(args) -> int:
         names[name] = xs
     settings, rho0, config, out_dir = _prepare(args)
     constants = constants_for(config.alpha, rho0)
+    tracer = PathTracer(starts)
     t0 = time.perf_counter()
-    result = run(rho0, config)
+    result = run(rho0, config, observers=(tracer,), keep_states=False)
     wall = time.perf_counter() - t0
-    if len(result.states) < 2:
+    if len(result.records) < 2:
         raise ConfigError(
             f"run stopped {result.stop_reason} at t = {result.final_state.t:.6g} "
-            f"with {len(result.states)} snapshot(s); paths need at least two")
-    t0 = time.perf_counter()
-    paths = advect_paths(result.states, starts)
-    result.wall_split["paths"] = time.perf_counter() - t0
+            f"with {len(result.records)} snapshot(s); paths need at least two")
+    paths = tracer.paths(result.records)
     t0 = time.perf_counter()
     for name, path in zip(names, paths):
         rows = np.column_stack((path.times, path.positions, path.mass_along,
@@ -383,7 +382,7 @@ def cmd_characteristics(args) -> int:
                                  delta=constants.delta) for p in paths]
     summary = {"decay_reports": [r.__dict__ for r in reports], "pair_mass_drift": None}
     if len(paths) >= 2:
-        summary["pair_mass_drift"] = check_mass_transport(paths[0], paths[-1], result.states)
+        summary["pair_mass_drift"] = check_mass_transport(paths[0], paths[-1], result.records)
     code = _finish(settings, out_dir, result, wall, output_s, x_start=starts, **summary)
     print(dumps(summary))
     return code

@@ -6,8 +6,8 @@ import pytest
 from fpmflow.grid import (DensityField, antiderivative_at, evaluate_trig, make_grid, trig_eval,
                           trig_layout)
 from fpmflow.initial_data import gen_cccf, gen_positive_control, gen_vacuum_plateau
-from fpmflow.characteristics import (CharacteristicPath, advect_path, advect_paths,
-                                     check_decay_bound, check_mass_transport)
+from fpmflow.characteristics import (CharacteristicPath, PathTracer, advect_path,
+                                     advect_paths, check_decay_bound, check_mass_transport)
 from fpmflow.solver import SolverConfig, run
 
 
@@ -134,6 +134,7 @@ class TestAdvectPaths:
         for x, path in zip(starts, paths):
             assert _same(path, advect_paths(plateau_run.states, [x])[0])
             assert _same(path, advect_path(plateau_run.states, x))
+        assert advect_paths(plateau_run.states, []) == []
 
     def test_float_start_is_a_one_start_list(self, plateau_run):
         (path,) = advect_paths(plateau_run.states, 0.1)
@@ -149,6 +150,33 @@ class TestAdvectPaths:
         for s in plateau_run.states:
             assert antiderivative_at(s.rho, [0.0])[0] == 0.0
         assert advect_paths(plateau_run.states, [0.0, 0.1])[0].mass_along[0] == 0.0
+
+
+# (preset, n, t_end, snapshot interval, starts, stop reason): a run that
+# reaches t_end; the plateau run, which stops under-resolved and appends its
+# stop state as the last snapshot; starts on both sides of 0, one repeated
+TRACED_RUNS = {
+    "t_end": (gen_cccf, 256, 0.02, 1e-3, [0.05, 0.25], "t_end"),
+    "under_resolved": (gen_vacuum_plateau, 1024, 0.05, 5e-4, [0.05, 0.2], "under_resolved"),
+    "both_sides": (gen_cccf, 256, 0.02, 1e-3, [-0.2, 0.05, -0.2, 0.3], "t_end"),
+}
+
+
+class TestPathTracer:
+    @pytest.mark.parametrize("case", TRACED_RUNS)
+    def test_observer_matches_advect_paths_exactly(self, case):
+        gen, n, t_end, interval, starts, stop_reason = TRACED_RUNS[case]
+        tracer = PathTracer(starts)
+        res = run(gen(make_grid(n)), SolverConfig(alpha=1.0, n_points=n, t_end=t_end,
+                                                  snapshot_interval=interval),
+                  observers=(tracer,), keep_states=True)
+        assert res.stop_reason == stop_reason
+        assert len(res.records) == len(res.states) >= 10
+        assert res.states[-1].t == res.final_state.t
+        traced = tracer.paths(res.records)
+        assert [p.x_start for p in traced] == starts
+        for path, stored in zip(traced, advect_paths(res.states, starts), strict=True):
+            assert _same(path, stored)
 
 
 def _advect_in_substeps(states, x_start, substeps):
