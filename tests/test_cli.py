@@ -356,7 +356,8 @@ def _csvs(out: Path) -> dict:
 class TestStreamedArtifacts:
     """simulate and verify write each snapshot CSV as the run makes it and
     hold no written snapshot; their CSVs and charts are those written from
-    every state of the same run, as they always were."""
+    every state of the same run, as they always were.  characteristics
+    traces its paths as the snapshots arrive and holds none either."""
 
     @pytest.mark.parametrize("case", STREAMED_RUNS)
     @pytest.mark.parametrize("command", ("simulate", "verify"))
