@@ -13,10 +13,15 @@ so a point costs B + Q complex exponentials (46 at n = 1024, 64 at
 n = 2048) instead of n/2 - 1, and the inner sums are one matrix product
 with the coefficients laid out as a zero-padded (Q, B) matrix:
 `trig_layout` builds that layout once per row, and `trig_eval` evaluates
-it at one point or at any number of points.  Every multiplier outside the
-time stepper goes through `apply_multiplier`, which takes a half-spectrum
-symbol, works on the plain rfft of the samples as the stepper does, and
-leaves the imaginary part of the Nyquist entry to irfft, which drops it.
+it at one point or at any number of points.  At one point it can evaluate
+several layouts from one phase vector, and at 0 the phase vector is a unit
+row with no exponential, so a tracked characteristic point costs 4 phase
+vectors per snapshot interval (three RK4 stages, then u, rho and F read
+together at the snapshot) and none for F's constant.  Every multiplier
+outside the time stepper goes through `apply_multiplier`, which takes a
+half-spectrum symbol, works on the plain rfft of the samples as the stepper
+does, and leaves the imaginary part of the Nyquist entry to irfft, which
+drops it.
 """
 
 from __future__ import annotations
@@ -143,7 +148,8 @@ def trig_layout(grid: PeriodicGrid, c: np.ndarray):
     phases (module docstring).  Built once, it serves any number of
     `trig_eval` calls.  It copies c entry by entry, so for a float f the
     layout of a + f d is, entry by entry, that of a plus f times that of d,
-    in the same bits up to the sign of a zero c_0 or c_{n/2}."""
+    and the layout of 0.5 (a + b) is half the sum of theirs, in the same
+    bits up to the sign of a zero c_0 or c_{n/2}."""
     b, row = grid._trig_rows
     cqr = np.zeros((len(row) - b) * b, dtype=complex)
     cqr[1:grid.n // 2] = c[1:-1]
@@ -157,9 +163,13 @@ def trig_eval(grid: PeriodicGrid, layout, x):
     """c_0 + 2 Re sum_{0<k<n/2} c_k e^{2 pi i k x} + c_{n/2} cos(pi n x) of
     the row whose `trig_layout` is layout, 1-periodic in x: at one point as
     a float (a float comes back, without the set-up of an array of points)
-    or at a 1-D sequence of points, TRIG_BLOCK points per phase matrix.  The
-    one off-grid evaluation kernel; a float gives the bits of the same point
-    alone in an array."""
+    or at a 1-D sequence of points, TRIG_BLOCK points per phase matrix.  At
+    a float, layout may also be a list of layouts: their values come back as
+    a list, from one phase vector, each in the bits of its own call.  At the
+    float 0.0 every phase is exactly 1, so the phase vector is a unit row
+    and takes no exponential.  The one off-grid evaluation kernel; a float
+    gives the bits of the same point alone in an array."""
+    b, row = grid._trig_rows
     if not isinstance(x, float):
         x = np.asarray(x, dtype=float)
         if len(x) > TRIG_BLOCK:
@@ -167,13 +177,19 @@ def trig_eval(grid: PeriodicGrid, layout, x):
             for lo in range(0, len(x), TRIG_BLOCK):
                 out[lo:lo + TRIG_BLOCK] = trig_eval(grid, layout, x[lo:lo + TRIG_BLOCK])
             return out
-    cqr, c0, cn = layout
-    b, row = grid._trig_rows
-    phases = np.multiply.outer(x, row)  # e^{2 pi i r x}, then e^{2 pi i qB x}
-    np.exp(phases, out=phases)  # in place: one phase matrix, not two
-    inner = phases[..., :b] @ cqr
-    inner *= phases[..., b:]
-    return c0 + 2.0 * inner.real.sum(axis=-1) + cn * np.cos(np.pi * grid.n * x)
+        phases = np.multiply.outer(x, row)  # e^{2 pi i r x}, then e^{2 pi i qB x}
+        np.exp(phases, out=phases)  # in place: one phase matrix, not two
+    elif x == 0.0:
+        phases = np.ones(len(row), dtype=complex)
+    else:
+        phases = np.exp(x * row)
+    many = isinstance(layout, list)
+    values = []
+    for cqr, c0, cn in layout if many else (layout,):
+        inner = phases[..., :b] @ cqr
+        inner *= phases[..., b:]
+        values.append(c0 + 2.0 * inner.real.sum(axis=-1) + cn * np.cos(np.pi * grid.n * x))
+    return values if many else values[0]
 
 
 def evaluate_trig(f: DensityField, xs) -> np.ndarray:
@@ -188,7 +204,8 @@ def antiderivative_layout(f: DensityField):
     """What `antiderivative_eval` needs of f, built once: (layout, c_0,
     c_{n/2}), where layout is the `trig_layout` of the periodic part's row
     c_k / (2 pi i k) with its constant set to minus that row's trig sum at
-    0, so that the periodic part vanishes at 0."""
+    0, so that the periodic part vanishes at 0 (`trig_eval` takes that sum
+    from a unit phase row, with no exponential)."""
     c = f.coefficients
     a = np.zeros_like(c)
     a[1:-1] = c[1:-1] / (2j * np.pi * f.grid.k_half[1:-1])
@@ -196,12 +213,15 @@ def antiderivative_layout(f: DensityField):
     return (cqr, -trig_eval(f.grid, layout, 0.0), cn), c[0].real, c[-1].real
 
 
-def antiderivative_eval(grid: PeriodicGrid, parts, x):
+def antiderivative_eval(grid: PeriodicGrid, parts, x, periodic=None):
     """`antiderivative_at` of the field whose `antiderivative_layout` is
-    parts, at x as `trig_eval` takes it."""
+    parts, at x as `trig_eval` takes it; periodic is the `trig_eval` of
+    parts' layout at x, when the caller has it already."""
     layout, c0, cn = parts
+    if periodic is None:
+        periodic = trig_eval(grid, layout, x)
     n = grid.n
-    return c0 * x + trig_eval(grid, layout, x) + cn * np.sin(np.pi * n * x) / (np.pi * n)
+    return c0 * x + periodic + cn * np.sin(np.pi * n * x) / (np.pi * n)
 
 
 def antiderivative_at(f: DensityField, xs) -> np.ndarray:

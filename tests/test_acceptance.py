@@ -2,8 +2,9 @@
 
 Each check prints a `[criterion N] PASS/FAIL` line (visible with `pytest -s`
 or in captured output on failure).  Expensive runs are shared module-scoped
-fixtures; the full module takes about a minute on a 2-core machine, and the
-two strict-xfail growth runs at alpha = 1.5 take about 20 s each.
+fixtures; the full module takes about 18 s on a 2-core machine, and the
+two strict-xfail growth runs at alpha = 1.5 take about 5.2 s (vacuum-plateau)
+and 4.3 s (cccf).
 
 The regime-separation criterion at alpha = 1.5 is marked strict-xfail: the
 vacuum floor lifts before any fivefold gradient growth.  Measured on cccf at

@@ -87,6 +87,17 @@ def plateau_run():
     return res
 
 
+def _mass_at(rho, x):
+    """F(x) of rho from its own c_k / (2 pi i k) row, evaluated at the
+    points [0.0] and [x], apart from antiderivative_layout."""
+    grid, c = rho.grid, rho.coefficients
+    a = np.zeros_like(c)
+    a[1:-1] = c[1:-1] / (2j * np.pi * grid.k_half[1:-1])
+    layout = trig_layout(grid, a)
+    periodic = trig_eval(grid, layout, [x])[0] - trig_eval(grid, layout, [0.0])[0]
+    return c[0].real * x + periodic + c[-1].real * np.sin(np.pi * grid.n * x) / (np.pi * grid.n)
+
+
 def _advect_stage_by_stage(states, x_start):
     """Path advection as one trig sum of a freshly laid out row per RK4
     stage, one step per snapshot interval: the rows of the interval's two
@@ -109,7 +120,7 @@ def _advect_stage_by_stage(states, x_start):
         k4 = u_at(cb, pos + h * k3)
         positions[i + 1] = pos = pos + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     rho_along = [float(evaluate_trig(s.rho, [p])[0]) for s, p in zip(states, positions)]
-    mass_along = [antiderivative_at(s.rho, [p])[0] for s, p in zip(states, positions)]
+    mass_along = [_mass_at(s.rho, p) for s, p in zip(states, positions)]
     return positions, np.array(rho_along), np.array(mass_along)
 
 

@@ -375,6 +375,33 @@ class TestTrigLayout:
             assert [trig_eval(grid, layout, x) for x in xs] == [
                 _trig_sum_one_pass(grid, row, [x])[0] for x in xs]
 
+    @pytest.mark.parametrize("n", [8, 96, 1024, 2048])
+    def test_shared_phase_vector_keeps_each_layouts_bits(self, n):
+        # several layouts at one float from one phase vector, as a path
+        # tracer reads u, rho and F at a snapshot, and the unit phase row
+        # at 0.0 that gives an antiderivative layout its constant
+        rng = np.random.default_rng(n + 3)
+        grid = make_grid(n)
+        fields = [DensityField(grid, values) for values in rng.normal(size=(3, n))]
+        rows = [f.coefficients for f in fields] + list(
+            rng.normal(size=(2, n // 2 + 1)) + 1j * rng.normal(size=(2, n // 2 + 1)))
+        layouts = [trig_layout(grid, c) for c in rows]
+        xs = [0.0, -0.0, -0.3, 0.5, -0.5, 0.73, -1.61, 2.25] + rng.uniform(-2.0, 2.0, 4).tolist()
+        for x in xs:
+            shared = trig_eval(grid, layouts, x)
+            assert shared == [trig_eval(grid, layout, x) for layout in layouts]
+            assert shared == [trig_eval(grid, layout, [x])[0] for layout in layouts]
+            assert shared == [_trig_sum_one_pass(grid, c, [x])[0] for c in rows]
+        for f in fields:
+            c = f.coefficients
+            a = np.zeros_like(c)
+            a[1:-1] = c[1:-1] / (2j * np.pi * grid.k_half[1:-1])
+            layout = trig_layout(grid, a)
+            (_, constant, _), _, _ = antiderivative_layout(f)
+            assert constant == -trig_eval(grid, layout, 0.0)
+            assert constant == -trig_eval(grid, layout, [0.0])[0]  # the exponential route
+            assert constant == -_trig_sum_one_pass(grid, a, [0.0])[0]
+
     @pytest.mark.parametrize("n", [8, 1024])
     def test_antiderivative_matches_one_pass_bit_for_bit(self, n):
         grid, _, values = _white_noise_row(n, 11)
