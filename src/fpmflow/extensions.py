@@ -5,9 +5,9 @@ The 1D system evolves (rho, u) with the velocity as an unknown driven by a
 singular-kernel alignment force; the diagnostic field G = d_x u - Lambda^a rho
 is transported, so data prepared with G = 0 must keep it at discretization
 level and reproduce the induced-velocity flow of the main solver.  Its
-workspace, a `solver._Workspace` whose rates, remainder and flow are the
-pair's, is stepped by `solver.integrate`, which returns the same RunResult
-as `run`, whose states also carry G.
+workspace, a `solver._Workspace` whose state, rates, remainder and flow are
+the pair's, is stepped by `solver.integrate`, which returns the same
+RunResult as `run`, whose states also carry G.
 
 The multi-d part is static: slab velocities on a strip of the 2D torus and
 their reduction to the 1D formula, the closed-form plane-slice constant c',
@@ -36,59 +36,70 @@ __all__ = [
 
 
 class _Alignment(_Workspace):
-    """The pair (rho, u) as `integrate` steps it: its rates and the exact
-    flow of their linear part (see run_alignment)."""
+    """The pair as `integrate` steps it, in the state (w, u_hat), w =
+    rho_hat - shear u_hat: its rates and the exact flow of their linear
+    part, which is diagonal in that state (see run_alignment)."""
 
     def __init__(self, grid, alpha: float):
         super().__init__(grid, alpha)
         self.lap_sym = laplacian_symbol(grid, alpha)
         self.deriv_sym = derivative_symbol(grid)
         self.neg_mask = -self.mask.astype(float)
-        # lin feeds rho at shear = flux_sym / lin = i (2 pi k)^(1 - a) on the kept band
+        # shear = flux_sym / lin = i (2 pi k)^(1 - a) on the kept band, 0 off it
         self.shear = np.divide(self.flux_sym, self.lin, out=np.zeros_like(self.flux_sym),
                                where=self.lin != 0.0)
 
+    def to_state(self, y0: np.ndarray) -> np.ndarray:
+        """The state (w, u_hat) of the physical rows (rho, u)."""
+        y_hat = super().to_state(y0)
+        y_hat[0] -= self.shear * y_hat[1]
+        return y_hat
+
+    def fields(self, y_hat: np.ndarray) -> np.ndarray:
+        """The transforms (rho_hat, u_hat) of the state (w, u_hat)."""
+        rho_u_hat = y_hat.copy()
+        rho_u_hat[0] += self.shear * y_hat[1]
+        return rho_u_hat
+
     def tendencies(self, f: np.ndarray) -> np.ndarray:
         """Rewrite in place the transforms f = (P, W) of (rho u, u g) into
-        (flux_sym P, -mask W + lin P): the density tendency, and the u
-        tendency when g = d_x u - Lambda^a rho or the alignment force when
-        g = -Lambda^a rho."""
+        (shear W, lin P - mask W): the w tendency when g = d_x u - Lambda^a
+        rho, and the u tendency then, or the alignment force when g =
+        -Lambda^a rho."""
+        p = self.lin * f[0]
+        np.multiply(self.shear, f[1], out=f[0])
         f[1] *= self.neg_mask
-        f[1] += self.lin * f[0]
-        f[0] *= self.flux_sym
+        f[1] += p
         return f
 
     def rates(self, y_hat: np.ndarray):
-        """Tendency transforms of the stacked (rho, u) state and the physical
-        rows (rho, u, G) from one batched irfft."""
+        """Tendency transforms of the state (w, u_hat) and the physical rows
+        (rho, u, G) from one batched irfft."""
         spec = np.empty((3, y_hat.shape[1]), dtype=complex)
-        spec[:2] = y_hat
+        np.multiply(self.shear, y_hat[1], out=spec[0])
+        spec[0] += y_hat[0]  # rho_hat
+        spec[1] = y_hat[1]
         np.multiply(self.deriv_sym, y_hat[1], out=spec[2])
-        spec[2] -= self.lap_sym * y_hat[0]
+        spec[2] -= self.lap_sym * spec[0]
         y = np.fft.irfft(spec, self.grid.n)
         del spec  # not held while the products are transformed (peak memory)
         return self.tendencies(_products_hat(*y)), y
 
     def remainder(self, y: np.ndarray, f: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """f minus the linear rates (shear lam u_hat, lam u_hat), in place."""
-        linear = lam * y[1]
-        f[1] -= linear
-        linear *= self.shear
-        f[0] -= linear
+        """f minus the linear rates (0, lam u_hat), in place."""
+        f[1] -= lam * y[1]
         return f
 
     def flow(self, lam: np.ndarray, h: float):
-        """The exact linear flow over h, in place or into out: u_hat times
-        e = exp(h lam), and rho_hat plus shear (e - 1) u_hat."""
+        """The exact linear flow over h, in place or into out: w kept and
+        u_hat times exp(h lam)."""
         e = np.exp(h * lam)
-        gain = self.shear * np.expm1(h * lam)
-        sheared = np.empty_like(gain)  # the flow's one scratch row
 
         def flow(y, out=None):
             if out is not None:
-                np.copyto(out, y)
-                y = out
-            y[0] += np.multiply(gain, y[1], out=sheared)
+                out[0] = y[0]
+                np.multiply(y[1], e, out=out[1])
+                return out
             y[1] *= e
             return y
         return flow
@@ -111,12 +122,14 @@ def run_alignment(rho0: DensityField, u0: DensityField, config: SolverConfig,
 
     Linearised about (c, 0), with c the midrange of the step's start
     density (see `solver.integrate`), the rates per mode are
-    upper-triangular: u_hat relaxes at lambda = -c (2 pi k)^a on the kept
-    band and feeds rho_hat at r lambda, r = i (2 pi k)^(1 - a), the
-    workspace's shear.  The stepper integrates that part exactly: its flow
-    keeps rho_hat - r u_hat, the linear part of -G_hat / Lambda^a, and
-    scales u_hat by exp(t lambda).  r does not depend on c, so G = 0 data
-    keep G at roundoff level, and the dissipative floor of the step is
+    upper-triangular in (rho_hat, u_hat): u_hat relaxes at lambda =
+    -c (2 pi k)^a on the kept band and feeds rho_hat at r lambda, r =
+    i (2 pi k)^(1 - a), the workspace's shear.  In the state (w, u_hat)
+    that the pair is stepped in, w = rho_hat - r u_hat, which is
+    -G_hat / Lambda^a on the kept band, that part is diagonal: the flow
+    keeps w and scales u_hat by exp(t lambda).  rates, the stop rule and
+    the error norm read (rho_hat, u_hat).  r does not depend on c, so G = 0
+    data keep G at roundoff level, and the dissipative floor of the step is
     measured from c, as in `run`.
     """
     if rho0.grid.n != config.n_points or u0.grid.n != config.n_points:

@@ -207,8 +207,8 @@ def antiderivative_layout(f: DensityField):
     0, so that the periodic part vanishes at 0 (`trig_eval` takes that sum
     from a unit phase row, with no exponential)."""
     c = f.coefficients
-    a = np.zeros_like(c)
-    a[1:-1] = c[1:-1] / (2j * np.pi * f.grid.k_half[1:-1])
+    a = np.zeros(len(c), dtype=complex)
+    np.divide(c[1:-1], 2j * np.pi * f.grid.k_half[1:-1], out=a[1:-1])
     cqr, _, cn = layout = trig_layout(f.grid, a)
     return (cqr, -trig_eval(f.grid, layout, 0.0), cn), c[0].real, c[-1].real
 

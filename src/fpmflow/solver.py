@@ -63,12 +63,15 @@ the top third of the retained band over the total l1 mass, which makes the
 threshold commensurate with amplitude-level error bounds.
 
 One driver, `integrate`, steps any system that a workspace describes by
-its rates and their exact linear flow: this flow, and the alignment system
-of `extensions`.  It builds each snapshot as a SimulationState from the
-rows of the rates, hands it to the observers at once, keeps it only if
-asked, and returns a RunResult that counts the accepted and rejected
-steps, the limit that bound each step, the step-size range, the largest
-tail fraction and the FFT calls for the run's metadata.
+its state, the fields' transforms that the state stands for, its rates
+and their exact linear flow: this flow, whose state is its transforms, and
+the alignment system of `extensions`, whose state makes its linear part
+diagonal.  The driver makes no FFT call of its own; its stop rule and
+error norm read the fields.  It builds each snapshot as a SimulationState
+from the rows of the rates, hands it to the observers at once, keeps it
+only if asked, and returns a RunResult that counts the accepted and
+rejected steps, the limit that bound each step, the step-size range, the
+largest tail fraction and the FFT calls for the run's metadata.
 """
 
 from __future__ import annotations
@@ -154,10 +157,11 @@ class RunResult:
 
 
 class _Workspace:
-    """The continuity flow on one (n, alpha) pair: its rates, their exact
-    linear flow, and the Fourier symbols, dealiasing mask and tail band
-    they use.  `integrate` steps any subclass that overrides rates,
-    remainder and flow.  The norms act on single fields and on row stacks."""
+    """The continuity flow on one (n, alpha) pair: its state (the transforms
+    themselves), rates, their exact linear flow, and the Fourier symbols,
+    dealiasing mask and tail band they use.  `integrate` steps any subclass
+    that overrides to_state, fields, rates, remainder and flow.  The norms
+    read the fields of a state, one field or a row stack."""
 
     def __init__(self, grid: PeriodicGrid, alpha: float):
         self.grid = grid
@@ -173,6 +177,14 @@ class _Workspace:
         self.tail_band = slice((2 * self.k_max_kept) // 3 + 1, self.k_max_kept + 1)
         self.l1_weights = np.where(
             (grid.k_half > 0) & (grid.k_half < n // 2), 2.0, 1.0)
+
+    def to_state(self, y0: np.ndarray) -> np.ndarray:
+        """The stepped state of the physical rows y0: their transforms."""
+        return np.fft.rfft(y0)
+
+    def fields(self, y_hat: np.ndarray) -> np.ndarray:
+        """The transforms of the fields of the state y_hat: y_hat itself."""
+        return y_hat
 
     def rates(self, rho_hat: np.ndarray):
         """Transform of the dealiased flux divergence -d_x(rho u), which is
@@ -191,16 +203,16 @@ class _Workspace:
         return lambda y, out=None: np.multiply(y, e, out=y if out is None else out)
 
     def tail_fraction(self, y_hat: np.ndarray) -> float:
-        """Largest tail fraction over the rows of y_hat."""
-        a = np.abs(y_hat)
+        """Largest tail fraction over the fields of the state y_hat."""
+        a = np.abs(self.fields(y_hat))
         total = a @ self.l1_weights
         tail = a[..., self.tail_band] @ self.l1_weights[self.tail_band]
         return float((tail / np.maximum(total, _TINY)).max())
 
     def sup_bound(self, y_hat: np.ndarray) -> float:
-        """Largest over the rows of y_hat of the l1 spectral mass over n,
-        which bounds the row's sup norm in physical space."""
-        return float((np.abs(y_hat) @ self.l1_weights).max()) / self.grid.n
+        """Largest over the fields of the state y_hat of the l1 spectral
+        mass over n, which bounds the field's sup norm in physical space."""
+        return float((np.abs(self.fields(y_hat)) @ self.l1_weights).max()) / self.grid.n
 
     def step_limits(self, y: np.ndarray, cfl: float,
                     rtol: float) -> tuple[dict, float, float]:
@@ -289,17 +301,18 @@ def _lawson_rk4(y_hat: np.ndarray, n0: np.ndarray, ws: _Workspace, dt: float,
 @np.errstate(over="ignore", invalid="ignore")  # the error estimate catches non-finite stages
 def integrate(y0: np.ndarray, ws: _Workspace, config: SolverConfig,
               observers: tuple[Callable, ...] = (), keep_states: bool = True) -> RunResult:
-    """Step the transforms y_hat = rfft(y0) of the system ws with Lawson
+    """Step the state y_hat = ws.to_state(y0) of the system ws with Lawson
     RK4 from t = 0.
 
     y0 holds one field per row, density first.  ws.rates(y_hat) returns
-    (tendency_hat, y): the transform of the tendency and the physical rows
-    of the stage, u being the transport velocity and each row a field of
-    the SimulationState in that order.  The linear rates about the center c
-    of the step's start density (see _Workspace.step_limits), lam =
-    c ws.lin, are integrated exactly by ws.flow and the rest, ws.remainder,
-    explicitly.  The dissipative floor is measured from c, and dt_fixed
-    steps take the same c.
+    (tendency_hat, y): the tendency of the state and the physical rows of
+    the stage, u being the transport velocity and each row a field of the
+    SimulationState in that order.  The tail fraction and the error norm
+    read ws.fields(y_hat), the transforms of the fields.  The linear rates
+    about the center c of the step's start density (see
+    _Workspace.step_limits), lam = c ws.lin, are integrated exactly by
+    ws.flow and the rest, ws.remainder, explicitly.  The dissipative floor
+    is measured from c, and dt_fixed steps take the same c.
 
     Each step is proposed by the error controller (see the module
     docstring), raised to the floor and capped by the transport limit.  If
@@ -324,11 +337,11 @@ def integrate(y0: np.ndarray, ws: _Workspace, config: SolverConfig,
     (transport, dissipative, error, snapshot, t_end, fixed), the dt range
     (None before the first step), tail_max, the largest tail fraction at
     any step start, the one that stopped the run included, and the numpy
-    FFT calls: the first rfft and two per rates call; wall_split splits the
+    FFT calls: to_state's rfft and two per rates call; wall_split splits the
     seconds here into "observers" and "stepping".
     """
     start = time.perf_counter()
-    y_hat, t, steps, dt_last = np.fft.rfft(y0), 0.0, 0, 0.0
+    y_hat, t, steps, dt_last = ws.to_state(y0), 0.0, 0, 0.0
     attempts = 0  # each makes four rates calls (see _lawson_rk4)
 
     def state():

@@ -13,7 +13,7 @@ from fpmflow.operators import _periodized_singular_integral
 from fpmflow.extensions import (_Alignment, _products_hat, c_prime,
                                 run_alignment, slab_check_2d, slab_velocity_2d,
                                 spectral_gap_2d)
-from fpmflow.solver import SolverConfig, run
+from fpmflow.solver import SolverConfig, _Workspace, run
 
 
 def alignment_force(rho: DensityField, u: DensityField, alpha: float) -> DensityField:
@@ -43,21 +43,47 @@ class TestAlignmentRates:
         ws = _Alignment(make_grid(64), alpha)
         rng = np.random.default_rng(4)
         y_hat = np.fft.rfft(rng.normal(size=(2, 64)))
-        rho_hat, u_hat = y_hat
+        w, u_hat = y_hat  # the state: w = rho_hat - shear u_hat
+        rho_hat = ws.shear * u_hat + w
         # the rates written with one np.stack per transform
         y = np.fft.irfft(np.stack((rho_hat, u_hat, ws.deriv_sym * u_hat
                                    - ws.lap_sym * rho_hat)), 64)
-        rho_u_hat, w_hat = ws.mask * np.fft.rfft(np.stack((y[0] * y[1], y[1] * y[2])))
+        rho_u_hat, ug_hat = ws.mask * np.fft.rfft(np.stack((y[0] * y[1], y[1] * y[2])))
         # the u tendency -mask (W + lap_sym P) reads the linearised flux
         # symbol lin = -mask (2 pi k)^alpha, which is -mask lap_sym up to
         # the rounding of (2 pi k) (2 pi k)^(alpha - 1)
         np.testing.assert_allclose(ws.lin, -(ws.mask * ws.lap_sym.real),
                                    rtol=4 * np.finfo(float).eps, atol=0)
-        tendency = np.stack((ws.flux_sym * rho_u_hat, ws.lin * rho_u_hat - w_hat))
+        # w = -G_hat / Lambda^a on the kept band, so its tendency is the
+        # transport of G alone: shear W
+        tendency = np.stack((ws.shear * ug_hat, ws.lin * rho_u_hat - ug_hat))
         got_tendency, got_y = ws.rates(y_hat)
         assert np.array_equal(got_y, y)
         assert np.array_equal(got_tendency, tendency)
         assert not np.shares_memory(ws.rates(y_hat)[1], got_y)  # fresh rows
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_g_row_is_minus_lambda_w(self, alpha):
+        # on the kept band w = -G_hat / Lambda^a: the G row that rates forms
+        # from rho_hat = w + shear u_hat is irfft(-lap_sym w) to roundoff
+        # (the shear reaches (2 pi 21)^(1/2), about 11, at alpha = 0.5)
+        ws = _Alignment(make_grid(64), alpha)
+        y_hat = ws.mask * np.fft.rfft(np.random.default_rng(5).normal(size=(2, 64)))
+        g = ws.rates(y_hat)[1][2]
+        want = np.fft.irfft(-ws.lap_sym * y_hat[0], 64)
+        assert np.abs(g - want).max() <= 16 * np.finfo(float).eps * np.abs(want).max()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_norms_read_rho_and_u(self, alpha):
+        # the stop rule and the error norm read the fields (rho_hat, u_hat),
+        # not the state (w, u_hat)
+        grid = make_grid(64)
+        ws = _Alignment(grid, alpha)
+        y_hat = np.fft.rfft(np.random.default_rng(6).normal(size=(2, 64)))
+        rows = ws.fields(y_hat)
+        flow = _Workspace(grid, alpha)
+        assert ws.tail_fraction(y_hat) == flow.tail_fraction(rows)
+        assert ws.sup_bound(y_hat) == flow.sup_bound(rows)
 
 
 class TestAlignmentForce:

@@ -229,13 +229,31 @@ class TestLinearPart:
         assert np.abs(twice - once).max() <= 1e-14 * np.abs(once).max()
 
 
-def test_alignment_flow_keeps_rho_minus_shear_u():
+@pytest.mark.parametrize("system", (_Workspace, extensions._Alignment))
+def test_fields_of_the_state_are_the_transforms(system):
+    # the continuity flow steps the transforms themselves; the pair steps
+    # (w, u_hat), whose fields come back to a few ulp of the largest entry
+    # (the shear reaches about 11 at alpha = 0.5, n = 64)
+    rng = np.random.default_rng(13)
+    for alpha in (0.5, 1.0, 1.5):
+        ws = system(make_grid(64), alpha)
+        y0 = rng.normal(size=(2, 64) if system is extensions._Alignment else 64)
+        got, want = ws.fields(ws.to_state(y0)), np.fft.rfft(y0)
+        if system is _Workspace:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
+
+
+def test_alignment_flow_keeps_w_and_scales_u():
+    # the pair's linear part is diagonal in (w, u_hat): 0 on w, lam on u_hat
     ws = extensions._Alignment(make_grid(64), 1.0)
     rng = np.random.default_rng(12)
     y = rng.normal(size=(2, 33)) + 1j * rng.normal(size=(2, 33))
-    kept = y[0] - ws.shear * y[1]
-    ws.flow(1.3 * ws.lin, 0.01)(y)
-    assert np.abs(y[0] - ws.shear * y[1] - kept).max() <= 1e-14 * np.abs(kept).max()
+    lam, kept = 1.3 * ws.lin, y.copy()
+    ws.flow(lam, 0.01)(y)
+    assert np.array_equal(y[0], kept[0])
+    assert np.array_equal(y[1], np.exp(0.01 * lam) * kept[1])
 
 
 class TestStepControl:
