@@ -312,7 +312,8 @@ def _certify(rho0, constants, config, result) -> dict:
                               monotone_data=hyp.h1 and hyp.h3)
     report["hypotheses"] = {"h1": hyp.h1, "h2": hyp.h2, "h3": hyp.h3}
     report["stop_reason"] = result.stop_reason
-    report["verdict"] = classify_run(result.records) if len(result.records) >= 10 else None
+    resolved = [r for r in result.records if r.tail_fraction <= config.tail_threshold]
+    report["verdict"] = classify_run(resolved) if len(resolved) >= 10 else None
     return report
 
 

@@ -5,9 +5,9 @@ The 1D system evolves (rho, u) with the velocity as an unknown driven by a
 singular-kernel alignment force; the diagnostic field G = d_x u - Lambda^a rho
 is transported, so data prepared with G = 0 must keep it at discretization
 level and reproduce the induced-velocity flow of the main solver.  Its
-workspace, a `solver._Workspace` whose state, rates, remainder and flow are
-the pair's, is stepped by `solver.integrate`, which returns the same
-RunResult as `run`, whose states also carry G.
+workspace, a `solver._Workspace` with the pair's state and rates and a
+linear part on the u_hat row alone, is stepped by `solver.integrate`,
+which returns the same RunResult as `run`, whose states also carry G.
 
 The multi-d part is static: slab velocities on a strip of the 2D torus and
 their reduction to the 1D formula, the closed-form plane-slice constant c',
@@ -37,8 +37,10 @@ __all__ = [
 
 class _Alignment(_Workspace):
     """The pair as `integrate` steps it, in the state (w, u_hat), w =
-    rho_hat - shear u_hat: its rates and the exact flow of their linear
-    part, which is diagonal in that state (see run_alignment)."""
+    rho_hat - shear u_hat, where the linear part of its rates is diagonal
+    and acts on u_hat, row 1, alone (see run_alignment)."""
+
+    stiff = 1
 
     def __init__(self, grid, alpha: float):
         super().__init__(grid, alpha)
@@ -85,25 +87,6 @@ class _Alignment(_Workspace):
         del spec  # not held while the products are transformed (peak memory)
         return self.tendencies(_products_hat(*y)), y
 
-    def remainder(self, y: np.ndarray, f: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """f minus the linear rates (0, lam u_hat), in place."""
-        f[1] -= lam * y[1]
-        return f
-
-    def flow(self, lam: np.ndarray, h: float):
-        """The exact linear flow over h, in place or into out: w kept and
-        u_hat times exp(h lam)."""
-        e = np.exp(h * lam)
-
-        def flow(y, out=None):
-            if out is not None:
-                out[0] = y[0]
-                np.multiply(y[1], e, out=out[1])
-                return out
-            y[1] *= e
-            return y
-        return flow
-
 
 def _products_hat(rho: np.ndarray, u: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Transforms of (rho u, u g) from one batched rfft."""
@@ -126,11 +109,11 @@ def run_alignment(rho0: DensityField, u0: DensityField, config: SolverConfig,
     -c (2 pi k)^a on the kept band and feeds rho_hat at r lambda, r =
     i (2 pi k)^(1 - a), the workspace's shear.  In the state (w, u_hat)
     that the pair is stepped in, w = rho_hat - r u_hat, which is
-    -G_hat / Lambda^a on the kept band, that part is diagonal: the flow
-    keeps w and scales u_hat by exp(t lambda).  rates, the stop rule and
-    the error norm read (rho_hat, u_hat).  r does not depend on c, so G = 0
-    data keep G at roundoff level, and the dissipative floor of the step is
-    measured from c, as in `run`.
+    -G_hat / Lambda^a on the kept band, that part is diagonal and acts on
+    u_hat alone: the flow keeps w and scales u_hat by exp(t lambda).  rates,
+    the stop rule and the error norm read (rho_hat, u_hat).  r does not
+    depend on c, so G = 0 data keep G at roundoff level, and the
+    dissipative floor of the step is measured from c, as in `run`.
     """
     if rho0.grid.n != config.n_points or u0.grid.n != config.n_points:
         raise ValueError("initial data grids do not match the configuration")

@@ -64,14 +64,15 @@ threshold commensurate with amplitude-level error bounds.
 
 One driver, `integrate`, steps any system that a workspace describes by
 its state, the fields' transforms that the state stands for, its rates
-and their exact linear flow: this flow, whose state is its transforms, and
-the alignment system of `extensions`, whose state makes its linear part
-diagonal.  The driver makes no FFT call of its own; its stop rule and
-error norm read the fields.  It builds each snapshot as a SimulationState
-from the rows of the rates, hands it to the observers at once, keeps it
-only if asked, and returns a RunResult that counts the accepted and
-rejected steps, the limit that bound each step, the step-size range, the
-largest tail fraction and the FFT calls for the run's metadata.
+and the state entries their diagonal linear part acts on: this flow, on
+all of whose state it acts, and the alignment system of `extensions`,
+whose state makes it diagonal, on one row.  The driver makes no FFT call
+of its own; its stop rule and error norm read the fields.  It builds each
+snapshot as a SimulationState from the rows of the rates, hands it to
+the observers at once, keeps it only if asked, and returns a RunResult
+that counts the accepted and rejected steps, the limit that bound each
+step, the step-size range, the largest tail fraction and the FFT calls
+for the run's metadata.
 """
 
 from __future__ import annotations
@@ -158,10 +159,13 @@ class RunResult:
 
 class _Workspace:
     """The continuity flow on one (n, alpha) pair: its state (the transforms
-    themselves), rates, their exact linear flow, and the Fourier symbols,
-    dealiasing mask and tail band they use.  `integrate` steps any subclass
-    that overrides to_state, fields, rates, remainder and flow.  The norms
-    read the fields of a state, one field or a row stack."""
+    themselves), rates, and the Fourier symbols, dealiasing mask and tail
+    band they use.  `integrate` steps any subclass that overrides to_state,
+    fields and rates and sets stiff, the state entries that the linear rates
+    of remainder and flow act on.  The norms read the fields of a state,
+    one field or a row stack."""
+
+    stiff = ...
 
     def __init__(self, grid: PeriodicGrid, alpha: float):
         self.grid = grid
@@ -193,14 +197,18 @@ class _Workspace:
         return self.flux_sym * np.fft.rfft(y[0] * y[1]), y
 
     def remainder(self, y: np.ndarray, f: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """The tendency f minus the linear rates lam y, in place in f."""
-        f -= lam * y
+        """The tendency f minus the linear rates lam y[stiff], in place in f."""
+        f[self.stiff] -= lam * y[self.stiff]
         return f
 
     def flow(self, lam: np.ndarray, h: float) -> Callable:
-        """The exact linear flow over h, y -> exp(h lam) y, in place or into out."""
+        """The exact linear flow over h, in place: y[stiff] times exp(h lam)."""
         e = np.exp(h * lam)
-        return lambda y, out=None: np.multiply(y, e, out=y if out is None else out)
+
+        def flow(y):
+            y[self.stiff] *= e
+            return y
+        return flow
 
     def tail_fraction(self, y_hat: np.ndarray) -> float:
         """Largest tail fraction over the fields of the state y_hat."""
@@ -258,10 +266,10 @@ def _step_ratio(error: float, tol: float) -> float:
 
 def _lawson_rk4(y_hat: np.ndarray, n0: np.ndarray, ws: _Workspace, dt: float,
                 lam: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """One classic RK4 step (c = 0, 1/2, 1/2, 1) of the transforms y_hat in
+    """One classic RK4 step (c = 0, 1/2, 1/2, 1) of the state y_hat in
     Lawson form, given the stage-1 remainder n0 = ws.remainder(y_hat, f0):
-    the linear rates A are integrated exactly by E = ws.flow(lam, dt / 2)
-    and the remainder N = f - A y explicitly.
+    the linear rates A, lam on ws.stiff, are integrated exactly by the
+    in-place E = ws.flow(lam, dt / 2) on copies, and N = f - A y explicitly.
 
     Returns the new transforms E^2 y + dt / 6 S, S = E (E N0 + 2 N1 + 2 N2)
     + N3, N_i being the remainder of stage i + 1.  S is built unscaled in
@@ -274,18 +282,20 @@ def _lawson_rk4(y_hat: np.ndarray, n0: np.ndarray, ws: _Workspace, dt: float,
     err += y_hat
     flow(err)  # stage 2: E (y + dt/2 N0)
     k = ws.remainder(err, ws.rates(err)[0], lam)  # N1
-    s = flow(n0, out=np.empty_like(y_hat))
+    s = flow(n0.copy())
     k *= 2.0
     s += k
     k *= dt / 4.0
-    flow(y_hat, out=err)
+    np.copyto(err, y_hat)
+    flow(err)
     err += k  # stage 3: E y + dt/2 N1
     del k  # not held while the stage's rates are formed (peak memory)
     k = ws.remainder(err, ws.rates(err)[0], lam)  # N2
     k *= 2.0
     s += k
     k *= dt / 2.0
-    flow(y_hat, out=err)
+    np.copyto(err, y_hat)
+    flow(err)
     err += k
     flow(err)  # stage 4: E (E y + dt N2)
     del k
@@ -293,7 +303,8 @@ def _lawson_rk4(y_hat: np.ndarray, n0: np.ndarray, ws: _Workspace, dt: float,
     flow(s)
     s += k
     s *= dt / 6.0
-    s += flow(flow(y_hat, out=err))
+    np.copyto(err, y_hat)
+    s += flow(flow(err))
     np.copyto(err, k)
     return s
 
@@ -310,9 +321,10 @@ def integrate(y0: np.ndarray, ws: _Workspace, config: SolverConfig,
     SimulationState in that order.  The tail fraction and the error norm
     read ws.fields(y_hat), the transforms of the fields.  The linear rates
     about the center c of the step's start density (see
-    _Workspace.step_limits), lam = c ws.lin, are integrated exactly by
-    ws.flow and the rest, ws.remainder, explicitly.  The dissipative floor
-    is measured from c, and dt_fixed steps take the same c.
+    _Workspace.step_limits), lam = c ws.lin on the entries ws.stiff, are
+    integrated exactly by ws.flow and the rest, ws.remainder, explicitly.
+    The dissipative floor is measured from c, and dt_fixed steps take the
+    same c.
 
     Each step is proposed by the error controller (see the module
     docstring), raised to the floor and capped by the transport limit.  If

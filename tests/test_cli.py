@@ -518,6 +518,21 @@ class TestVerify:
         assert float(rows[-1].split(",")[8]) > 1e-8
         assert report["resolved_records"] == len(rows) - 1
 
+    def test_verdict_reads_the_resolved_records(self, tmp_path, capsys):
+        # the record that stopped the run is past the tail threshold: the
+        # verdict reads only the records the invariants are certified on
+        out = tmp_path / "o"
+        code = run_cli("verify", "--preset", "cccf", "--n", "256", "--t-end", "0.5",
+                       "--no-plots", "--out", str(out))
+        assert code == 0
+        report = strict_stdout(capsys)
+        assert report["stop_reason"] == "under_resolved"
+        with open(out / "timeseries.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        c1 = [float(r["c1_norm"]) for r in rows if float(r["tail_fraction"]) <= 1e-8]
+        assert len(c1) == report["resolved_records"] == len(rows) - 1
+        assert report["verdict"] == {"verdict": "c1_bounded", "growth_factor": max(c1) / c1[0]}
+
     def test_no_applicable_margin_is_null(self, tmp_path, capsys):
         # with offset 3 no snapshot has a point with rho <= m/2: the
         # enhanced margin is null in strict JSON and does not fail the run

@@ -8,7 +8,7 @@ from fpmflow.extensions import run_alignment
 from fpmflow.grid import DensityField, make_grid
 from fpmflow.initial_data import gen_cccf, gen_positive_control, gen_vacuum_plateau
 from fpmflow.operators import velocity_spectral
-from fpmflow.solver import SolverConfig, _Workspace, run
+from fpmflow.solver import SolverConfig, _lawson_rk4, _Workspace, run
 
 
 @pytest.fixture(scope="module")
@@ -219,14 +219,40 @@ class TestLinearPart:
         assert np.abs(residual).max() <= 1e-8 * np.abs(a_y).max()
 
     def test_flow_is_a_group(self, system, alpha):
-        # two flows over h are the flow over 2h; into out, y is left as it is
+        # two flows over h are the flow over 2h; the flow acts in place and
+        # returns its argument, and on the pair leaves row 0 (w) bit for bit
         ws, lam, y = self._linear_part(system, alpha)
         h = 1e-3
-        kept = y.copy()
-        twice = ws.flow(lam, h)(ws.flow(lam, h)(y, out=np.empty_like(y)))
-        assert np.array_equal(y, kept)
+        kept, twice = y.copy(), y.copy()
+        assert ws.flow(lam, h)(ws.flow(lam, h)(twice)) is twice
         once = ws.flow(lam, 2 * h)(y)
+        assert once is y
         assert np.abs(twice - once).max() <= 1e-14 * np.abs(once).max()
+        if system is extensions._Alignment:
+            assert np.array_equal(twice[0], kept[0]) and np.array_equal(once[0], kept[0])
+
+    def test_step_keeps_its_inputs_for_a_retry(self, system, alpha):
+        # integrate retries a rejected step from y_hat and n0 and forms its
+        # estimate from err: the step leaves y_hat and n0 bit for bit and
+        # ends with err holding N3, the stage-4 remainder
+        ws, lam, _ = self._linear_part(system, alpha)
+        rng = np.random.default_rng(14)
+        shape = (2, 64) if system is extensions._Alignment else 64
+        y_hat = ws.to_state(1.0 + 0.1 * rng.normal(size=shape))
+        n0 = ws.remainder(y_hat, ws.rates(y_hat)[0], lam)
+        kept_y, kept_n0 = y_hat.copy(), n0.copy()
+        dt, err = 1e-3, np.full_like(y_hat, np.nan)
+        _lawson_rk4(y_hat, n0, ws, dt, lam, err)
+        assert np.array_equal(y_hat, kept_y) and np.array_equal(n0, kept_n0)
+
+        def flow(v):  # E, on a copy
+            return ws.flow(lam, dt / 2)(v.copy())
+
+        def remainder(v):
+            return ws.remainder(v, ws.rates(v)[0], lam)
+        n1 = remainder(flow(y_hat + dt / 2 * n0))
+        n2 = remainder(flow(y_hat) + dt / 2 * n1)
+        assert np.array_equal(err, remainder(flow(flow(y_hat) + dt * n2)))
 
 
 @pytest.mark.parametrize("system", (_Workspace, extensions._Alignment))
