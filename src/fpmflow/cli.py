@@ -5,7 +5,7 @@ print the derived constants, and sweep parameters.
 Configs are flat key = value files (TOML-compatible scalars); command-line
 flags override file values.  Exit codes: 0 success, 1 a usage error, a bad
 config or flag value or an --out that cannot be made, 2 invariant failure in
-verify mode, 3 stopped under-resolved when the run was required to reach t_end.
+verify mode, 3 stopped before t_end when the run was required to reach it.
 
 The argument parser is built once, at import, and every `main` call reuses
 it.
@@ -17,6 +17,7 @@ import argparse
 import math
 import operator
 import os
+import shutil
 import sys
 import time
 from dataclasses import asdict, fields
@@ -206,7 +207,10 @@ def _execute(rho0, config, out_dir=None, charted=None):
     is held; a list charted receives (t, rho values) of each one written.
     Returns the constants, the RunResult, the run's wall time and the
     seconds spent writing snapshots, which wall_split's observers exclude."""
-    constants = constants_for(config.alpha, rho0)
+    try:
+        constants = constants_for(config.alpha, rho0)
+    except ValueError as exc:  # a mass that underflows to 0
+        raise ConfigError(str(exc)) from exc
     observe = make_observer(constants)
     seen, unwritten, write_s = 0, None, 0.0  # snapshots seen; the latest, if not written
 
@@ -229,8 +233,11 @@ def _execute(rho0, config, out_dir=None, charted=None):
         return observe(state)
 
     t0 = time.perf_counter()
-    result = run(rho0, config, observers=(observe if out_dir is None else keep,),
-                 keep_states=False)
+    try:
+        result = run(rho0, config, observers=(observe if out_dir is None else keep,),
+                     keep_states=False)
+    except ValueError as exc:  # a step floor that underflows
+        raise ConfigError(str(exc)) from exc
     wall = time.perf_counter() - t0
     result.wall_split["observers"] -= write_s
     if unwritten is not None:
@@ -240,7 +247,7 @@ def _execute(rho0, config, out_dir=None, charted=None):
 
 def _finish(settings, out_dir, result, wall, output_s, **extra) -> int:
     """Write the run's metadata.json and return its exit code: 3 if it
-    stopped under-resolved when required to reach t_end, else 0.  output_s
+    stopped before t_end when required to reach it, else 0.  output_s
     is the seconds spent writing the other artifacts."""
     write_metadata(out_dir / "metadata.json", {
         "settings": settings, "stop_reason": result.stop_reason,
@@ -248,7 +255,7 @@ def _finish(settings, out_dir, result, wall, output_s, **extra) -> int:
         "steps": result.telemetry["steps"],
         "t_final": result.final_state.t, "run": result.telemetry, **extra,
     })
-    return 3 if settings["require_t_end"] and result.stop_reason == "under_resolved" else 0
+    return 3 if settings["require_t_end"] and result.stop_reason != "t_end" else 0
 
 
 _INVARIANT_TOLS = dict(mass_drift=1e-11, rho_min=1e-8, rho_max=1e-8,
@@ -363,11 +370,14 @@ def cmd_characteristics(args) -> int:
                               f"would both write {name}")
         names[name] = xs
     settings, rho0, config, out_dir = _prepare(args)
-    constants = constants_for(config.alpha, rho0)
     tracer = PathTracer(starts)
-    t0 = time.perf_counter()
-    result = run(rho0, config, observers=(tracer,), keep_states=False)
-    wall = time.perf_counter() - t0
+    try:
+        constants = constants_for(config.alpha, rho0)
+        t0 = time.perf_counter()
+        result = run(rho0, config, observers=(tracer,), keep_states=False)
+        wall = time.perf_counter() - t0
+    except ValueError as exc:  # a mass or a step floor that underflows
+        raise ConfigError(str(exc)) from exc
     if len(result.records) < 2:
         raise ConfigError(
             f"run stopped {result.stop_reason} at t = {result.final_state.t:.6g} "
@@ -400,7 +410,10 @@ def cmd_align(args) -> int:
                 g_norm, g_norm / max(dux, 1e-300))
 
     t0 = time.perf_counter()
-    result = run_alignment(rho0, u0, config, observers=(row,), keep_states=False)
+    try:
+        result = run_alignment(rho0, u0, config, observers=(row,), keep_states=False)
+    except ValueError as exc:  # a step floor that underflows
+        raise ConfigError(str(exc)) from exc
     wall = time.perf_counter() - t0
     rows = np.array(result.records)
     t0 = time.perf_counter()
@@ -414,8 +427,11 @@ def cmd_align(args) -> int:
 
 def cmd_reduce(args) -> int:
     settings, rho0, _, out_dir = _prepare(args)
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = asdict(slab_check_2d(rho0, settings["alpha"]))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = asdict(slab_check_2d(rho0, settings["alpha"]))
+    except ValueError as exc:  # a Gauss-Jacobi node on its rule's singular end
+        raise ConfigError(str(exc)) from exc
     if not all(map(math.isfinite, report.values())):
         # the (n, 8) strip's 2D FFT sums 8n values, so it overflows first
         raise ConfigError("the slab check's 2D transforms overflow; lower rho_max or offset")
@@ -513,8 +529,8 @@ def main(argv=None) -> int:
         new_out = getattr(args, "out", "") and not os.path.exists(args.out)
         return args.func(args)
     except ConfigError as exc:
-        if new_out and os.path.isdir(args.out) and not os.listdir(args.out):
-            os.rmdir(args.out)  # a run refused after its --out was made leaves none behind
+        if new_out:  # a run refused after its --out was made leaves none behind
+            shutil.rmtree(args.out, ignore_errors=True)
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -100,7 +100,8 @@ def gen_vacuum_plateau(grid: PeriodicGrid, x0: float = 0.15, width: float = 0.1,
     """Vacuum interval [-x0, x0], plateau at rho_max, C-infinity transitions."""
     _check_vacuum(x0, width)
     r = np.abs(grid.nodes)
-    return DensityField(grid, rho_max * smooth_transition((r - x0) / width))
+    with np.errstate(over="ignore"):  # a width far below dx: the ramp clips +-inf to 0 or 1
+        return DensityField(grid, rho_max * smooth_transition((r - x0) / width))
 
 
 def gen_smooth_monotone(grid: PeriodicGrid, rho_max: float = 2.0) -> DensityField:

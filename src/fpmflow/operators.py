@@ -131,6 +131,9 @@ def _gauss_jacobi(n: int, nu: float):
     y = 1.0 + np.linalg.eigvalsh(jacobi)
     r, dr = _jacobi_ratio(n, nu, y)
     y -= r / dr
+    if y[0] - 1.0 <= -1.0:  # the first node rounds onto the singular end
+        raise ValueError(f"the Gauss-Jacobi rule for (1 + t)^{nu!r} rounds a node onto "
+                         "t = -1; nu lies too near -1")
     # P_n' = R_n' P_n(-1), and |P_n(-1)| = binomial(n + nu, n)
     dp = _jacobi_ratio(n, nu, y)[1] * np.prod(1.0 + nu / np.arange(1.0, n + 1.0))
     rule = y - 1.0, 2.0 ** (nu + 1.0) / ((2.0 - y) * y * dp * dp)

@@ -7,18 +7,15 @@ physical field the stage needs and one rfft of every product.  Products are
 formed in physical space and the quadratic flux is truncated at two thirds
 of the Nyquist band (Orszag's 2/3 rule, J. Atmos. Sci. 28 (1971) 1074).
 
-Time stepping is the classic fourth-order Runge-Kutta scheme (stages at 0,
-dt/2, dt/2 and dt) in Lawson form.  Linearised about a constant density c,
-the dealiased flux of the continuity flow is the diagonal dissipation
+Time stepping is the classic fourth-order Runge-Kutta scheme in Lawson
+form (`_lawson_rk4`).  Linearised about a constant density c, the
+dealiased flux of the continuity flow is the diagonal dissipation
 -c (2 pi |k|)^alpha on the kept band; the stepper integrates that part
-exactly by the factor E = exp(-c (2 pi |k|)^alpha dt/2), the only one its
-stages need, and steps only the remainder explicitly.  Each step takes c
-to be the midrange (max rho + min rho) / 2 of its start density, which
-makes the dissipation left to the explicit stages, max|rho - c|, least:
-the split of a variable mobility into a constant part and a remainder
-(Zhu, Chen, Shen & Tikare, Phys. Rev. E 60 (1999) 3564).  So the factors
-are formed anew each step; the k = 0 rate is 0, so the mass is never
-touched.  Lawson methods can lose order on stiff problems (Hochbruck &
+exactly and steps only the remainder explicitly.  c is the midrange of
+each step's start density (see `_Workspace.step_limits`), the split of a
+variable mobility into a constant part and a remainder (Zhu, Chen, Shen &
+Tikare, Phys. Rev. E 60 (1999) 3564), so the factors are formed anew each
+step.  Lawson methods can lose order on stiff problems (Hochbruck &
 Ostermann, Acta Numerica 19 (2010) 209); on these runs the step-halving
 order stays near 4.
 
@@ -27,52 +24,21 @@ Balac & Mahe (Comput. Phys. Commun. 184 (2013) 1211): the embedded
 third-order solution takes the remainder N4 at the new value in place of
 the last stage's N3, so the step minus it is dt/6 (N3 - N4), and N4 comes
 from the rates call that is the next step's first stage (first same as
-last).  err, the sup norm of that difference, bounded from the spectrum,
-estimates the local error.  The next step is the last one times
-min(5, max(0.2, 0.9 (tol / err)^(1/4))); it does not grow right after a
-rejected step (Hairer, Norsett & Wanner, Solving ODEs I, II.4), and a step
-cut short to land on a snapshot or t_end does not shrink it.  cfl times
-the tighter of the transport limit 2 sqrt 2/(2 pi k_max max|u|) and the
-explicit limit of the dissipation left to the explicit stages,
-2/(max|rho - c| (2 pi k_max)^alpha), is the floor: a longer step is taken
-when the estimate allows it and retried shorter when it does not, never
-below the floor.  cfl times the transport limit caps every step.  That
-limit is classic RK4's stability interval on the imaginary axis, 2 sqrt 2
-(Hairer & Wanner, Solving ODEs II, IV.2), over the largest advection rate
-of the kept band, so cfl = 1 is on the boundary; it is 1.35 to 1.37 times
-dx/max|u| for n >= 64.  A step that would not reach the next
-output time (snapshot or t_end) is evened out: the time left to it is split
-into equal steps no longer than the step, so no short step is left before
-it.  The tolerance is relative to the density: tol = rtol min rho, so that
-err <= tol keeps the error at each point within rtol times the density
-there.  rtol is 2e-9 at cfl 0.4 and scales as cfl^4, so cfl stays the one
-accuracy dial.  Near vacuum the dissipation vanishes and nothing damps
-the step errors, which there are of one sign and add up: under a sup-norm
-tolerance of 1e-9, rho(0) of the cccf data (n = 2048, alpha = 1.5) reaches
-1.0e-8 at t = 0.025, against 1.1e-12 at the floor.  When rtol min rho lies
-within the rounding of the density, eps max|rho|, as on data with vacuum,
-no estimate is formed and every step is the floor.  There the floor
-limits accuracy, not stability: on even data with rho0(0) = 0, whose exact
-solution keeps rho(0, t) = 0, the floor holds rho(0) below 2e-8 on cccf
-(n = 2048, alpha = 1) to t = 0.12.
+last).  The controller's factor is `_step_ratio`, and a step does not grow
+right after a rejected one (Hairer, Norsett & Wanner, Solving ODEs I,
+II.4).  The transport limit is classic RK4's stability interval on the
+imaginary axis (Hairer & Wanner, Solving ODEs II, IV.2), 1.35 to 1.37
+times dx/max|u| for n >= 64.  rtol is 2e-9 at cfl 0.4 and scales as
+cfl^4, so cfl stays the one accuracy dial.  Near vacuum the dissipation
+vanishes and nothing damps the step errors, which there are of one sign
+and add up: under a sup-norm tolerance of 1e-9, rho(0) of the cccf data
+(n = 2048, alpha = 1.5) reaches 1.0e-8 at t = 0.025, against 1.1e-12 at
+the floor.  There the floor limits accuracy, not stability: on even data
+with rho0(0) = 0, whose exact solution keeps rho(0, t) = 0, the floor
+holds rho(0) below 2e-8 on cccf (n = 2048, alpha = 1) to t = 0.12.
 
-The run stops when the spectral tail mass fraction exceeds a threshold:
-past that point the solution is not trustworthy and the simulator refuses
-to certify anything about it.  The tail fraction is the l1 spectral mass in
-the top third of the retained band over the total l1 mass, which makes the
-threshold commensurate with amplitude-level error bounds.
-
-One driver, `integrate`, steps any system that a workspace describes by
-its state, the fields' transforms that the state stands for, its rates
-and the state entries their diagonal linear part acts on: this flow, on
-all of whose state it acts, and the alignment system of `extensions`,
-whose state makes it diagonal, on one row.  The driver makes no FFT call
-of its own; its stop rule and error norm read the fields.  It builds each
-snapshot as a SimulationState from the rows of the rates, hands it to
-the observers at once, keeps it only if asked, and returns a RunResult
-that counts the accepted and rejected steps, the limit that bound each
-step, the step-size range, the largest tail fraction and the FFT calls
-for the run's metadata.
+One driver, `integrate`, steps this flow and the alignment system of
+`extensions`; its docstring states the step and stop rules.
 """
 
 from __future__ import annotations
@@ -211,7 +177,10 @@ class _Workspace:
         return flow
 
     def tail_fraction(self, y_hat: np.ndarray) -> float:
-        """Largest tail fraction over the fields of the state y_hat."""
+        """Largest tail fraction over the fields of the state y_hat: the l1
+        spectral mass in the top third of the kept band over the total l1
+        mass, which makes a threshold commensurate with amplitude-level
+        error bounds."""
         a = np.abs(self.fields(y_hat))
         total = a @ self.l1_weights
         tail = a[..., self.tail_band] @ self.l1_weights[self.tail_band]
@@ -227,10 +196,11 @@ class _Workspace:
         """cfl times the transport limit 2 sqrt 2/(2 pi k_max max|u|) and
         the explicit dissipative limit 2/(max|rho - c| (2 pi k_max)^alpha),
         by name; the center c, the density whose dissipation the stepper
-        integrates exactly; and the error tolerance rtol min rho, or 0 when
-        that lies within the rounding of the density, eps max|rho|.  y
-        holds the physical fields, density first and transport velocity
-        second.
+        integrates exactly; and the error tolerance rtol min rho, which
+        keeps the error at each point within rtol times the density there,
+        or 0 when that lies within the rounding of the density, eps
+        max|rho|.  y holds the physical fields, density first and transport
+        velocity second.
 
         Each limit divides a stability interval of classic RK4 by the
         largest rate of the kept band: 2 sqrt 2 on the imaginary axis by
@@ -326,31 +296,40 @@ def integrate(y0: np.ndarray, ws: _Workspace, config: SolverConfig,
     The dissipative floor is measured from c, and dt_fixed steps take the
     same c.
 
-    Each step is proposed by the error controller (see the module
-    docstring), raised to the floor and capped by the transport limit.  If
-    it reaches the next output time, t_end or the next snapshot time, it
-    is clamped to it; if not, it is shortened to gap / ceil(gap / dt), gap
-    being the time left to it, and keeps the label of the limit that set
-    it; dt_fixed steps are only clamped.  A step above the floor
+    Each step is proposed by the error controller, raised to the floor,
+    the tighter of the limits that ws.step_limits gives, and capped by the
+    transport one; dt_fixed, if set, is the one limit.  If it reaches the
+    next output time, t_end or the next snapshot time, it is clamped to
+    it; if not, it is shortened to gap / ceil(gap / dt), gap being the time
+    left to it, unless gap / dt overflows, and keeps the label of the limit
+    that set it; dt_fixed steps are only clamped.  A step above the floor
     whose estimate exceeds the tolerance, or whose stages go non-finite, is
-    retried shorter, never below the floor.  With no tolerance (vacuum) the
-    step is the floor, and dt_fixed takes every step at dt_fixed; neither
-    forms an estimate.  Each attempt's last rates call, at its new value,
-    gives the estimate and, once the attempt is accepted, the next step's
-    first stage, so an accepted step makes four rates calls.  The snapshot
-    at each snapshot time is built from the stage-1 rows, and every
-    observer runs on it at once.  Stops on t_end, under-resolution of any
-    row, the step budget of accepted steps, or a non-finite step at the
-    floor; on the last the final state is the last finite one and is not a
-    snapshot.  Returns a RunResult: records holds the observers' return
-    values snapshot by snapshot, in observer order, and states every
-    snapshot if keep_states, else nothing; its telemetry holds the accepted
-    steps, the rejected ones, how many accepted steps each limit bound
-    (transport, dissipative, error, snapshot, t_end, fixed), the dt range
-    (None before the first step), tail_max, the largest tail fraction at
-    any step start, the one that stopped the run included, and the numpy
-    FFT calls: to_state's rfft and two per rates call; wall_split splits the
-    seconds here into "observers" and "stepping".
+    retried shorter, never below the floor.  With no tolerance (vacuum, or
+    dt_fixed) no estimate is formed and every step is the floor; a step cut
+    short to an output time does not shrink the next.  A floor below the
+    smallest normal float raises ValueError.  Each attempt's last rates
+    call, at its new value, gives the estimate and, once the attempt is
+    accepted, the next step's first stage, so an accepted step makes four
+    rates calls.  The snapshot at each snapshot time is built from the
+    stage-1 rows, and every observer runs on it at once.
+
+    The stop rule: at each step start, in this order, the run stops
+    under_resolved once the tail fraction of any field exceeds
+    tail_threshold (past it nothing about the run is certified), at t_end,
+    or at max_steps accepted steps.  The stopping state is then the run's
+    last snapshot and its final_state, one object.  A step that goes
+    non-finite at the floor stops the run as nan; its final_state is the
+    last finite state and is not a snapshot.
+
+    Returns a RunResult: records holds the observers' return values
+    snapshot by snapshot, in observer order, and states every snapshot if
+    keep_states, else nothing; its telemetry holds the accepted steps, the
+    rejected ones, how many accepted steps each limit bound (transport,
+    dissipative, error, snapshot, t_end, fixed), the dt range (None before
+    the first step), tail_max, the largest tail fraction at any step start,
+    the one that stopped the run included, and the numpy FFT calls:
+    to_state's rfft and two per rates call; wall_split splits the seconds
+    here into "observers" and "stepping".
     """
     start = time.perf_counter()
     y_hat, t, steps, dt_last = ws.to_state(y0), 0.0, 0, 0.0
@@ -360,20 +339,18 @@ def integrate(y0: np.ndarray, ws: _Workspace, config: SolverConfig,
         return SimulationState(t, steps, dt_last, tail, *(DensityField(ws.grid, row) for row in y))
 
     def snapshot(s):
-        nonlocal observer_s, snap_t
+        nonlocal observer_s
         begin = time.perf_counter()
         with np.errstate(over="warn", invalid="warn"):  # numpy's default, not the stepper's
             records.extend(obs(s) for obs in observers)
         observer_s += time.perf_counter() - begin
         if keep_states:
             states.append(s)
-        snap_t = s.t
 
     rtol = _RTOL * (config.cfl / 0.4) ** 4
     err = np.empty_like(y_hat)  # every step's stages and error estimate
     wanted = 0.0  # the controller's next step; the first step is the floor
     next_snap = 0.0
-    snap_t = -math.inf  # the last snapshot's time
     states, records, observer_s = [], [], 0.0
     limits = dict.fromkeys(
         ("transport", "dissipative", "error", "snapshot", "t_end", "fixed"), 0)
@@ -383,36 +360,33 @@ def integrate(y0: np.ndarray, ws: _Workspace, config: SolverConfig,
     while True:
         tail = ws.tail_fraction(y_hat)
         tail_max = max(tail_max, tail)
-        if tail > config.tail_threshold:
-            stop_reason = "under_resolved"
+        stop_reason = ("under_resolved" if tail > config.tail_threshold else
+                       "t_end" if t >= config.t_end - 1e-13 * config.t_end else
+                       "max_steps" if steps >= config.max_steps else None)
+        if stop_reason:
+            final = state()
+            snapshot(final)
             break
         if t >= next_snap - 1e-13 * max(1.0, t):
             snapshot(state())
             next_snap += config.snapshot_dt
-        if t >= config.t_end - 1e-13 * config.t_end:
-            stop_reason = "t_end"
-            break
-        if steps >= config.max_steps:
-            stop_reason = "max_steps"
-            break
         caps, center, tol = ws.step_limits(y, config.cfl, rtol)
-        lam = center * ws.lin  # lin[0] = 0: the mass is never touched
         if config.dt_fixed:
-            dt = floor = config.dt_fixed
-            limit = floor_limit = "fixed"
-            tol = 0.0
-        else:
-            limit = floor_limit = min(caps, key=caps.get)
-            dt = floor = caps[limit]
-            if wanted > floor:
-                dt, limit = ((wanted, "error") if wanted < caps["transport"]
-                             else (caps["transport"], "transport"))
+            caps, tol = {"fixed": config.dt_fixed}, 0.0
+        lam = center * ws.lin  # lin[0] = 0: the mass is never touched
+        limit = floor_limit = min(caps, key=caps.get)
+        dt = floor = caps[limit]
+        if not floor >= _TINY:  # a subnormal step loses the precision of t's increments
+            raise ValueError(f"the step floor underflows to {floor!r}; raise cfl")
+        if wanted > floor:  # never with no tolerance, so never with dt_fixed
+            dt, limit = ((wanted, "error") if wanted < caps["transport"]
+                         else (caps["transport"], "transport"))
         gap, gap_limit = config.t_end - t, "t_end"
         if t < next_snap and next_snap - t < gap:
             gap, gap_limit = next_snap - t, "snapshot"
         if gap < dt:
             dt, limit = gap, gap_limit
-        elif not config.dt_fixed:  # even out the steps to the output time
+        elif not config.dt_fixed and gap / dt < math.inf:  # even out the steps to the output time
             dt = gap / math.ceil(gap / dt)
         n0 = ws.remainder(y_hat, f, lam)
         retried = False
@@ -436,6 +410,7 @@ def integrate(y0: np.ndarray, ws: _Workspace, config: SolverConfig,
                 dt, limit = floor, floor_limit
         if error == math.inf:
             stop_reason = "nan"
+            final = state()  # the last finite state, not a snapshot
             break
         y_hat, y = y_next, y_next_rows
         t += dt
@@ -453,9 +428,6 @@ def integrate(y0: np.ndarray, ws: _Workspace, config: SolverConfig,
         else:
             wanted = dt * ratio
 
-    final = state()
-    if stop_reason != "nan" and snap_t < t - 1e-13:
-        snapshot(final)
     return RunResult(states, records, final, stop_reason, {
         "steps": steps, "rejected": rejected, "step_limits": limits,
         "dt_min": dt_min if steps else None, "dt_max": dt_max if steps else None,
@@ -465,10 +437,8 @@ def integrate(y0: np.ndarray, ws: _Workspace, config: SolverConfig,
 
 def run(rho0: DensityField, config: SolverConfig,
         observers: tuple[Callable, ...] = (), keep_states: bool = True) -> RunResult:
-    """Integrate the continuity flow to t_end, stopping early on
-    under-resolution, step budget, or non-finite values.  The observers run
-    on each snapshot as it is made (see integrate); states holds every
-    snapshot unless keep_states is False.
+    """Integrate the continuity flow from rho0 by `integrate`, whose stop
+    rule applies; states holds every snapshot unless keep_states is False.
     """
     if rho0.grid.n != config.n_points:
         raise ValueError("initial data grid does not match the configuration")

@@ -164,8 +164,8 @@ class TestAdvectPaths:
 
 
 # (preset, n, t_end, snapshot interval, starts, stop reason): a run that
-# reaches t_end; the plateau run, which stops under-resolved and appends its
-# stop state as the last snapshot; starts on both sides of 0, one repeated
+# reaches t_end; the plateau run, which stops under-resolved, its stop state
+# the last snapshot; starts on both sides of 0, one repeated
 TRACED_RUNS = {
     "t_end": (gen_cccf, 256, 0.02, 1e-3, [0.05, 0.25], "t_end"),
     "under_resolved": (gen_vacuum_plateau, 1024, 0.05, 5e-4, [0.05, 0.2], "under_resolved"),

@@ -194,6 +194,21 @@ class TestConfigFile:
         *(((command, "--preset", "vacuum-plateau", "--rho-max", "1e160", "--n", "1024",
             "--t-end", "0.001", "--no-plots"), "the initial flux rho u overflows")
           for command in ("simulate", "verify", "align")),
+        # a density whose mean underflows to 0 has no mass for the estimate
+        # constants, which align and reduce do not compute
+        *(((command, "--preset", "smooth-monotone", "--rho-max", "5e-324", "--n", "64",
+            "--t-end", "0.001", "--no-plots"), "mass and density bound must be positive")
+          for command in ("simulate", "verify", "characteristics")),
+        # the step floor, cfl times the tighter step limit, rounds to 0 or
+        # is subnormal; the second would step ~2e-312 at a time
+        *(((command, "--cfl", cfl, "--n", "64", "--no-plots", *t_end),
+           "the step floor underflows")
+          for command in ("simulate", "align") for cfl in ("5e-324", "1e-310")
+          for t_end in ((), ("--t-end", "0.001"))),
+        # the slab check's Gauss-Jacobi rule for s^(1 - alpha) has its
+        # first node on s = 0, where the plane integrand is singular
+        (("reduce", "--alpha", "1.9999999999999998", "--n", "64"),
+         "rounds a node onto t = -1"),
     ])
     def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
         # rejected flag values exit 1 with a one-line message and write nothing
@@ -218,6 +233,22 @@ class TestConfigFile:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["steps"] > 0
         assert meta["t_final"] == t_end if t_end else meta["stop_reason"] == "under_resolved"
+
+    @pytest.mark.parametrize("argv, stop", [
+        # steps to the output time overflow: the steps are not evened out
+        *(((command, "--t-end", "1e308", "--snapshot-interval", "1e308", "--max-steps", "5"),
+           "under_resolved") for command in ("simulate", "align")),
+        # (r - x0) / width overflows: the ramp is a step at this grid
+        *((("simulate", "--preset", "vacuum-plateau", "--width", width), "under_resolved")
+          for width in ("5e-324", "1e-310")),
+        (("reduce", "--alpha", "1.999"), None)])
+    def test_extreme_values_run(self, argv, stop, tmp_path):
+        # values at the ends of the float range run without a warning
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--n", "64", "--no-plots", "--out", str(out)) == 0
+        if stop:
+            meta = json.loads((out / "metadata.json").read_text())
+            assert meta["stop_reason"] == stop and meta["steps"] <= 5
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -336,10 +367,21 @@ class TestSimulate:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["stop_reason"] == "under_resolved"
 
+    @pytest.mark.parametrize("command", ["simulate", "verify", "characteristics", "align"])
+    def test_require_t_end_on_step_budget(self, command, tmp_path):
+        # t_end is the only stop that reaches t_end: a run out of steps exits 3
+        out = tmp_path / "o"
+        code = run_cli(command, "--n", "64", "--t-end", "0.01", "--max-steps", "3",
+                       "--snapshot-interval", "1e-5", "--require-t-end",
+                       "--no-plots", "--out", str(out))
+        assert code == 3
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["stop_reason"] == "max_steps" and meta["t_final"] < 0.01
+
 
 # cccf at alpha = 1 on 128 points, snapshots every `interval`: a run that
-# stops under-resolved after 13 snapshots (the stop state is appended), one
-# whose t_end lies off the snapshot grid (t_end is appended), and that run
+# stops under-resolved after 13 snapshots (the stop state is the last), one
+# whose t_end lies off the snapshot grid (the state at t_end is the last), and that run
 # with 155 snapshots and charts on, whose density chart draws every 2nd of
 # the 17 snapshots written (a count at which len // 6 and len // 5 differ)
 STREAMED_RUNS = {

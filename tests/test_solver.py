@@ -572,7 +572,7 @@ class TestStopRules:
             # the last finite state is the result, not a snapshot
             assert times == [0.0]
             return
-        assert times[-1] == final.t
+        assert res.states[-1] is final  # the stopping state is the last snapshot
         if stop == "t_end":
             assert np.allclose(times, [0.0, 0.01, 0.02], rtol=0, atol=1e-12)
         elif stop == "max_steps":
