@@ -200,18 +200,20 @@ def _prepare(args):
     return settings, rho0, config, _out_dir(args)
 
 
-def _execute(rho0, config, out_dir=None, charted=None):
-    """Run rho0 with the estimate observer.  With an out_dir, every
-    SNAPSHOT_STRIDE-th snapshot CSV is written there as the run makes it,
-    and the last snapshot after the run, so at most one unwritten snapshot
-    is held; a list charted receives (t, rho values) of each one written.
-    Returns the constants, the RunResult, the run's wall time and the
-    seconds spent writing snapshots, which wall_split's observers exclude."""
+def _execute(rho0, config, out_dir=None, charted=None, observe=None):
+    """Run rho0 with observe, by default the estimate observer.  With an
+    out_dir, every SNAPSHOT_STRIDE-th snapshot CSV is written there as the
+    run makes it, and the last snapshot after the run, so at most one
+    unwritten snapshot is held; a list charted receives (t, rho values) of
+    each one written.  Returns the constants, the RunResult, the run's wall
+    time and the seconds spent writing snapshots, which wall_split's
+    observers exclude."""
     try:
         constants = constants_for(config.alpha, rho0)
     except ValueError as exc:  # a mass that underflows to 0
         raise ConfigError(str(exc)) from exc
-    observe = make_observer(constants)
+    if observe is None:
+        observe = make_observer(constants)
     seen, unwritten, write_s = 0, None, 0.0  # snapshots seen; the latest, if not written
 
     def write(i, state):
@@ -371,13 +373,7 @@ def cmd_characteristics(args) -> int:
         names[name] = xs
     settings, rho0, config, out_dir = _prepare(args)
     tracer = PathTracer(starts)
-    try:
-        constants = constants_for(config.alpha, rho0)
-        t0 = time.perf_counter()
-        result = run(rho0, config, observers=(tracer,), keep_states=False)
-        wall = time.perf_counter() - t0
-    except ValueError as exc:  # a mass or a step floor that underflows
-        raise ConfigError(str(exc)) from exc
+    constants, result, wall, _ = _execute(rho0, config, observe=tracer)
     if len(result.records) < 2:
         raise ConfigError(
             f"run stopped {result.stop_reason} at t = {result.final_state.t:.6g} "

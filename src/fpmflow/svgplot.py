@@ -20,9 +20,20 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 _BLOCK_POINTS = 256
 
 
-def _ticks(lo: float, hi: float):
+def _span(lo: float, hi: float):
+    """[lo, hi] widened at hi until a sixth of it, and so the tick step,
+    exceeds a unit in the last place of both ends, so that each tick moves
+    a float: a flat span becomes [lo, lo + 1], and one too narrow doubles."""
+    width = hi - lo if hi > lo else 1.0
     if hi <= lo:
-        hi = lo + 1.0
+        hi = lo + width
+    while not (hi - lo) / 6 > math.ulp(max(abs(lo), abs(hi))):
+        width *= 2
+        hi = lo + width
+    return lo, hi
+
+
+def _ticks(lo: float, hi: float):
     raw = (hi - lo) / 6  # about six ticks per axis
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -69,10 +80,8 @@ def line_chart(series, path, title="", xlabel="", ylabel="", logy=False) -> None
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
     elif logy:  # log10 is monotone, so this is the range of the logs
         y_lo, y_hi = math.log10(y_lo), math.log10(y_hi)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _span(x_lo, x_hi)
+    y_lo, y_hi = _span(y_lo, y_hi)
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     with Path(path).open("w") as fh:

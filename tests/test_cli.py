@@ -21,7 +21,7 @@ from fpmflow.cli import RUN_KEYS, ConfigError, check_invariants, load_config, ma
 from fpmflow.diagnostics import (DiagnosticsRecord, EstimateConstants, constants_for,
                                  make_observer)
 from fpmflow.extensions import run_alignment
-from fpmflow.grid import make_grid, spectral_derivative
+from fpmflow.grid import PeriodicGrid, make_grid, spectral_derivative
 from fpmflow.initial_data import KINDS, InitialDataSpec, make_initial_data
 from fpmflow.operators import velocity_spectral
 from fpmflow.output import write_csv, write_snapshot, write_timeseries
@@ -37,11 +37,22 @@ def run_cli(*argv):
 
 
 def run_python(*args, cwd):
-    """Run a fresh interpreter that imports the same fpmflow; check=True."""
+    """Run a fresh interpreter that imports the same fpmflow, with every
+    warning an error as in the tests; check=True."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], cwd=cwd, check=True,
                           capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"})
+
+
+# per numeric run key, its largest accepted value at which a run at --n 16
+# stays finite, and the preset that reads it (cccf if every preset does)
+EDGE_LARGEST = {"alpha": "1.9999999999999998", "t_end": repr(sys.float_info.max),
+                "cfl": "1.0", "tail_threshold": repr(sys.float_info.max),
+                "snapshot_interval": repr(sys.float_info.max), "max_steps": str(sys.maxsize),
+                "rho_max": "7e153", "x0": "0.4", "width": "0.35", "offset": "1e307"}
+EDGE_PRESETS = {"rho_max": "vacuum-plateau", "x0": "vacuum-plateau",
+                "width": "vacuum-plateau", "offset": "positive-control"}
 
 
 def _no_constant(name):
@@ -101,7 +112,8 @@ class TestConfigFile:
             code = run_cli("simulate", "--config", str(cfg), "--no-plots",
                            "--out", str(tmp_path / "o"))
             assert code == 1, text
-            assert capsys.readouterr().err.startswith("config error: "), text
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, text
             assert not (tmp_path / "o").exists(), text
 
     @pytest.mark.parametrize("content", (None, b"alpha = \xff\n"),
@@ -224,8 +236,11 @@ class TestConfigFile:
     @pytest.mark.parametrize("argv, t_end", [
         # the largest plateau whose flux stays finite runs until under-resolved
         (("--preset", "vacuum-plateau", "--rho-max", "1e152", "--n", "1024"), None),
-        # u is O(1) on the offset, so rho0 u0 stays finite
-        (("--preset", "positive-control", "--offset", "1e160", "--n", "64"), 0.001)])
+        # u is O(1) on the offset, so rho0 u0 stays finite; both densities
+        # lie beyond float32's range, yet the floor's center, rounded to 24
+        # significant bits, stays finite
+        *((("--preset", "positive-control", "--offset", offset, "--n", "64"), 0.001)
+          for offset in ("1e160", "1e50"))])
     def test_finite_flux_is_stepped(self, argv, t_end, tmp_path):
         out = tmp_path / "o"
         assert run_cli("simulate", *argv, "--t-end", "0.001", "--no-plots",
@@ -250,12 +265,43 @@ class TestConfigFile:
             meta = json.loads((out / "metadata.json").read_text())
             assert meta["stop_reason"] == stop and meta["steps"] <= 5
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("value", ("min-normal", "5e-324", "largest",
+                                       "0", "-1", "nan", "inf", "-inf"))
+    @pytest.mark.parametrize("key", EDGE_LARGEST)
+    @pytest.mark.parametrize("command", ("simulate", "verify", "characteristics",
+                                         "align", "reduce"))
+    def test_edge_values(self, command, key, value, tmp_path, capsys):
+        # every edge value of every numeric run key, with charts on: the run
+        # exits with a documented code and at most one line on stderr, a
+        # refusal leaves no --out, and any other run draws both charts (a
+        # traceback or a numpy warning fails the test)
+        value = {"min-normal": repr(sys.float_info.min), "largest": EDGE_LARGEST[key]}.get(
+            value, value)
+        flag = next(flag for name, flag, *_ in RUN_KEYS if name == key)
+        out = tmp_path / "o"
+        code = run_cli(command, "--preset", EDGE_PRESETS.get(key, "cccf"), "--n", "16",
+                       "--t-end", "1e-3", "--max-steps", "40", f"{flag}={value}",
+                       "--out", str(out))
+        assert code in (0, 1, 2, 3)
+        assert capsys.readouterr().err.count("\n") <= 1
+        if code == 1:
+            assert not out.exists()
+        elif command in ("simulate", "verify"):
+            assert (out / "rho_snapshots.svg").exists() and (out / "c1_norm.svg").exists()
+
+    def test_n_points_upper_edge(self):
+        # memory alone bounds --n: the grid takes the largest even int64 and
+        # allocates nothing until its nodes or wavenumbers are asked for
+        grid = PeriodicGrid(2**63 - 2)
+        assert vars(grid) == {"n": 2**63 - 2}
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("alphaa = 0.5\n")
         code = run_cli("simulate", "--config", str(cfg), "--out",
                        str(tmp_path / "o"))
         assert code == 1
+        assert capsys.readouterr().err == "config error: unknown config key 'alphaa'\n"
 
     def test_help_exits_zero(self, capsys):
         # usage errors exit 1 through ConfigError; --help still exits 0
@@ -615,6 +661,13 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["checks"]["velocity_sign"]
         assert report["checks"]["monotonicity"]
+        # steps to each snapshot are evened out, so none is shorter than half
+        # the longest; a step makes 8 FFT calls (four rates calls, the last
+        # giving the next step's first stage), and the run 3 more: the first
+        # rfft and the first rates call
+        run = json.loads((tmp_path / "o" / "metadata.json").read_text())["run"]
+        assert run["dt_min"] >= 0.5 * run["dt_max"]
+        assert run["fft_calls"] == 8 * run["steps"] + 3
 
 
 def _records(count, **bad):
@@ -709,6 +762,13 @@ class TestCharacteristicsCommand:
         assert set(split) == {"stepping", "observers", "output"}
         assert min(split.values()) > 0.0
         assert split["stepping"] + split["observers"] <= meta["wall_time"]
+        # no report applies when both starts lie outside the smallness radius
+        assert run_cli("characteristics", "--preset", "cccf", "--alpha", "1.0",
+                       "--n", "256", "--t-end", "0.05", "--snapshot-interval", "0.002",
+                       "--x-start", "0.3,0.4", "--out", str(tmp_path / "outside")) == 0
+        reports = strict_stdout(capsys)["decay_reports"]
+        assert reports == 2 * [{"applicable": False, "holds": False,
+                                "margin": None, "t_checked": None}]
 
     def test_mirrored_starts(self, tmp_path, capsys):
         # cccf is even: the paths from -0.05 and 0.05 mirror each other, and
@@ -738,6 +798,15 @@ class TestCharacteristicsCommand:
                                   snapshot_interval=0.002)).states
         outer = [advect_path(states, xs) for xs in (0.05, 0.25)]
         assert drift == check_mass_transport(*outer, states)
+        # a start's path is the same in any start order, and beside a start
+        # on the other side of 0, whose mass_along is negative
+        for name, starts, same in (("reversed", "0.25,0.15,0.05", ("0.0500", "0.1500", "0.2500")),
+                                   ("sides", "-0.15,0.05,0.25", ("0.0500", "0.2500"))):
+            assert run_cli("characteristics", *settings, f"--x-start={starts}",
+                           "--out", str(tmp_path / name)) == 0
+            for start in same:
+                assert ((tmp_path / name / f"path_{start}.csv").read_bytes()
+                        == (tmp_path / "o" / f"path_{start}.csv").read_bytes())
 
 
     def test_starts_on_the_torus_ends(self, tmp_path):
@@ -765,6 +834,13 @@ class TestAlignCommand:
         # the rows are made by an observer, as each snapshot arrives
         assert set(meta["wall_split"]) == {"stepping", "observers", "output"}
         assert min(meta["wall_split"].values()) > 0.0
+        # on positive data at alpha = 1.5 the error estimate sets steps
+        out = tmp_path / "positive"
+        assert run_cli("align", "--preset", "positive-control", "--alpha", "1.5",
+                       "--n", "256", "--t-end", "0.01", "--snapshot-interval", "0.002",
+                       "--out", str(out)) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["stop_reason"] == "t_end" and meta["run"]["step_limits"]["error"] > 0
 
     def test_bad_value_writes_nothing(self, tmp_path):
         out = tmp_path / "o"
@@ -854,12 +930,13 @@ class TestSweep:
 class TestSweepAppliesVerifysRule:
     """A sweep row is the verify report of the same run: its note says
     invariant_failure exactly when verify exits 2, and its margins are
-    verify's (NaN where verify resolves no record)."""
+    verify's (NaN where verify resolves no record).  Every run passes at the
+    default tail threshold, and none resolves a record at 1e-30."""
 
     @pytest.mark.parametrize("preset, alpha, t_end, tail", [
-        ("cccf", "1.0", "0.05", "1e-8"),
+        *(("cccf", alpha, "0.05", "1e-8") for alpha in ("0.5", "1.0", "1.5")),
         ("cccf", "1.0", "0.05", "1e-30"),
-        ("positive-control", "1.0", "0.05", "1e-8"),
+        *(("positive-control", alpha, "0.05", "1e-8") for alpha in ("0.5", "1.0", "1.5")),
         # monotonicity fails on these positive data late in the run; verify
         # does not enforce it there (H3 fails), and neither does sweep
         ("positive-control", "1.9", "0.5", "1e-8"),
@@ -874,7 +951,7 @@ class TestSweepAppliesVerifysRule:
                        "--out", str(tmp_path / "s")) == 0
         with open(tmp_path / "s" / "sweep.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
-        assert code in (0, 2)
+        assert code == (2 if tail == "1e-30" else 0)
         assert (row["note"] == "invariant_failure") == (code == 2)
         margins = report.get("margins", {})
         for key in ("rho_min", "u_max_on_delta"):

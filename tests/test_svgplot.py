@@ -1,15 +1,22 @@
 """SVG line charts: exact output, which points are drawn, axis ranges, memory."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpmflow
 from fpmflow.svgplot import line_chart
 
 inf, nan = math.inf, math.nan
+SRC = Path(fpmflow.__file__).resolve().parents[1]  # the fpmflow these tests import
 
 # Two small charts and their text as written by the point-by-point
 # implementation that the block writer replaced; the bytes must not change,
@@ -178,6 +185,36 @@ def test_log_labels_inside_one_decade_are_distinct(ys, tmp_path):
     assert len(labels) >= 3
     assert len(set(labels)) == len(labels)
     assert min(ys) <= float(labels[0]) and float(labels[-1]) <= max(ys)
+
+
+# spans that a sixth of cannot step across: every value one float (1e16 + 1
+# is 1e16), one unit in the last place (a sixth of it does not move 0.8),
+# and [0, 5e-324] (a sixth of it is 0); each series spans it in x and y
+NARROW = {"flat-1e16": [1e16, 1e16], "one-ulp": [0.8, math.nextafter(0.8, 1.0)],
+          "subnormal": [0.0, 5e-324]}
+
+
+def test_narrow_spans_are_widened(tmp_path):
+    # drawn in a fresh interpreter with a timeout: the one-ulp chart's ticks
+    # once never advanced, and the others raised a math domain error
+    script = textwrap.dedent(f"""
+        from fpmflow.svgplot import line_chart
+        for name, vs in {NARROW!r}.items():
+            line_chart([(vs, vs, name)], name + ".svg")
+    """)
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, timeout=60,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    for name in NARROW:
+        text = (tmp_path / f"{name}.svg").read_text()
+        x_ticks = re.findall(r'<line x1="([^"]*)" y1="36"', text)
+        y_ticks = re.findall(r'<line x1="70" y1="([^"]*)"', text)
+        assert len(set(x_ticks)) == len(x_ticks) >= 2, name
+        assert len(set(y_ticks)) == len(y_ticks) >= 2, name
+        ((x0, y0), (x1, y1)) = [tuple(map(float, p)) for p in polylines(text)[0]]
+        assert 70 <= x0 <= x1 <= 700 and 392 >= y0 >= y1 >= 36, name
 
 
 def test_peak_memory_is_bounded(tmp_path):
