@@ -151,10 +151,12 @@ def _fields_of(cls, settings) -> dict:
 
 
 def _inputs(settings, stepped=True):
-    """Initial data and solver config from settings.  A value that the grid,
-    the initial data or SolverConfig rejects is a config error, and so is
-    initial data whose mean, derivative or fractional Laplacian overflows,
-    or, if the data are to be stepped, whose flux rho0 u0 does."""
+    """Initial data and solver config from settings, by every command's one
+    admission rule: a value that the grid, the initial data or SolverConfig
+    rejects, or a grid too large to allocate, is a config error, and so is
+    initial data whose mean overflows or underflows to 0 (it has no estimate
+    constants), whose derivative or fractional Laplacian overflows, or, if
+    the data are to be stepped, whose flux rho0 u0 does."""
     try:
         grid = make_grid(settings["n_points"])
         spec = InitialDataSpec(kind=settings["preset"].replace("-", "_"),
@@ -162,17 +164,19 @@ def _inputs(settings, stepped=True):
                                **_fields_of(InitialDataSpec, settings))
         config = SolverConfig(**_fields_of(SolverConfig, settings))
         rho0 = make_initial_data(grid, spec)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError) as exc:
         raise ConfigError(str(exc)) from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        if not math.isfinite(rho0.mean):
-            raise ConfigError("the initial density's mean overflows; "
-                              "lower rho_max or offset")
+        if not 0.0 < rho0.mean < math.inf:
+            raise ConfigError("the initial density's mean overflows or underflows to 0; "
+                              "bring rho_max or offset into range")
         try:  # fields of the first snapshot's observers and of align's G, and
             # u0, whose multiplier is below Lambda^a's at every k
             spectral_derivative(rho0)
             fractional_laplacian_spectral(rho0, config.alpha)
             u0 = velocity_spectral(rho0, config.alpha).values
+        except MemoryError as exc:
+            raise ConfigError(str(exc)) from exc
         except ValueError as exc:
             raise ConfigError("the initial density's derivative or fractional "
                               "Laplacian overflows; lower rho_max") from exc
@@ -200,20 +204,14 @@ def _prepare(args):
     return settings, rho0, config, _out_dir(args)
 
 
-def _execute(rho0, config, out_dir=None, charted=None, observe=None):
-    """Run rho0 with observe, by default the estimate observer.  With an
+def _execute(observe, step, *data, out_dir=None, charted=None):
+    """Every stepping command's one run call: step(*data), `run` on (rho0,
+    config) or `run_alignment` on (rho0, u0, config), with observe.  With an
     out_dir, every SNAPSHOT_STRIDE-th snapshot CSV is written there as the
     run makes it, and the last snapshot after the run, so at most one
     unwritten snapshot is held; a list charted receives (t, rho values) of
-    each one written.  Returns the constants, the RunResult, the run's wall
-    time and the seconds spent writing snapshots, which wall_split's
-    observers exclude."""
-    try:
-        constants = constants_for(config.alpha, rho0)
-    except ValueError as exc:  # a mass that underflows to 0
-        raise ConfigError(str(exc)) from exc
-    if observe is None:
-        observe = make_observer(constants)
+    each one written.  Returns the RunResult, the run's wall time and the
+    seconds spent writing snapshots, which wall_split's observers exclude."""
     seen, unwritten, write_s = 0, None, 0.0  # snapshots seen; the latest, if not written
 
     def write(i, state):
@@ -236,15 +234,15 @@ def _execute(rho0, config, out_dir=None, charted=None, observe=None):
 
     t0 = time.perf_counter()
     try:
-        result = run(rho0, config, observers=(observe if out_dir is None else keep,),
-                     keep_states=False)
+        result = step(*data, observers=(observe if out_dir is None else keep,),
+                      keep_states=False)
     except ValueError as exc:  # a step floor that underflows
         raise ConfigError(str(exc)) from exc
     wall = time.perf_counter() - t0
     result.wall_split["observers"] -= write_s
     if unwritten is not None:
         write(seen - 1, unwritten)
-    return constants, result, wall, write_s
+    return result, wall, write_s
 
 
 def _finish(settings, out_dir, result, wall, output_s, **extra) -> int:
@@ -332,8 +330,10 @@ def cmd_run(args) -> int:
     metadata.  verify then prints its certificate and exits 2 if an
     invariant failed."""
     settings, rho0, config, out_dir = _prepare(args)
+    constants = constants_for(config.alpha, rho0)
     charted = None if args.no_plots else []
-    constants, result, wall, write_s = _execute(rho0, config, out_dir, charted)
+    result, wall, write_s = _execute(make_observer(constants), run, rho0, config,
+                                     out_dir=out_dir, charted=charted)
     t0 = time.perf_counter()
     write_timeseries(out_dir / "timeseries.csv", result.records)
     if charted is not None:
@@ -372,8 +372,9 @@ def cmd_characteristics(args) -> int:
                               f"would both write {name}")
         names[name] = xs
     settings, rho0, config, out_dir = _prepare(args)
+    constants = constants_for(config.alpha, rho0)
     tracer = PathTracer(starts)
-    constants, result, wall, _ = _execute(rho0, config, observe=tracer)
+    result, wall, _ = _execute(tracer, run, rho0, config)
     if len(result.records) < 2:
         raise ConfigError(
             f"run stopped {result.stop_reason} at t = {result.final_state.t:.6g} "
@@ -405,12 +406,7 @@ def cmd_align(args) -> int:
         return (s.t, float(s.rho.values.min()), float(s.rho.values.max()),
                 g_norm, g_norm / max(dux, 1e-300))
 
-    t0 = time.perf_counter()
-    try:
-        result = run_alignment(rho0, u0, config, observers=(row,), keep_states=False)
-    except ValueError as exc:  # a step floor that underflows
-        raise ConfigError(str(exc)) from exc
-    wall = time.perf_counter() - t0
+    result, wall, _ = _execute(row, run_alignment, rho0, u0, config)
     rows = np.array(result.records)
     t0 = time.perf_counter()
     write_csv(out_dir / "alignment_timeseries.csv",
@@ -464,7 +460,8 @@ def cmd_sweep(args) -> int:
     for value in values:
         try:
             rho0, config = _inputs({**settings, axis: _typed(axis, value)})
-            constants, result, _, _ = _execute(rho0, config)
+            constants = constants_for(config.alpha, rho0)
+            result, _, _ = _execute(make_observer(constants), run, rho0, config)
             report = _certify(rho0, constants, config, result)
             verdict = report["verdict"] or dict(verdict="inconclusive", growth_factor=math.nan)
             margins = report.get("margins", {})

@@ -206,10 +206,11 @@ class TestConfigFile:
         *(((command, "--preset", "vacuum-plateau", "--rho-max", "1e160", "--n", "1024",
             "--t-end", "0.001", "--no-plots"), "the initial flux rho u overflows")
           for command in ("simulate", "verify", "align")),
-        # a density whose mean underflows to 0 has no mass for the estimate
-        # constants, which align and reduce do not compute
+        # a density whose mean underflows to 0 has no mass, and no estimate
+        # constants; align and reduce, which use none, refuse it too (below)
         *(((command, "--preset", "smooth-monotone", "--rho-max", "5e-324", "--n", "64",
-            "--t-end", "0.001", "--no-plots"), "mass and density bound must be positive")
+            "--t-end", "0.001", "--no-plots"),
+           "the initial density's mean overflows or underflows to 0")
           for command in ("simulate", "verify", "characteristics")),
         # the step floor, cfl times the tighter step limit, rounds to 0 or
         # is subnormal; the second would step ~2e-312 at a time
@@ -221,6 +222,14 @@ class TestConfigFile:
         # first node on s = 0, where the plane integrand is singular
         (("reduce", "--alpha", "1.9999999999999998", "--n", "64"),
          "rounds a node onto t = -1"),
+        *(((command, "--preset", "smooth-monotone", "--rho-max", "5e-324", "--n", "64",
+            "--t-end", "0.001", "--no-plots"),
+           "the initial density's mean overflows or underflows to 0")
+          for command in ("align", "reduce")),
+        # a grid of 2^59 points asks for 4 EiB, beyond any 64-bit address
+        # space, so the allocation fails at once and touches no memory
+        *(((command, "--n", str(2**59), "--t-end", "0.001"), "Unable to allocate")
+          for command in ("simulate", "verify", "characteristics", "align", "reduce")),
     ])
     def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
         # rejected flag values exit 1 with a one-line message and write nothing
@@ -994,6 +1003,33 @@ class TestUnusableOut:
         assert captured.err.startswith("config error: --out: ")
         assert "Traceback" not in captured.err and captured.out == ""
         assert blocker.read_text() == "kept"
+
+
+class TestRunLookup:
+    def test_runs_are_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # the benchmark tracer replaces cli.run and cli.run_alignment by name;
+        # a run function bound when cli was imported would hide every run
+        # from it, so each replacement must see exactly its commands' runs
+        seen = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                seen.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("run", "run_alignment"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        runs = {}
+        for command, extra in (("simulate", ()), ("verify", ()), ("characteristics", ()),
+                               ("sweep", ("--axis", "alpha", "--values", "1.0")),
+                               ("align", ())):
+            seen.clear()
+            assert run_cli(command, "--n", "16", "--t-end", "0.01", "--no-plots", *extra,
+                           "--out", str(tmp_path / command)) in (0, 2)
+            runs[command] = list(seen)
+        assert runs == {"simulate": ["run"], "verify": ["run"], "characteristics": ["run"],
+                        "sweep": ["run"], "align": ["run_alignment"]}
 
 
 def _artifacts(out: Path) -> dict:
