@@ -204,22 +204,23 @@ def _prepare(args):
     return settings, rho0, config, _out_dir(args)
 
 
-def _execute(observe, step, *data, out_dir=None, charted=None):
+def _execute(observe, step, *data, out_dir=None, written=None):
     """Every stepping command's one run call: step(*data), `run` on (rho0,
     config) or `run_alignment` on (rho0, u0, config), with observe.  With an
     out_dir, every SNAPSHOT_STRIDE-th snapshot CSV is written there as the
     run makes it, and the last snapshot after the run, so at most one
-    unwritten snapshot is held; a list charted receives (t, rho values) of
-    each one written.  Returns the RunResult, the run's wall time and the
-    seconds spent writing snapshots, which wall_split's observers exclude."""
+    snapshot is held, unwritten or being written; a list written receives
+    (index, t) of each one written.  Returns the RunResult, the run's wall
+    time and the seconds spent writing snapshots, which wall_split's
+    observers exclude."""
     seen, unwritten, write_s = 0, None, 0.0  # snapshots seen; the latest, if not written
 
     def write(i, state):
         nonlocal write_s
         begin = time.perf_counter()
         write_snapshot(out_dir / f"snapshot_{i:04d}.csv", state)
-        if charted is not None:
-            charted.append((state.t, state.rho.values))
+        if written is not None:
+            written.append((i, state.t))
         write_s += time.perf_counter() - begin
 
     def keep(state):  # every SNAPSHOT_STRIDE-th snapshot now, the last after the run
@@ -227,8 +228,8 @@ def _execute(observe, step, *data, out_dir=None, charted=None):
         if seen % SNAPSHOT_STRIDE:
             unwritten = state
         else:
-            write(seen, state)
             unwritten = None
+            write(seen, state)
         seen += 1
         return observe(state)
 
@@ -331,15 +332,17 @@ def cmd_run(args) -> int:
     invariant failed."""
     settings, rho0, config, out_dir = _prepare(args)
     constants = constants_for(config.alpha, rho0)
-    charted = None if args.no_plots else []
+    written = None if args.no_plots else []
     result, wall, write_s = _execute(make_observer(constants), run, rho0, config,
-                                     out_dir=out_dir, charted=charted)
+                                     out_dir=out_dir, written=written)
     t0 = time.perf_counter()
     write_timeseries(out_dir / "timeseries.csv", result.records)
-    if charted is not None:
+    if written is not None:  # the picked rows, read back from this run's CSVs
         xs = result.final_state.rho.grid.nodes
-        picks = charted[:: max(1, len(charted) // 6)]
-        line_chart([(xs, rho, f"t={t:.4g}") for t, rho in picks],
+        picks = written[:: max(1, len(written) // 6)]
+        line_chart([(xs, np.loadtxt(out_dir / f"snapshot_{i:04d}.csv", delimiter=",",
+                                    skiprows=1, usecols=1), f"t={t:.4g}")
+                    for i, t in picks],
                    out_dir / "rho_snapshots.svg", title="density snapshots",
                    xlabel="x", ylabel="rho")
         ts = [r.t for r in result.records]

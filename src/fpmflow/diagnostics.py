@@ -27,7 +27,7 @@ __all__ = [
     "classify_run",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagnosticsRecord:
     t: float
     mass: float

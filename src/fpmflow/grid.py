@@ -50,7 +50,11 @@ class PeriodicGrid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        x = -0.5 + np.arange(self.n) / self.n
+        x = np.arange(self.n)
+        if x.size != self.n:  # within 512 of 2^63, numpy's float length overflows to 0
+            raise ValueError(f"cannot allocate the grid's {self.n} nodes: "
+                             f"numpy's arange made {x.size}")
+        x = -0.5 + x / self.n
         x.setflags(write=False)
         return x
 

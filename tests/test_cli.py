@@ -230,6 +230,10 @@ class TestConfigFile:
         # space, so the allocation fails at once and touches no memory
         *(((command, "--n", str(2**59), "--t-end", "0.001"), "Unable to allocate")
           for command in ("simulate", "verify", "characteristics", "align", "reduce")),
+        # numpy sizes arange(2^63 - 2) in floats, overflows and makes no
+        # nodes, which the grid refuses
+        (("simulate", "--n", str(2**63 - 2), "--t-end", "0.001"),
+         "cannot allocate the grid's 9223372036854775806 nodes"),
     ])
     def test_bad_flag_exit_code(self, argv, message, tmp_path, capsys):
         # rejected flag values exit 1 with a one-line message and write nothing
@@ -548,6 +552,36 @@ class TestStreamedArtifacts:
             assert code == 0
         assert (tmp_path / "0" / "rho_snapshots.svg").exists()
         assert peaks[()] - peaks[("--no-plots",)] <= 0.1 * 2**20
+
+    def test_plots_hold_no_row_per_written_snapshot(self, tmp_path):
+        # 201 snapshots, 21 written at n = 2048 (16 KiB of rho each): holding
+        # one density row per written snapshot for the chart added 0.3 MiB;
+        # read back from the CSVs, the chart's picks add nothing to the peak
+        peaks = {}
+        for plots in (("--no-plots",), ()):
+            tracemalloc.start()
+            try:
+                code = run_cli("verify", "--preset", "cccf", "--n", "2048",
+                               "--t-end", "0.02", "--snapshot-interval", "1e-4", *plots,
+                               "--out", str(tmp_path / str(len(plots))))
+                peaks[plots] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert len(list((tmp_path / "0").glob("snapshot_*.csv"))) == 21
+        assert peaks[()] - peaks[("--no-plots",)] <= 0.1 * 2**20
+
+    def test_chart_reads_only_this_runs_snapshots(self, tmp_path):
+        # a longer run leaves snapshot CSVs in --out that a shorter run into
+        # the same directory does not overwrite; its chart draws none of them
+        def chart(out, t_end):
+            assert run_cli("simulate", "--preset", "cccf", "--n", "128", "--t-end", t_end,
+                           "--snapshot-interval", "8e-5", "--out", str(out)) == 0
+            return (out / "rho_snapshots.svg").read_bytes()
+
+        chart(tmp_path / "shared", "0.0123")
+        assert (tmp_path / "shared" / "snapshot_0154.csv").exists()
+        assert chart(tmp_path / "shared", "0.005") == chart(tmp_path / "fresh", "0.005")
 
     def test_peak_memory_does_not_grow_with_snapshots(self, tmp_path):
         # 21 and 201 snapshots of (rho, u) at n = 2048 (32 KiB each): holding
